@@ -3,7 +3,7 @@
     python3 perfbench/smoke.py
 
 Runs both workloads untraced and traced with --toy and checks that the
-result line has exactly the contract's keys, that the run's correctness
+result line has exactly its four keys, that the run's correctness
 checks pass, and that every metric BENCHMARK.json names is printed as a
 number with its declared unit.  Exits 1 on the first workload that fails.
 """

@@ -18,8 +18,8 @@ The package never sees the benchmark seed: seed s selects the package seeds
 s * SEED_STRIDE + i, and the package generates each job's data from those.
 A run takes consecutive blocks of n_seeds package seeds (seed_block).
 
-The shared host runs the same work up to 2x slower from one minute to the
-next, which spreads raw seconds of runs minutes apart by more than any
+On a shared 2-core VM the same work ran up to 2x slower from one minute to
+the next, which spreads raw seconds of runs minutes apart by more than any
 useful bound.  On a serial workload each job is therefore bracketed by runs
 of reference_s, a fixed numpy job that uses no package code, and its times
 are scaled by REF_S over the bracket's mean: seconds on a machine where the
