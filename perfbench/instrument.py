@@ -74,9 +74,14 @@ class Audit:
 
     The wrapper on pipelines._run_single_safe reaches forked pool workers
     because it is installed before run_experiment starts them; the row, with
-    its audit, is pickled back to the parent.  Given a `reference` job (a
-    callable returning its own seconds), every job is bracketed by runs of it
-    and `audit["scale"]` is ref_s over their mean, else 1.
+    its audit, is pickled back to the parent.
+
+    Given a `reference` job (a callable returning its own seconds), every job
+    is bracketed by runs of it, and so is its evaluate call.  A scale is
+    ref_s over the mean of the two reference times around a phase: `scale`
+    for the whole job, `train_scale` for the part before evaluate,
+    `infer_scale` for evaluate.  Without a reference every scale is 1.
+    `job_s` excludes the reference runs.
     """
 
     def __init__(self, reference=None, ref_s=1.0):
@@ -84,11 +89,27 @@ class Audit:
         self.reference = reference
         self.ref_s = ref_s
         self._last_ref = None
+        self._inner_refs = []
 
     def install(self, undo):
         for name in ("solve_qp", "solve_box_budget_qp"):
             replace_everywhere(optlayer, name, self._residual_probe, undo)
         replace_everywhere(pipelines, "_run_single_safe", self._job_probe, undo)
+        if self.reference:
+            replace_everywhere(pipelines, "evaluate", self._evaluate_probe, undo)
+
+    def _scale(self, a, b):
+        return self.ref_s / (0.5 * (a + b))
+
+    def _evaluate_probe(self, fn):
+        @functools.wraps(fn)
+        def probe(*args, **kwargs):
+            self._inner_refs.append(self.reference())
+            out = fn(*args, **kwargs)
+            self._inner_refs.append(self.reference())
+            return out
+
+        return probe
 
     def _residual_probe(self, fn):
         @functools.wraps(fn)
@@ -105,14 +126,19 @@ class Audit:
             if self.reference and self._last_ref is None:
                 self._last_ref = self.reference()
             self.kkt_max = 0.0
+            self._inner_refs = []
             t0 = time.perf_counter()
             row, extras = fn(job)
-            job_s = time.perf_counter() - t0
-            scale = 1.0
+            job_s = time.perf_counter() - t0 - sum(self._inner_refs)
+            scales = dict(scale=1.0, train_scale=1.0, infer_scale=1.0)
             if self.reference:
                 before, self._last_ref = self._last_ref, self.reference()
-                scale = self.ref_s / (0.5 * (before + self._last_ref))
-            row.audit = dict(extras, kkt_residual_max=self.kkt_max, job_s=job_s, scale=scale)
+                scale = self._scale(before, self._last_ref)
+                scales = dict(scale=scale, train_scale=scale, infer_scale=scale)
+                if len(self._inner_refs) == 2:  # evaluate ran
+                    scales["train_scale"] = self._scale(before, self._inner_refs[0])
+                    scales["infer_scale"] = self._scale(*self._inner_refs)
+            row.audit = dict(extras, kkt_residual_max=self.kkt_max, job_s=job_s, **scales)
             return row, extras
 
         return probe

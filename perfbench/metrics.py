@@ -82,7 +82,6 @@ def end_to_end(setup_times, passes, serial, checker) -> dict:
         "train_epoch_s.df": metric(across("train_sec_per_epoch", "df"), "s/epoch"),
         "train_epoch_s.sur": metric(across("train_sec_per_epoch", "sur"), "s/epoch"),
         "infer_s.df": metric(across("inference_sec", "df"), "s"),
-        "infer_s.sur": metric(across("inference_sec", "sur"), "s"),
         "ok_frac": metric(1.0 - checker.failed / checker.attempted, "ratio"),
     }
 

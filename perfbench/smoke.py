@@ -5,7 +5,7 @@
 Runs both workloads untraced and traced with --toy and checks that the
 result line has exactly its four keys, that the run's correctness
 checks pass, and that every metric BENCHMARK.json names is printed as a
-number with its declared unit.  Exits 1 on the first workload that fails.
+number with its declared unit.  Exits 1 if any run fails.
 """
 
 import json

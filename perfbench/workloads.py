@@ -20,13 +20,13 @@ A run takes consecutive blocks of n_seeds package seeds (seed_block).
 
 On a shared 2-core VM the same work ran up to 2x slower from one minute to
 the next, which spreads raw seconds of runs minutes apart by more than any
-useful bound.  On a serial workload each job is therefore bracketed by runs
-of reference_s, a fixed numpy job that uses no package code, and its times
-are scaled by REF_S over the bracket's mean: seconds on a machine where the
-reference job takes REF_S.  A parallel workload is reported raw, because a
-one-process reference does not track the speed of workers that share the
-cores with each other.  Raw seconds and scale factors are kept in the result
-file.
+useful bound.  On a serial workload each job, and its evaluate call, is
+therefore bracketed by runs of reference_s, a fixed numpy job that uses no
+package code, and each time is scaled by REF_S over the mean of the bracket
+around it: seconds on a machine where the reference job takes REF_S.  A
+parallel workload is reported raw, because a one-process reference does not
+track the speed of workers that share the cores with each other.  Raw
+seconds and scale factors are kept in the result file.
 """
 
 import os
@@ -180,13 +180,16 @@ class Checker:
                 self.messages.append(f"{row.method}/seed {row.seed}: " + "; ".join(problems))
 
 
+SCALES = {"train_sec_per_epoch": "train_scale", "inference_sec": "infer_scale"}
+
+
 def method_medians(rows, column: str) -> dict:
     """Median of a scaled report timing column per method tag, over the ok rows."""
     by_tag = {}
     for row in rows:
         if row.status == "ok":
             by_tag.setdefault(METHOD_TAGS[row.method], []).append(
-                getattr(row, column) * row.audit["scale"])
+                getattr(row, column) * row.audit[SCALES[column]])
     return {tag: statistics.median(vals) for tag, vals in by_tag.items()}
 
 
