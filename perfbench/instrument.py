@@ -7,7 +7,8 @@ undoes every replacement on exit.
 
 Audit is installed on every run: it records, per job, the evidence
 run_experiment does not return (worst violation, lowest regret, largest KKT
-residual, job wall time) on the report row.
+residual) and the job's timings on the report row.  On timed runs it also
+samples the machine's speed during each job and scales the timings by it.
 
 Tracer is installed on traced runs only.  It records a span at each call of
 the layers' functions (name, parent span, (method, seed), start, end) in
@@ -17,6 +18,7 @@ flat arrays and derives the per-layer metrics from them.
 import functools
 import gzip
 import inspect
+import statistics
 import sys
 import time
 from array import array
@@ -70,46 +72,124 @@ def replace_everywhere(owner, name, make_wrapper, undo):
 
 
 class Audit:
-    """Per-job correctness evidence attached to each report row as `row.audit`.
+    """Per-job correctness evidence and timings, attached to each report row
+    as `row.audit`.
 
     The wrapper on pipelines._run_single_safe reaches forked pool workers
     because it is installed before run_experiment starts them; the row, with
     its audit, is pickled back to the parent.
 
-    Given a `reference` job (a callable returning its own seconds), every job
-    is bracketed by runs of it, and so is its evaluate call.  A scale is
-    ref_s over the mean of the two reference times around a phase: `scale`
-    for the whole job, `train_scale` for the part before evaluate,
-    `infer_scale` for evaluate.  Without a reference every scale is 1.
-    `job_s` excludes the reference runs.
+    Given a `probe` (a callable that runs a fixed reference job and returns
+    its seconds), the audit samples the machine's speed while each job runs:
+    at the job's start (the previous job's closing sample, when jobs run back
+    to back), right before and after evaluate (the latter closes the job),
+    and, once
+    `gap` seconds have passed since the last sample, after a training
+    instance, before a validation pass and after a test decision in
+    evaluate's timed passes.  A sample's speed is ref_s over its seconds.
+    Each timing is the raw time less the probe seconds inside it, times the
+    mean speed of the samples across it:
+    - train_sec_per_epoch: the samples from the job's start to evaluate;
+    - inference_sec (the package's median pass): the median pass's probe
+      seconds and speed, or the two samples around evaluate when the passes
+      are too short to hold a sample;
+    - job_s: every sample of the job.
+    Without a probe every speed is 1 and the timings are raw.
     """
 
-    def __init__(self, reference=None, ref_s=1.0):
+    def __init__(self, probe=None, ref_s=1.0, gap=0.1):
         self.kkt_max = 0.0
-        self.reference = reference
+        self.probe = probe
         self.ref_s = ref_s
-        self._last_ref = None
-        self._inner_refs = []
+        self.gap = gap
+        self._samples = []  # (phase, seconds) of the current job
+        self._last = 0.0
+        self._pass_len = 1  # test decisions per timed inference pass
+        self._decisions = 0  # test decisions made so far in evaluate
+        self._timed_decisions = 0  # test decisions in its timed passes
+        self._pass_probes = []  # probe seconds inside each timed pass
 
     def install(self, undo):
         for name in ("solve_qp", "solve_box_budget_qp"):
             replace_everywhere(optlayer, name, self._residual_probe, undo)
         replace_everywhere(pipelines, "_run_single_safe", self._job_probe, undo)
-        if self.reference:
+        if self.probe:
             replace_everywhere(pipelines, "evaluate", self._evaluate_probe, undo)
+            # per training instance, inside the timed epochs
+            replace_everywhere(pipelines, "_decision_and_grads",
+                               lambda fn: self._sampling(fn, "epoch", after=True), undo)
+            # per validation pass, outside the timed epochs
+            replace_everywhere(pipelines, "_regret_on",
+                               lambda fn: self._sampling(fn, "train", after=False), undo)
+            # per test decision, inside evaluate's timed passes
+            for adapter in (pipelines.PortfolioAdapter, pipelines.MovieRecAdapter):
+                for name in ("decision_full", "decision_surrogate"):
+                    replace_everywhere(adapter, name, self._pass_sampling, undo)
 
-    def _scale(self, a, b):
-        return self.ref_s / (0.5 * (a + b))
+    def _sample(self, phase, force=True):
+        """Runs the probe, if due; returns its seconds, or None."""
+        if not self.probe or not (force or time.perf_counter() - self._last >= self.gap):
+            return None
+        seconds = self.probe()
+        self._samples.append((phase, seconds))
+        self._last = time.perf_counter()
+        return seconds
+
+    def _sampling(self, fn, phase, after):
+        @functools.wraps(fn)
+        def sampled(*args, **kwargs):
+            if not after:
+                self._sample(phase, force=False)
+            out = fn(*args, **kwargs)
+            if after:
+                self._sample(phase, force=False)
+            return out
+
+        return sampled
 
     def _evaluate_probe(self, fn):
+        signature = inspect.signature(fn)
+
         @functools.wraps(fn)
         def probe(*args, **kwargs):
-            self._inner_refs.append(self.reference())
-            out = fn(*args, **kwargs)
-            self._inner_refs.append(self.reference())
+            bound = signature.bind(*args, **kwargs).arguments
+            repeats = max(1, bound.get("timing_repeats") or bound["config"].timing_repeats)
+            self._pass_len = len(bound["dataset"].test_idx)
+            self._pass_probes = [[] for _ in range(repeats)]
+            self._sample("evaluate")  # closes training, opens inference
+            self._decisions = 0
+            self._timed_decisions = repeats * self._pass_len
+            try:
+                out = fn(*args, **kwargs)
+            finally:
+                self._timed_decisions = 0
+            self._sample("infer")
             return out
 
         return probe
+
+    def _pass_sampling(self, fn):
+        @functools.wraps(fn)
+        def sampled(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if self._decisions < self._timed_decisions:
+                timed_pass = self._pass_probes[self._decisions // self._pass_len]
+                self._decisions += 1
+                seconds = self._sample("pass", force=False)
+                if seconds is not None:
+                    timed_pass.append(seconds)
+            return out
+
+        return sampled
+
+    def _inference_sec(self, raw):
+        """raw (the median pass) less the median pass's probe seconds, times
+        the median pass speed."""
+        speeds = [sum(self.ref_s / s for s in p) / len(p) for p in self._pass_probes if p]
+        if not speeds:
+            return raw * self._speed("evaluate", "infer")
+        inside = statistics.median(sum(p) for p in self._pass_probes)
+        return (raw - inside) * statistics.median(speeds)
 
     def _residual_probe(self, fn):
         @functools.wraps(fn)
@@ -120,25 +200,40 @@ class Audit:
 
         return probe
 
+    def _speed(self, *phases):
+        """Mean speed of the job's samples in phases (all when none given)."""
+        seconds = [s for phase, s in self._samples if not phases or phase in phases]
+        return sum(self.ref_s / s for s in seconds) / len(seconds) if seconds else 1.0
+
     def _job_probe(self, fn):
         @functools.wraps(fn)
         def probe(job):
-            if self.reference and self._last_ref is None:
-                self._last_ref = self.reference()
             self.kkt_max = 0.0
-            self._inner_refs = []
+            self._pass_probes = []
+            # jobs run back to back: the last job's closing sample opens this one
+            recent = self._samples and time.perf_counter() - self._last < self.gap
+            self._samples = [("train", self._samples[-1][1])] if recent else []
+            if not recent:
+                self._sample("train")
+            first = len(self._samples)
             t0 = time.perf_counter()
             row, extras = fn(job)
-            job_s = time.perf_counter() - t0 - sum(self._inner_refs)
-            scales = dict(scale=1.0, train_scale=1.0, infer_scale=1.0)
-            if self.reference:
-                before, self._last_ref = self._last_ref, self.reference()
-                scale = self._scale(before, self._last_ref)
-                scales = dict(scale=scale, train_scale=scale, infer_scale=scale)
-                if len(self._inner_refs) == 2:  # evaluate ran
-                    scales["train_scale"] = self._scale(before, self._inner_refs[0])
-                    scales["infer_scale"] = self._scale(*self._inner_refs)
-            row.audit = dict(extras, kkt_residual_max=self.kkt_max, job_s=job_s, **scales)
+            wall = time.perf_counter() - t0
+            inside = sum(s for _, s in self._samples[first:])
+            if not self._samples or self._samples[-1][0] != "infer":
+                self._sample("job")  # evaluate did not run, so nothing closed the job
+            in_epochs = sum(s for phase, s in self._samples if phase == "epoch")
+            epochs = max(row.epochs_run, 1)
+            row.audit = dict(
+                extras,
+                kkt_residual_max=self.kkt_max,
+                job_s=(wall - inside) * self._speed(),
+                train_sec_per_epoch=(row.train_sec_per_epoch - in_epochs / epochs)
+                * self._speed("train", "epoch", "evaluate"),
+                inference_sec=self._inference_sec(row.inference_sec),
+                raw_job_s=wall - inside,
+                samples=len(self._samples),
+            )
             return row, extras
 
         return probe

@@ -12,7 +12,7 @@ import statistics
 import numpy as np
 
 from instrument import ERROR_TYPES, LAYERS
-from workloads import METHOD_TAGS, block_seconds, mean_regrets, method_medians
+from workloads import METHOD_TAGS, mean_block_seconds, mean_regrets, method_means
 
 UNITS = {"s": "s", "calls": "count"}
 
@@ -69,19 +69,18 @@ def metric(value, unit):
     return {"value": None if value is None else float(value), "unit": unit}
 
 
-def end_to_end(setup_times, passes, serial, checker) -> dict:
+def end_to_end(setup_times, passes, checker) -> dict:
     """setup_times: seconds per set-up process; passes: [(wall s, rows)] per
-    seed block.  Timings are medians over the blocks."""
-    def across(column, tag):
-        return statistics.median(method_medians(rows, column)[tag] for _, rows in passes)
-
+    seed block.  Set-up is the median over processes; the other timings are
+    means over seeds (see workloads.method_means)."""
+    train = method_means(passes, "train_sec_per_epoch")
+    infer = method_means(passes, "inference_sec")
     return {
         "setup_s": metric(statistics.median(setup_times), "s"),
-        "experiment_s": metric(
-            statistics.median(block_seconds(s, rows, serial) for s, rows in passes), "s"),
-        "train_epoch_s.df": metric(across("train_sec_per_epoch", "df"), "s/epoch"),
-        "train_epoch_s.sur": metric(across("train_sec_per_epoch", "sur"), "s/epoch"),
-        "infer_s.df": metric(across("inference_sec", "df"), "s"),
+        "experiment_s": metric(mean_block_seconds(passes), "s"),
+        "train_epoch_s.df": metric(train.get("df"), "s/epoch"),
+        "train_epoch_s.sur": metric(train.get("sur"), "s/epoch"),
+        "infer_s.df": metric(infer.get("df"), "s"),
         "ok_frac": metric(1.0 - checker.failed / checker.attempted, "ratio"),
     }
 

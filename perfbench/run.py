@@ -5,14 +5,15 @@
 Run from anywhere; the package is imported from ../src.
 
 --trace 0 times set-up (median of SETUP_REPEATS fresh processes), then runs
-the workload on one seed block after another while --seconds have not
-elapsed, then on the first block once more, which checks that non-timing
-results repeat.  Timings are medians over all blocks run; on the serial
-workload they are scaled to a reference speed (see workloads.py).
+the workload serially on one seed block after another while one more block
+and a repeat of the first still fit in --seconds, then on the first block
+once more, which checks that non-timing results repeat.  Timings are means
+over the seeds run, each scaled to a reference speed (see workloads.py).
 
---trace 1 runs the workload untraced (in parallel where the workload is
-parallel, and serially), then once serially with a span around every layer
-function, and reports the per-layer metrics in raw seconds.  Its length is
+--trace 1 runs the workload untraced (with one worker per core where its
+protocol runs in parallel, and serially), then once serially with a span
+around every layer function, and reports the per-layer metrics in raw
+seconds.  Its length is
 set by the workload, not by --seconds.
 
 Every job's decisions are checked for feasibility, regret and KKT residual;
@@ -60,16 +61,19 @@ def parse_args(argv):
     return ap.parse_args(argv)
 
 
-def time_setup(args) -> list:
-    """Seconds from interpreter start-up to the first epoch, per fresh process."""
+def time_setup(args, probe, ref_s) -> list:
+    """Seconds from interpreter start-up to the first epoch, per fresh process,
+    scaled by the reference speed sampled right before and after it."""
     times = []
     for _ in range(SETUP_REPEATS):
+        before = probe()
         done = subprocess.run(
             [sys.executable, "-c", SETUP_CHILD, str(HERE), str(SRC), args.workload,
              str(args.seed), "1" if args.toy else "0"],
             capture_output=True, text=True, timeout=120, check=True,
         )
-        times.append(float(done.stdout.strip().splitlines()[-1]))
+        speed = 0.5 * (ref_s / before + ref_s / probe())
+        times.append(float(done.stdout.strip().splitlines()[-1]) * speed)
     return times
 
 
@@ -101,39 +105,43 @@ def main(argv=None) -> int:
     stem = f"{args.workload}_s{args.seed}" + ("_toy" if args.toy else "")
     OUT.mkdir(exist_ok=True)
     detail = {}
-    serial = cfg.max_workers == 1
     with instrument.patched() as undo:
         if not args.trace:
-            instrument.Audit(workloads.reference_s if serial else None, workloads.REF_S).install(undo)
-            setup_times = time_setup(args)
+            instrument.Audit(workloads.reference_s, workloads.REF_S,
+                             workloads.PROBE_GAP[args.workload]).install(undo)
+            setup_times = time_setup(args, workloads.reference_s, workloads.REF_S)
             passes = []
             start = time.perf_counter()
-            while not passes or time.perf_counter() - start < args.seconds:
+            while True:
                 passes.append(workloads.run_pass(workloads.seed_block(cfg, len(passes))))
+                elapsed = time.perf_counter() - start
+                # another block only if it and the repeat still fit in --seconds
+                if elapsed + 2 * elapsed / len(passes) > args.seconds:
+                    break
             passes.append(workloads.run_pass(cfg))  # the first block again
             for _, rows in passes:
                 checker.check(rows)
-            result = metrics.end_to_end(setup_times, passes, serial, checker)
+            result = metrics.end_to_end(setup_times, passes, checker)
             detail = {"setup_times": setup_times,
                       "passes": [(s, [vars(r) for r in rows]) for s, rows in passes],
                       "regret": workloads.mean_regrets(passes[0][1])}
         else:
             instrument.Audit().install(undo)  # per-layer times are raw
-            trace_cfg = replace(cfg, max_workers=1)
+            workers = workloads.protocol_workers(args.workload)
             parallel_s = None
-            if not serial:
-                parallel_s, rows = workloads.run_pass(cfg)
+            if workers > 1:
+                parallel_s, rows = workloads.run_pass(replace(cfg, max_workers=workers))
                 checker.check(rows)
-            serial_s, serial_rows = workloads.run_pass(trace_cfg)
+            serial_s, serial_rows = workloads.run_pass(cfg)
             checker.check(serial_rows)
             tracer = instrument.Tracer()
             with instrument.patched() as trace_undo:
                 tracer.install(trace_undo)
-                traced_s, traced_rows = workloads.run_pass(trace_cfg)
+                traced_s, traced_rows = workloads.run_pass(cfg)
             checker.check(traced_rows)
             result = metrics.per_layer(
                 tracer, traced_s, traced_rows, serial_s, serial_rows,
-                parallel_s or serial_s, cfg.max_workers,
+                parallel_s or serial_s, workers,
             )
             tracer.write(OUT / f"{stem}_spans.csv.gz")
             detail = {"traced_s": traced_s, "serial_s": serial_s, "parallel_s": parallel_s,

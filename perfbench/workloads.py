@@ -3,30 +3,35 @@
 portfolio-n100: Markowitz portfolio at the criterion-5 size (100 securities,
 60 days split 42/6/12, surrogate m = 10).  The n-dimensional active-set
 solver does most of the work, so solver and KKT changes show here.
-qp_max_iter is 600 because at the default cap of 200 every decision-focused
-seed stops with MaxIterations.  patience equals max_epochs, so early stopping
+qp_max_iter is 2000: at the default cap of 200 every decision-focused seed
+stops with MaxIterations, and at 600 package seed 4040001 still does (one of
+its solves takes 642 pivots).  patience equals max_epochs, so early stopping
 never fires and every job trains the same number of epochs.
 
 movierec-protocol: movie broadcast at the shipped defaults, 30 seeds, every
-method, early stopping as shipped, one worker per core, as
-`surrogate-dfl run --domain movierec` runs it.  Here the full-dimensional
-active-set solver is idle (decision-focused uses the closed-form box-budget
-solver, the surrogate solves 10-dimensional QPs with 201 rows), so a change
-aimed at portfolio-n100 should leave it unchanged.
+method, early stopping as shipped.  Here the full-dimensional active-set
+solver is idle (decision-focused uses the closed-form box-budget solver, the
+surrogate solves 10-dimensional QPs with 201 rows), so a change aimed at
+portfolio-n100 should leave it unchanged.  `surrogate-dfl run --domain
+movierec` runs its jobs with one worker per core; the timed runs here run
+them one after another (see below), and the traced run measures the
+parallel pass for pipelines.parallel_eff.
 
 The package never sees the benchmark seed: seed s selects the package seeds
 s * SEED_STRIDE + i, and the package generates each job's data from those.
 A run takes consecutive blocks of n_seeds package seeds (seed_block).
 
-On a shared 2-core VM the same work ran up to 2x slower from one minute to
-the next, which spreads raw seconds of runs minutes apart by more than any
-useful bound.  On a serial workload each job, and its evaluate call, is
-therefore bracketed by runs of reference_s, a fixed numpy job that uses no
-package code, and each time is scaled by REF_S over the mean of the bracket
-around it: seconds on a machine where the reference job takes REF_S.  A
-parallel workload is reported raw, because a one-process reference does not
-track the speed of workers that share the cores with each other.  Raw
-seconds and scale factors are kept in the result file.
+On a shared 2-core VM the same work ran up to 3x slower from one second to
+the next, and the two cores slow each other down, so raw seconds of runs
+minutes apart, or of two workers side by side, spread wider than any useful
+bound.  Timed runs are therefore serial, and instrument.Audit samples the
+machine's speed with reference_s, a short fixed numpy job that uses no
+package code, at the start of each job, around its evaluate call and
+every PROBE_GAP[workload] seconds at training-instance, validation and
+test-decision boundaries.  Each timing is scaled by the mean speed (REF_S
+over the sample's seconds) of the samples taken across it: seconds on a
+machine where the reference job takes REF_S.  Raw seconds are kept in the
+result file.
 """
 
 import os
@@ -46,7 +51,12 @@ from surrogate_dfl.pipelines import (
 SEED_STRIDE = 10_000
 METHOD_TAGS = {"two-stage": "ts", "decision-focused": "df", "surrogate": "sur"}
 
-REF_S = 0.1
+REF_S = 0.0125
+# seconds between speed samples: portfolio-n100's surrogate epochs and
+# inference passes last a few tenths of a second, so they need dense samples;
+# movierec-protocol's 90 jobs a block last about 0.2 s each, and sampling
+# little more than their start and their evaluate call keeps its runs short
+PROBE_GAP = {"portfolio-n100": 0.02, "movierec-protocol": 0.2}
 
 # criterion 4's tolerances, plus a KKT residual ceiling well above the
 # ~1e-13 the solvers reach
@@ -65,15 +75,17 @@ class SeededConfig(TrainConfig):
         return list(range(self.first_seed, self.first_seed + self.n_seeds))
 
 
+_REF_H = np.random.default_rng(0).normal(size=(150, 150))
+_REF_H = _REF_H @ _REF_H.T + np.eye(150)
+
+
 def reference_s() -> float:
     """Seconds for a fixed job shaped like the solvers' work (assemble and
-    solve a 170 x 170 KKT-like system, 400 times)."""
-    H = np.random.default_rng(0).normal(size=(150, 150))
-    H = H @ H.T + np.eye(150)
+    solve a 170 x 170 KKT-like system, 50 times)."""
     t0 = time.perf_counter()
-    for _ in range(400):
+    for _ in range(50):
         M = np.zeros((170, 170))
-        M[:150, :150] = H
+        M[:150, :150] = _REF_H
         M[150:, :150] = 1.0
         M[:150, 150:] = 1.0
         M[150:, 150:] = np.eye(20)
@@ -88,18 +100,19 @@ def nproc() -> int:
 def config(workload: str, seed: int, toy: bool = False) -> SeededConfig:
     """The workload's configuration; toy shrinks every size for smoke runs."""
     if workload == "portfolio-n100":
-        # inference_sec is the median of timing_repeats test passes; five keep
-        # the ~7 ms surrogate pass steady on a shared host
+        # inference_sec is the median of timing_repeats test passes; few
+        # full-solve passes leave time for more seeds, whose decision-focused
+        # epochs differ by up to 2x
         cfg = SeededConfig(
             domain="portfolio", n_securities=100, n_days=60, surrogate_m=10,
-            qp_max_iter=600, max_epochs=1, patience=1, timing_repeats=5,
+            qp_max_iter=2000, max_epochs=1, patience=1, timing_repeats=2,
             n_seeds=1, max_workers=1,
         )
         if toy:
             cfg = replace(cfg, n_securities=8, n_days=30, surrogate_m=2,
                           hidden_size=8, embedding_dim=4)
     elif workload == "movierec-protocol":
-        cfg = SeededConfig(domain="movierec", n_seeds=30, max_workers=nproc())
+        cfg = SeededConfig(domain="movierec", n_seeds=30, max_workers=1)
         if toy:
             cfg = replace(cfg, n_movies=12, users_per_group=3, n_feature_movies=4,
                           budget_k=3, picks_per_user=2, n_seeds=2, max_epochs=3,
@@ -107,6 +120,11 @@ def config(workload: str, seed: int, toy: bool = False) -> SeededConfig:
     else:
         raise ValueError(f"unknown workload {workload!r}")
     return replace(cfg, first_seed=seed * SEED_STRIDE)
+
+
+def protocol_workers(workload: str) -> int:
+    """Worker processes the workload's protocol runs its jobs with."""
+    return nproc() if workload == "movierec-protocol" else 1
 
 
 def seed_block(cfg: SeededConfig, block: int) -> SeededConfig:
@@ -180,25 +198,33 @@ class Checker:
                 self.messages.append(f"{row.method}/seed {row.seed}: " + "; ".join(problems))
 
 
-SCALES = {"train_sec_per_epoch": "train_scale", "inference_sec": "infer_scale"}
+def method_means(passes, column: str) -> dict:
+    """Mean over seeds, per method tag, of a scaled report timing column over
+    the ok rows of every pass; a seed run twice counts once, at its mean.
 
-
-def method_medians(rows, column: str) -> dict:
-    """Median of a scaled report timing column per method tag, over the ok rows."""
+    Means, not medians: the speed scaling already removes slow spells, and
+    on portfolio-n100 a decision-focused epoch takes up to twice as long on
+    one seed as on another, with only a few seeds in a run."""
+    per_seed = {}
+    for _, rows in passes:
+        for row in rows:
+            if row.status == "ok":
+                key = (METHOD_TAGS[row.method], row.seed)
+                per_seed.setdefault(key, []).append(row.audit[column])
     by_tag = {}
-    for row in rows:
-        if row.status == "ok":
-            by_tag.setdefault(METHOD_TAGS[row.method], []).append(
-                getattr(row, column) * row.audit[SCALES[column]])
-    return {tag: statistics.median(vals) for tag, vals in by_tag.items()}
+    for (tag, _), vals in per_seed.items():
+        by_tag.setdefault(tag, []).append(statistics.fmean(vals))
+    return {tag: statistics.fmean(vals) for tag, vals in by_tag.items()}
 
 
-def block_seconds(wall, rows, serial: bool) -> float:
-    """A serial block is its jobs back to back, each scaled; a parallel block
-    is its raw wall time."""
-    if serial:
-        return sum(row.audit["job_s"] * row.audit["scale"] for row in rows)
-    return wall
+def mean_block_seconds(passes) -> float:
+    """Mean over seed blocks of a block's scaled jobs back to back; a block
+    run twice counts once, at its mean."""
+    per_block = {}
+    for _, rows in passes:
+        seeds = tuple(sorted({row.seed for row in rows}))
+        per_block.setdefault(seeds, []).append(sum(row.audit["job_s"] for row in rows))
+    return statistics.fmean(statistics.fmean(v) for v in per_block.values())
 
 
 def mean_regrets(rows) -> dict:
