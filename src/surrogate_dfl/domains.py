@@ -221,7 +221,7 @@ def portfolio_qp(p, Q, risk_aversion: float):
     )
 
 
-def portfolio_oracle_decision(p, Q, risk_aversion: float, max_iter: int = 200) -> np.ndarray:
+def portfolio_oracle_decision(p, Q, risk_aversion: float, max_iter: int = 0) -> np.ndarray:
     return solve_qp(portfolio_qp(p, Q, risk_aversion), max_iter=max_iter).y
 
 

@@ -5,11 +5,23 @@ what make the downstream KKT Jacobians well defined.  Feasibility comes from
 a phase-one pass that minimizes the worst constraint violation as a
 regularized QP.  Jacobians of the optimizer w.r.t. problem parameters are
 obtained by linearizing the KKT system with the active set frozen.
+
+Simple-bound rows (one nonzero, s x_j <= h) stay out of every factorization.
+A bound in the working set or the frozen active set fixes its coordinate;
+the KKT system is solved over the free coordinates with the equality and
+general rows only, and the bound's multiplier is read back from the
+stationarity row of its coordinate (the null-space treatment of bounds,
+Nocedal & Wright, Numerical Optimization, ch. 16).  Rows are classified when
+they enter the working set or the frozen set, so problems without bound rows
+run the plain full-KKT path.  Every solution is certified: solve_qp and
+solve_box_budget_qp raise NumericalBreakdown when the KKT residual exceeds
+1e-8 (1 + max(|H|, |c|, |h|)).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatch,
@@ -26,6 +38,7 @@ MULT_TOL = 1e-11
 FEAS_TOL = 1e-9
 ACTIVE_TOL = 1e-8
 STRICT_COMPLEMENTARITY_TOL = 1e-8
+KKT_TOL = 1e-8
 
 
 @dataclass
@@ -105,50 +118,101 @@ def audit_kkt(qp: QuadraticProgram, sol: PrimalDualSolution) -> dict:
     }
 
 
-def _equality_solve(H, c, A, b):
-    """Solve the equality-constrained QP via its KKT system.
-
-    Working-set systems are solved with LU partial pivoting (LAPACK) for
-    speed; the differentiation paths use the symmetric Bunch-Kaufman route in
-    solve_symmetric, which exposes pivot-magnitude failures.
-    """
-    n = c.shape[0]
-    me = A.shape[0]
-    M = np.zeros((n + me, n + me))
+def _kkt_matrix(H, A):
+    """[[H, A^T], [A, 0]]."""
+    n, k = H.shape[0], A.shape[0]
+    M = np.zeros((n + k, n + k))
     M[:n, :n] = H
-    if me:
-        M[:n, n:] = A.T
-        M[n:, :n] = A
-    rhs = np.concatenate([-c, b])
+    M[:n, n:] = A.T
+    M[n:, :n] = A
+    return M
+
+
+def _equality_solve(H, A, rhs):
+    """Solve one working-set system [[H, A^T], [A, 0]] [x; mu] = rhs.
+
+    The pivot loop calls it once per pivot.  With simple bounds in the
+    working set it sees only the free coordinates: H_FF, the equality and
+    general working rows restricted to them, and a right-hand side that
+    carries the fixed coordinates (see _solve_fixing_bounds).  Otherwise it
+    sees the full system with rhs = [-c; b].  LU partial pivoting (LAPACK)
+    is used for speed; the differentiation paths use the symmetric
+    Bunch-Kaufman route in solve_symmetric, which exposes pivot-magnitude
+    failures.
+    """
     try:
-        sol = np.linalg.solve(M, rhs)
+        return np.linalg.solve(_kkt_matrix(H, A), rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(str(exc)) from exc
-    return sol[:n], sol[n:]
+
+
+def _symmetric_kkt_solve(H, A, rhs):
+    """_equality_solve through solve_symmetric; raises SingularKKT."""
+    try:
+        return solve_symmetric(_kkt_matrix(H, A), rhs)
+    except SingularMatrix as exc:
+        raise SingularKKT(str(exc)) from exc
+
+
+def _solve_fixing_bounds(H, A, cols, s, r, b, f, solve):
+    """Solve [[H, A^T, E^T], [A, 0, 0], [E, 0, 0]] [x; mu; lam] = [r; b; f]
+    where row i of E is s_i e_{cols_i}^T (simple bounds on distinct coordinates).
+
+    The bound rows fix x[cols] = f / s.  solve(H_FF, A_F, [r'; b']) returns
+    [x_F; mu] for what is left over the free coordinates F, and lam_i is read
+    back from the stationarity row of coordinate cols_i.  Right-hand sides
+    are vectors or matrices of stacked columns.
+    """
+    free = np.ones(H.shape[0], dtype=bool)
+    free[cols] = False
+    free = np.flatnonzero(free)
+    x = np.zeros((H.shape[0],) + r.shape[1:])
+    x[cols] = (f.T / s).T
+    # x is still zero off the bounds, so H x and A x carry only their terms
+    rhs = np.concatenate([(r - H @ x)[free], b - A @ x])
+    X = solve(H[free[:, None], free], A[:, free], rhs)
+    x[free], mu = X[: free.size], X[free.size :]
+    lam = ((r - H @ x - A.T @ mu)[cols].T / s).T
+    return x, mu, lam
 
 
 def _active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter):
-    """Primal active-set iterations from a feasible x0 with empty working set."""
+    """Primal active-set iterations from a feasible x0 with empty working set.
+
+    A row is classified once, when it enters the working set: a simple bound
+    fixes its coordinate and stays out of the factorized system
+    (_solve_fixing_bounds).  Returns (x, nu, {row: lam}).
+    """
     x = x0.copy()
     work = []  # sorted inequality indices treated as equalities
-    mi = G.shape[0]
+    bound = {}  # simple-bound rows of work -> the coordinate each one fixes
+    n, me, mi = x.shape[0], Aeq.shape[0], G.shape[0]
     for _ in range(max_iter):
-        A_work = np.vstack([Aeq, G[work]]) if work else Aeq
-        b_work = np.concatenate([beq, h[work]]) if work else beq
+        general = [r for r in work if r not in bound] if bound else work
+        A_work = np.vstack([Aeq, G[general]]) if general else Aeq
+        b_work = np.concatenate([beq, h[general]]) if general else beq
         try:
-            x_hat, mult = _equality_solve(H, c, A_work, b_work)
+            if bound:
+                rows, cols = list(bound), list(bound.values())
+                x_hat, mult, lam_fixed = _solve_fixing_bounds(
+                    H, A_work, cols, G[rows, cols], -c, b_work, h[rows], _equality_solve
+                )
+            else:
+                sol = _equality_solve(H, A_work, np.concatenate([-c, b_work]))
+                x_hat, mult = sol[:n], sol[n:]
         except SingularMatrix as exc:
             raise NumericalBreakdown(f"singular working-set KKT system: {exc}") from exc
         p = x_hat - x
         if np.max(np.abs(p), initial=0.0) <= STEP_TOL * (1.0 + np.max(np.abs(x), initial=0.0)):
-            lam_work = mult[Aeq.shape[0] :]
-            if lam_work.size == 0 or np.min(lam_work) >= -MULT_TOL:
-                return x, mult[: Aeq.shape[0]], dict(zip(work, lam_work))
+            lam = dict(zip(general, mult[me:]))
+            if bound:
+                lam.update(zip(rows, lam_fixed))
             # Bland-style anti-cycling: drop the lowest-index negative multiplier
-            for pos, idx in enumerate(work):
-                if lam_work[pos] < -MULT_TOL:
-                    work.pop(pos)
-                    break
+            drop = next((r for r in work if lam[r] < -MULT_TOL), None)
+            if drop is None:
+                return x, mult[:me], lam
+            work.remove(drop)
+            bound.pop(drop, None)
             continue
         alpha = 1.0
         blocking = -1
@@ -169,6 +233,9 @@ def _active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter):
         if blocking >= 0:
             work.append(blocking)
             work.sort()
+            nonzero = np.flatnonzero(G[blocking])
+            if nonzero.size == 1:
+                bound[blocking] = int(nonzero[0])
     raise MaxIterations(f"active-set pivot cap {max_iter} reached")
 
 
@@ -205,15 +272,33 @@ def _phase_one(Aeq, beq, G, h, n, max_iter):
     return x1[:n]
 
 
-def solve_qp(qp: QuadraticProgram, max_iter: int = 200) -> PrimalDualSolution:
+def _pivot_cap(n, rows):
+    """Default active-set pivot cap for n variables and `rows` constraint rows."""
+    return max(200, 10 * (n + rows))
+
+
+def _certify(qp: QuadraticProgram, sol: PrimalDualSolution) -> PrimalDualSolution:
+    """Fill sol.kkt_residual; raise NumericalBreakdown when it exceeds
+    KKT_TOL * (1 + max(|H|, |c|, |h|))."""
+    sol.kkt_residual = max(audit_kkt(qp, sol).values())
+    if not sol.kkt_residual <= KKT_TOL:  # the scale can only raise the bound
+        scale = max(np.max(np.abs(block), initial=0.0) for block in (qp.H, qp.c, qp.hineq))
+        if not sol.kkt_residual <= KKT_TOL * (1.0 + scale):
+            raise NumericalBreakdown(f"KKT residual {sol.kkt_residual:.3e} is over tolerance")
+    return sol
+
+
+def solve_qp(qp: QuadraticProgram, max_iter: int = 0) -> PrimalDualSolution:
     """Solve a convex QP to a KKT-certified primal-dual pair.
 
     Phase one finds a feasible start (raising Infeasible when none exists),
     then primal active-set pivots run until the working-set multipliers are
-    dual feasible.  MaxIterations is raised at the pivot cap, and
-    NumericalBreakdown when a working-set system cannot be factorized.
+    dual feasible.  MaxIterations is raised at the pivot cap max_iter, or
+    max(200, 10 (n + rows)) when it is 0; NumericalBreakdown when a working-set system
+    cannot be factorized or the result fails its KKT certificate.
     """
     n = qp.n
+    max_iter = max_iter or _pivot_cap(n, qp.Aeq.shape[0] + qp.Gineq.shape[0])
     x0 = _phase_one(qp.Aeq, qp.beq, qp.Gineq, qp.hineq, n, max_iter)
     x, nu, lam_map = _active_set_loop(
         qp.H, qp.c, qp.Aeq, qp.beq, qp.Gineq, qp.hineq, x0, max_iter
@@ -227,16 +312,16 @@ def solve_qp(qp: QuadraticProgram, max_iter: int = 200) -> PrimalDualSolution:
     else:
         active = np.zeros(0, dtype=int)
     sol = PrimalDualSolution(y=x, nu=nu, lam=lam, active_set=active, kkt_residual=0.0)
-    sol.kkt_residual = max(audit_kkt(qp, sol).values())
-    return sol
+    return _certify(qp, sol)
 
 
-def find_feasible_point(Aeq, beq, Gineq, hineq, n, max_iter: int = 200) -> np.ndarray:
+def find_feasible_point(Aeq, beq, Gineq, hineq, n, max_iter: int = 0) -> np.ndarray:
     """Standalone phase-one solve; raises Infeasible when the set is empty."""
     Aeq = as_matrix(Aeq) if Aeq is not None and np.size(Aeq) else np.zeros((0, n))
     beq = as_vector(beq) if beq is not None and np.size(beq) else np.zeros(0)
     G = as_matrix(Gineq) if Gineq is not None and np.size(Gineq) else np.zeros((0, n))
     h = as_vector(hineq) if hineq is not None and np.size(hineq) else np.zeros(0)
+    max_iter = max_iter or _pivot_cap(n, Aeq.shape[0] + G.shape[0])
     return _phase_one(Aeq, beq, G, h, n, max_iter)
 
 
@@ -262,48 +347,67 @@ def _independent_row_filter(Aeq, rows):
 
     Degenerate optima (e.g. a budget row implied by tight bounds) would make
     the frozen KKT matrix singular; keeping a maximal independent prefix
-    picks one differentiability branch.
+    picks one differentiability branch.  In order, a row of Aeq is kept when
+    its residual against the rows kept before it exceeds 1e-12, a row of
+    `rows` when it exceeds 1e-10 max(1, |row|).  Householder QR gives those
+    residuals as |R_kk| only up to the first dependent column (its reflector
+    is built from round-off and would hide later columns), so the columns
+    after a dependent one are projected off the kept basis and re-factored.
     """
-    basis = []
-
-    def residual(v):
-        r = v.astype(float).copy()
-        for b in basis:  # two Gram-Schmidt passes for stability
-            r -= (b @ r) * b
-        for b in basis:
-            r -= (b @ r) * b
-        return r
-
-    for row in Aeq:
-        r = residual(row)
-        nrm = np.linalg.norm(r)
-        if nrm > 1e-12:
-            basis.append(r / nrm)
-    keep = []
-    for pos, row in enumerate(rows):
-        r = residual(row)
-        nrm = np.linalg.norm(r)
-        if nrm > 1e-10 * max(1.0, np.linalg.norm(row)):
-            keep.append(pos)
-            basis.append(r / nrm)
-    return np.array(keep, dtype=int)
+    me = Aeq.shape[0]
+    cols = np.vstack([Aeq, rows]).T
+    tol = np.full(cols.shape[1], 1e-12)
+    tol[me:] = 1e-10 * np.maximum(1.0, np.linalg.norm(rows, axis=1))
+    kept = []
+    start = 0  # columns before start are settled
+    while start < cols.shape[1]:
+        qr, tau, _, _ = lapack.dgeqrf(cols[:, start:])
+        independent = np.abs(qr.diagonal()) > tol[start : start + min(qr.shape)]
+        stop = int(independent.argmin())  # the first dependent column, if any
+        if independent[stop]:
+            # any columns left are past the diagonal: the kept ones span the space
+            kept.extend(range(start, start + independent.size))
+            break
+        kept.extend(range(start, start + stop))
+        start += stop + 1
+        if stop and start < cols.shape[1]:
+            basis = lapack.dorgqr(qr[:, :stop], tau[:stop])[0]
+            for _ in range(2):  # two passes for stability
+                cols[:, start:] -= basis @ (basis.T @ cols[:, start:])
+    return np.array([k - me for k in kept if k >= me], dtype=int)
 
 
-def _frozen_kkt_matrix(qp: QuadraticProgram, sol: PrimalDualSolution):
+def _frozen_active(qp: QuadraticProgram, sol: PrimalDualSolution):
+    """Strongly active rows, in index order, kept by _independent_row_filter."""
     act = strongly_active(sol)
     if len(act):
         act = act[_independent_row_filter(qp.Aeq, qp.Gineq[act])]
+    return act
+
+
+def _frozen_solve(qp: QuadraticProgram, act, rhs):
+    """Solve the frozen KKT system [[H, Aeq^T, Ga^T], [Aeq, 0, 0], [Ga, 0, 0]] X = rhs
+    with Ga = G[act]; returns X split into its y, Aeq and act blocks.
+
+    The simple-bound rows of Ga are eliminated (_solve_fixing_bounds); without
+    any this is one symmetric solve of the full matrix.  Raises SingularKKT.
+    """
+    n, me = qp.n, qp.Aeq.shape[0]
     Ga = qp.Gineq[act]
-    n, me, ma = qp.n, qp.Aeq.shape[0], len(act)
-    M = np.zeros((n + me + ma, n + me + ma))
-    M[:n, :n] = qp.H
-    if me:
-        M[:n, n : n + me] = qp.Aeq.T
-        M[n : n + me, :n] = qp.Aeq
-    if ma:
-        M[:n, n + me :] = Ga.T
-        M[n + me :, :n] = Ga
-    return M, act
+    is_bound = np.count_nonzero(Ga, axis=1) == 1
+    if is_bound.any():
+        general = np.concatenate([np.ones(me, dtype=bool), ~is_bound])
+        Gb = Ga[is_bound]
+        cols = np.argmax(Gb != 0, axis=1)
+        b = rhs[n:]
+        X = np.empty_like(rhs)
+        X[:n], X[n:][general], X[n + me :][is_bound] = _solve_fixing_bounds(
+            qp.H, np.vstack([qp.Aeq, Ga[~is_bound]]), cols, Gb[np.arange(len(cols)), cols],
+            rhs[:n], b[general], b[me:][is_bound], _symmetric_kkt_solve,
+        )
+    else:
+        X = _symmetric_kkt_solve(qp.H, np.vstack([qp.Aeq, Ga]), rhs)
+    return X[:n], X[n : n + me], X[n + me :]
 
 
 def kkt_jacobian_theta(qp: QuadraticProgram, sol: PrimalDualSolution, dqp_dtheta) -> np.ndarray:
@@ -314,7 +418,7 @@ def kkt_jacobian_theta(qp: QuadraticProgram, sol: PrimalDualSolution, dqp_dtheta
     SingularKKT when the frozen system is singular (degenerate solution; the
     caller may perturb H by 1e-8 I and retry).
     """
-    M, act = _frozen_kkt_matrix(qp, sol)
+    act = _frozen_active(qp, sol)
     n, me, ma = qp.n, qp.Aeq.shape[0], len(act)
     y, nu = sol.y, sol.nu
     lam_act = sol.lam[act]
@@ -345,11 +449,7 @@ def kkt_jacobian_theta(qp: QuadraticProgram, sol: PrimalDualSolution, dqp_dtheta
             if d.dG is not None:
                 bot -= d.dG[act] @ y
             rhs[n + me :, k] = bot
-    try:
-        X = solve_symmetric(M, rhs)
-    except SingularMatrix as exc:
-        raise SingularKKT(str(exc)) from exc
-    return X[:n]
+    return _frozen_solve(qp, act, rhs)[0]
 
 
 def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
@@ -359,16 +459,12 @@ def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
     z . rhs(d), with rhs as in kkt_jacobian_theta; z_y (the first block) is
     what the structured chain rules in the training pipelines consume.
     """
-    M, act = _frozen_kkt_matrix(qp, sol)
+    act = _frozen_active(qp, sol)
     n = qp.n
-    rhs = np.zeros(M.shape[0])
+    rhs = np.zeros(n + qp.Aeq.shape[0] + len(act))
     rhs[:n] = dL_dy
-    try:
-        z = solve_symmetric(M, rhs)
-    except SingularMatrix as exc:
-        raise SingularKKT(str(exc)) from exc
-    me = qp.Aeq.shape[0]
-    return z[:n], z[n : n + me], z[n + me :], act
+    z_y, z_nu, z_lam = _frozen_solve(qp, act, rhs)
+    return z_y, z_nu, z_lam, act
 
 
 def kkt_jacobian_P(qp_of_P, sol: PrimalDualSolution, P: np.ndarray = None) -> np.ndarray:
@@ -385,7 +481,7 @@ def kkt_jacobian_P(qp_of_P, sol: PrimalDualSolution, P: np.ndarray = None) -> np
     P = as_matrix(P)
     n, m = P.shape
     qp = qp_of_P.qp()
-    M, act = _frozen_kkt_matrix(qp, sol)
+    act = _frozen_active(qp, sol)
     me = qp.Aeq.shape[0]
     ma = len(act)
     y = sol.y
@@ -415,27 +511,7 @@ def kkt_jacobian_P(qp_of_P, sol: PrimalDualSolution, P: np.ndarray = None) -> np
             bot = np.zeros((ma, m))
             bot[act_is_base] = -np.outer(G_ab[:, i], y)
             rhs[m + me :, cols] = bot
-    try:
-        X = solve_symmetric(M, rhs)
-    except SingularMatrix as exc:
-        raise SingularKKT(str(exc)) from exc
-    return X[:m]
-
-
-def solve_qp_regularized(qp: QuadraticProgram, max_iter: int = 200, ridge: float = 1e-8):
-    """solve_qp with a one-shot H + ridge*I retry on degenerate failures."""
-    try:
-        return solve_qp(qp, max_iter=max_iter), qp
-    except (NumericalBreakdown, SingularMatrix):
-        bumped = QuadraticProgram(
-            H=qp.H + ridge * np.eye(qp.n),
-            c=qp.c,
-            Aeq=qp.Aeq if qp.Aeq.shape[0] else None,
-            beq=qp.beq if qp.Aeq.shape[0] else None,
-            Gineq=qp.Gineq if qp.Gineq.shape[0] else None,
-            hineq=qp.hineq if qp.Gineq.shape[0] else None,
-        )
-        return solve_qp(bumped, max_iter=max_iter), bumped
+    return _frozen_solve(qp, act, rhs)[0]
 
 
 def solve_box_budget_qp(c_lin, gamma: float, k: float) -> PrimalDualSolution:
@@ -486,8 +562,7 @@ def solve_box_budget_qp(c_lin, gamma: float, k: float) -> PrimalDualSolution:
     sol = PrimalDualSolution(
         y=x, nu=np.zeros(0), lam=lam, active_set=active, kkt_residual=0.0
     )
-    sol.kkt_residual = max(audit_kkt(box_budget_qp(c, gamma, k), sol).values())
-    return sol
+    return _certify(box_budget_qp(c, gamma, k), sol)
 
 
 def box_budget_qp(c_lin, gamma: float, k: float) -> QuadraticProgram:

@@ -83,7 +83,7 @@ class TrainConfig:
     hidden_size: int = 100
     embedding_dim: int = 32
     # solver knobs
-    qp_max_iter: int = 200
+    qp_max_iter: int = 0  # 0 -> max(200, 10 (n + rows)) per QP
     gamma: float = 0.1
     # run control
     timing_repeats: int = 1
