@@ -6,7 +6,7 @@ everything is dense.
 """
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
 
@@ -35,10 +35,11 @@ def as_vector(v) -> np.ndarray:
 def solve_symmetric(A, B) -> np.ndarray:
     """Solve A X = B for symmetric (possibly indefinite) A.
 
-    Uses the Bunch-Kaufman LDL^T factorization, which is valid for the
-    indefinite KKT systems this package builds.  Raises SingularMatrix when a
-    pivot block of D has magnitude below 1e-12.  B may be a vector or a
-    matrix of stacked right-hand sides; the result has B's shape.
+    Uses the Bunch-Kaufman LDL^T factorization (LAPACK dsytrf/dsytrs), which
+    is valid for the indefinite KKT systems this package builds.  Raises
+    SingularMatrix when a 1x1 pivot of D, or the smaller eigenvalue of a 2x2
+    pivot block, has magnitude below 1e-12.  B may be a vector or a matrix of
+    stacked right-hand sides; the result has B's shape.
     """
     A = as_matrix(A)
     n = A.shape[0]
@@ -46,57 +47,45 @@ def solve_symmetric(A, B) -> np.ndarray:
         raise DimensionMismatch("A must be square")
     if n and np.max(np.abs(A - A.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(A))):
         raise ValueError("A is not symmetric within tolerance")
-    b_was_vector = np.asarray(B).ndim == 1
-    B = as_vector(B)[:, None] if b_was_vector else as_matrix(B)
+    B = as_vector(B) if np.asarray(B).ndim == 1 else as_matrix(B)
     if B.shape[0] != n:
         raise DimensionMismatch("B row count must match A")
+    if n == 0:
+        return np.empty_like(B)  # dsytrs rejects an empty system
 
-    lu, d, perm = scipy.linalg.ldl(A, lower=True)
-    # lu[perm] is unit lower triangular; A = lu @ d @ lu.T
-    z = scipy.linalg.solve_triangular(lu[perm], B[perm], lower=True, unit_diagonal=True)
-    w = _solve_block_diagonal(d, z)
-    x = np.empty_like(B)
-    x[perm] = scipy.linalg.solve_triangular(
-        lu[perm].T, w, lower=False, unit_diagonal=True
-    )
+    lwork = int(lapack.dsytrf_lwork(n, lower=1)[0])
+    lu, ipiv, _ = lapack.dsytrf(A, lower=1, lwork=lwork)
+    _check_pivots(lu, ipiv)
+    x = lapack.dsytrs(lu, ipiv, B, lower=1)[0]
 
     # one step of iterative refinement to hold the residual contract
     resid = B - A @ x
     if np.max(np.abs(resid), initial=0.0) > 1e-10 * (1.0 + np.max(np.abs(B), initial=0.0)):
-        z = scipy.linalg.solve_triangular(lu[perm], resid[perm], lower=True, unit_diagonal=True)
-        w = _solve_block_diagonal(d, z)
-        dx = np.empty_like(B)
-        dx[perm] = scipy.linalg.solve_triangular(
-            lu[perm].T, w, lower=False, unit_diagonal=True
-        )
-        x = x + dx
-    return x[:, 0] if b_was_vector else x
+        x = x + lapack.dsytrs(lu, ipiv, resid, lower=1)[0]
+    return x
 
 
-def _solve_block_diagonal(d, z):
-    """Solve D w = z where D is block diagonal with 1x1 and 2x2 blocks."""
-    n = d.shape[0]
-    w = np.empty_like(z)
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i, i + 1] != 0.0:
-            blk = d[i : i + 2, i : i + 2]
-            det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
-            # smaller eigenvalue magnitude of the symmetric 2x2 block
-            tr = blk[0, 0] + blk[1, 1]
-            disc = np.sqrt(max(tr * tr / 4.0 - det, 0.0))
-            eigs = np.array([tr / 2.0 - disc, tr / 2.0 + disc])
-            if np.min(np.abs(eigs)) < PIVOT_TOL:
-                raise SingularMatrix("2x2 pivot block is numerically singular")
-            inv = np.array([[blk[1, 1], -blk[0, 1]], [-blk[1, 0], blk[0, 0]]]) / det
-            w[i : i + 2] = inv @ z[i : i + 2]
-            i += 2
-        else:
-            if abs(d[i, i]) < PIVOT_TOL:
-                raise SingularMatrix(f"pivot {i} has magnitude below {PIVOT_TOL}")
-            w[i] = z[i] / d[i, i]
-            i += 1
-    return w
+def _check_pivots(lu, ipiv):
+    """Raise SingularMatrix on a numerically singular pivot block of D.
+
+    In dsytrf's lower storage a 2x2 block at k has ipiv[k] == ipiv[k+1] < 0,
+    diagonal lu[k, k], lu[k+1, k+1] and off-diagonal lu[k+1, k]; every other
+    k is a 1x1 pivot lu[k, k].
+    """
+    d = lu.diagonal()
+    k = np.flatnonzero(ipiv < 0)[::2]  # negative entries come in block pairs
+    one = np.ones(d.shape[0], dtype=bool)
+    one[k] = one[k + 1] = False
+    small = np.flatnonzero(one & (np.abs(d) < PIVOT_TOL))
+    if small.size:
+        raise SingularMatrix(f"pivot {small[0]} has magnitude below {PIVOT_TOL}")
+    if k.size:
+        a, b, off = d[k], d[k + 1], lu[k + 1, k]
+        half_tr = 0.5 * (a + b)
+        disc = np.sqrt(np.maximum(half_tr * half_tr - (a * b - off * off), 0.0))
+        # eigenvalues are half_tr -+ disc; the smaller magnitude is ||half_tr| - disc|
+        if np.any(np.abs(np.abs(half_tr) - disc) < PIVOT_TOL):
+            raise SingularMatrix("2x2 pivot block is numerically singular")
 
 
 def cholesky(A) -> np.ndarray:

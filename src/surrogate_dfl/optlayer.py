@@ -4,7 +4,11 @@ solve_qp is a primal active-set method: exact active sets at the optimum are
 what make the downstream KKT Jacobians well defined.  Feasibility comes from
 a phase-one pass that minimizes the worst constraint violation as a
 regularized QP.  Jacobians of the optimizer w.r.t. problem parameters are
-obtained by linearizing the KKT system with the active set frozen.
+obtained by linearizing the KKT system with the active set frozen.  Loss
+gradients go through the adjoint of that system instead (kkt_adjoint): one
+solve with the loss gradient as right-hand side serves every parameter, and
+kkt_jacobian_P turns it into dL/dP for a reparameterized QP with two outer
+products (the backward pass of OptNet, Amos & Kolter 2017, sec. 3).
 
 Simple-bound rows (one nonzero, s x_j <= h) stay out of every factorization.
 A bound in the working set or the frozen active set fixes its coordinate;
@@ -457,7 +461,8 @@ def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
 
     For any QpDelta d, the loss derivative along that parameter equals
     z . rhs(d), with rhs as in kkt_jacobian_theta; z_y (the first block) is
-    what the structured chain rules in the training pipelines consume.
+    what the structured chain rules in the training pipelines consume, and
+    kkt_jacobian_P takes the whole output.
     """
     act = _frozen_active(qp, sol)
     n = qp.n
@@ -467,51 +472,25 @@ def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
     return z_y, z_nu, z_lam, act
 
 
-def kkt_jacobian_P(qp_of_P, sol: PrimalDualSolution, P: np.ndarray = None) -> np.ndarray:
-    """Jacobian dy*/dP (m x (n*m)) for a P-transformed surrogate QP.
+def kkt_jacobian_P(qp_of_P, sol: PrimalDualSolution, adjoint) -> np.ndarray:
+    """Implicit part of dL/dP (n x m) for a P-transformed surrogate QP.
 
-    qp_of_P must expose the x-space data the transform composed with P:
-    attributes H_x, c_x (quadratic objective), base_Aeq, base_G (x-space
-    constraint rows), n_extra_rows (trailing y-space rows independent of P),
-    P, and qp() returning the materialized y-space QuadraticProgram.  Columns
-    are ordered row-major over P entries: column i*m + j is d/dP[i, j].
+    adjoint is kkt_adjoint's output (z_y, z_nu, z_lam, act) for the same
+    y-space QP and dL/dy, so the product dL/dy . dy*/dP comes from the
+    adjoint already solved instead of the m x (n m) Jacobian: with the
+    x-space stationarity vector s_x = H_x P y* + c_x + A_eq^T nu + G_ab^T lam_b,
+    it is -s_x z_y^T - (H_x P z_y + A_eq^T z_nu + G_ab^T z_lam_b) y*^T, where
+    G_ab holds the frozen rows of the x-space constraints (act < n_base) and
+    z_lam_b their adjoint entries; trailing y-space rows do not depend on P.
+    qp_of_P must expose H_x, c_x, base_Aeq, base_G and P.
     """
-    if P is None:
-        P = qp_of_P.P
-    P = as_matrix(P)
-    n, m = P.shape
-    qp = qp_of_P.qp()
-    act = _frozen_active(qp, sol)
-    me = qp.Aeq.shape[0]
-    ma = len(act)
-    y = sol.y
-    x_star = P @ y
-    H_x = qp_of_P.H_x
-    lam_act = sol.lam[act]
-    n_base = qp_of_P.base_G.shape[0]
-    act_is_base = act < n_base
-    G_ab = qp_of_P.base_G[act[act_is_base]]
-    lam_base = lam_act[act_is_base]
-
-    # x-space stationarity-like vector; only P^T s_x vanishes at the optimum
-    s_x = H_x @ x_star + qp_of_P.c_x
-    if me:
-        s_x = s_x + qp_of_P.base_Aeq.T @ sol.nu
-    if G_ab.shape[0]:
-        s_x = s_x + G_ab.T @ lam_base
-
-    PtHx = P.T @ H_x
-    rhs = np.zeros((m + me + ma, n * m))
-    for i in range(n):
-        cols = np.s_[i * m : (i + 1) * m]
-        rhs[:m, cols] = -s_x[i] * np.eye(m) - np.outer(PtHx[:, i], y)
-        if me:
-            rhs[m : m + me, cols] = -np.outer(qp_of_P.base_Aeq[:, i], y)
-        if ma:
-            bot = np.zeros((ma, m))
-            bot[act_is_base] = -np.outer(G_ab[:, i], y)
-            rhs[m + me :, cols] = bot
-    return _frozen_solve(qp, act, rhs)[0]
+    z_y, z_nu, z_lam, act = adjoint
+    P, H_x, Aeq = qp_of_P.P, qp_of_P.H_x, qp_of_P.base_Aeq
+    is_base = act < qp_of_P.base_G.shape[0]
+    G_ab = qp_of_P.base_G[act[is_base]]
+    s_x = H_x @ (P @ sol.y) + qp_of_P.c_x + Aeq.T @ sol.nu + G_ab.T @ sol.lam[act[is_base]]
+    w = H_x @ (P @ z_y) + Aeq.T @ z_nu + G_ab.T @ z_lam[is_base]
+    return -np.outer(s_x, z_y) - np.outer(w, sol.y)
 
 
 def solve_box_budget_qp(c_lin, gamma: float, k: float) -> PrimalDualSolution:

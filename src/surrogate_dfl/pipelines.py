@@ -4,9 +4,9 @@ regret and wall-clock metrics, and the multi-seed experiment runner.
 Decision-focused training solves the full problem per instance and chains
 df/dw = df/dx . dx*/dtheta . dtheta/dw through the frozen KKT system; the
 surrogate regime solves only the m-dimensional reparameterized problem and
-additionally chains df/dP through dy*/dP.  Validation uses prediction loss
-for two-stage and regret for the end-to-end methods, which is the quantity
-they optimize.
+also chains df/dP, from the same frozen-KKT adjoint (kkt_jacobian_P).
+Validation uses prediction loss for two-stage and regret for the end-to-end
+methods, which is the quantity they optimize.
 """
 
 import os
@@ -27,7 +27,14 @@ from .diff import (
     mlp_backward_batch,
     mlp_forward_batch,
 )
-from .errors import EmptySplit, Infeasible, SingularKKT
+from .errors import (
+    EmptySplit,
+    Infeasible,
+    MaxIterations,
+    NumericalBreakdown,
+    SingularKKT,
+    SingularMatrix,
+)
 from .optlayer import box_budget_qp, kkt_adjoint, kkt_jacobian_P, solve_qp
 from .surrogate import (
     Reparameterization,
@@ -487,13 +494,13 @@ def _decision_and_grads(adapter, models, rep, sp, inst, train_P, idx):
             loss, dL_dx = adapter.loss_grad_x(x, inst)
             dL_dy = sp.P.T @ dL_dx
             qp = ctx[0] if isinstance(ctx, tuple) else ctx
-            z_y, _, _, _ = kkt_adjoint(qp, sol, dL_dy)
-            dtheta = adapter.theta_grads_surrogate(sqp, z_y, y_star, ctx=ctx)
+            adjoint = kkt_adjoint(qp, sol, dL_dy)
+            dtheta = adapter.theta_grads_surrogate(sqp, adjoint[0], y_star, ctx=ctx)
             dP_raw = None
             if train_P:
-                dy_dP = kkt_jacobian_P(sqp, sol)
-                dP_raw = grad_wrt_P(dL_dx, y_star, dy_dP, dL_dy, rep)
-    except (Infeasible, SingularKKT) as exc:
+                dL_dP = kkt_jacobian_P(sqp, sol, adjoint)
+                dP_raw = grad_wrt_P(dL_dx, y_star, dL_dP, rep)
+    except (Infeasible, MaxIterations, NumericalBreakdown, SingularKKT, SingularMatrix) as exc:
         raise type(exc)(f"instance {idx}: {exc}") from exc
     return loss, caches, dtheta, dP_raw, x
 
@@ -714,8 +721,9 @@ def _run_single_safe(args):
         row, extras = run_single(config, method, seed)
         return row, {"max_violation": extras["max_violation"], "min_regret": extras["min_regret"]}
     except Exception as exc:  # record and continue; seed failures must not abort the run
+        status = f"error: {type(exc).__name__}: {exc}"
         return (
-            ReportRow(method, seed, float("nan"), 0.0, 0.0, 0, f"error: {exc}"),
+            ReportRow(method, seed, float("nan"), 0.0, 0.0, 0, status),
             {"max_violation": float("nan"), "min_regret": float("nan")},
         )
 

@@ -222,10 +222,6 @@ class SurrogateQp:
     def base_G(self):
         return self.sp.base.G
 
-    @property
-    def n_extra_rows(self):
-        return self.sp.n_extra_rows
-
     def qp(self) -> QuadraticProgram:
         P = self.sp.P
         H_y = P.T @ self.H_x @ P
@@ -244,27 +240,19 @@ class SurrogateQp:
         )
 
 
-def grad_wrt_P(dL_dx, y_star, dy_dP, dL_dy, rep: Reparameterization) -> np.ndarray:
+def grad_wrt_P(dL_dx, y_star, dL_dP_implicit, rep: Reparameterization) -> np.ndarray:
     """Total derivative of the loss w.r.t. P_raw.
 
-    Combines the explicit term from x = P y at fixed y (outer product of
-    dL_dx and y*) with the implicit term dL_dy . dy*/dP, then chains through
-    the materialization mode.  dy_dP columns are row-major over P entries,
-    matching kkt_jacobian_P.
+    Adds the explicit term from x = P y at fixed y (outer product of dL_dx
+    and y*) to the implicit term through y*(P), the n x m product that
+    kkt_jacobian_P returns, then chains through the materialization mode.
     """
     dL_dx = as_vector(dL_dx)
     y_star = as_vector(y_star)
-    dL_dy = as_vector(dL_dy)
-    n, m = rep.n, rep.m
-    if dL_dx.shape[0] != n or y_star.shape[0] != m or dL_dy.shape[0] != m:
+    implicit = as_matrix(dL_dP_implicit)
+    if dL_dx.shape[0] != rep.n or y_star.shape[0] != rep.m or implicit.shape != (rep.n, rep.m):
         raise DimensionMismatch("gradient pieces do not match (n, m)")
-    total = np.outer(dL_dx, y_star)
-    if dy_dP is not None:
-        dy_dP = as_matrix(dy_dP)
-        if dy_dP.shape != (m, n * m):
-            raise DimensionMismatch("dy_dP must be m x (n*m)")
-        total = total + (dL_dy @ dy_dP).reshape(n, m)
-    return materialize_grad(rep, total)
+    return materialize_grad(rep, np.outer(dL_dx, y_star) + implicit)
 
 
 def export_reparam_csv(rep: Reparameterization, path) -> None:

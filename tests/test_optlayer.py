@@ -242,11 +242,14 @@ def test_jacobian_P_zero_objective():
     sp = surrogate.transform_problem(base, P, check_feasible=False)
     sqp = surrogate.SurrogateQp(H_x=np.zeros((n, n)), c_x=np.zeros(n), sp=sp,
                                 H_extra=1e-8 * np.eye(m))
-    sol = solve_qp(sqp.qp())
+    qp = sqp.qp()
+    sol = solve_qp(qp)
     from surrogate_dfl.optlayer import kkt_jacobian_P
 
-    J = kkt_jacobian_P(sqp, sol)
-    assert np.max(np.abs(J)) <= 1e-6
+    # row j of dy*/dP is the vector-Jacobian product with dL/dy = e_j
+    for e_j in np.eye(m):
+        J_j = kkt_jacobian_P(sqp, sol, kkt_adjoint(qp, sol, e_j))
+        assert np.max(np.abs(J_j)) <= 1e-6
 
 
 def test_box_budget_matches_general_solver():

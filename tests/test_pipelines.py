@@ -3,7 +3,7 @@ import pytest
 
 from surrogate_dfl import domains, surrogate
 from surrogate_dfl.diff import finite_diff_grad
-from surrogate_dfl.errors import EmptySplit
+from surrogate_dfl.errors import EmptySplit, MaxIterations
 from surrogate_dfl.pipelines import (
     EarlyStopper,
     TrainConfig,
@@ -290,8 +290,20 @@ def test_run_experiment_records_failures():
     cfg = TrainConfig(**SMALL_PORTFOLIO, methods=("surrogate",), surrogate_m=99, max_workers=1)
     report = run_experiment(cfg)
     assert len(report.rows) == 2
-    assert all(r.status.startswith("error:") for r in report.rows)
+    assert all(r.status.startswith("error: BadDimensions: ") for r in report.rows)
     assert report.aggregates == {}
+
+
+def test_decision_and_grads_names_the_instance():
+    # a one-pivot cap stops the full solve; the error keeps its type and
+    # gains the training instance index
+    cfg = TrainConfig(**SMALL_PORTFOLIO, qp_max_iter=1)
+    adapter = get_adapter(cfg)
+    dataset = adapter.generate(subseed(0, 0))
+    models = adapter.init_models(subseed(0, 1))
+    inst = dataset.instances[0]
+    with pytest.raises(MaxIterations, match=r"^instance 7: active-set pivot cap 1"):
+        _decision_and_grads(adapter, models, None, None, inst, False, 7)
 
 
 def test_run_experiment_parallel_matches_serial():

@@ -3,7 +3,7 @@ import pytest
 
 from surrogate_dfl.diff import finite_diff_grad
 from surrogate_dfl.errors import BadDimensions, DimensionMismatch, EmptyFeasibleSet
-from surrogate_dfl.optlayer import kkt_jacobian_P, solve_qp
+from surrogate_dfl.optlayer import kkt_adjoint, kkt_jacobian_P, solve_qp
 from surrogate_dfl.surrogate import (
     Reparameterization,
     SurrogateQp,
@@ -120,7 +120,7 @@ def test_feasibility_roundtrip_invariant():
 
 def test_grad_wrt_P_zero_loss():
     rep = init_reparam(4, 2, "free", seed=7)
-    g = grad_wrt_P(np.zeros(4), np.ones(2), np.zeros((2, 8)), np.zeros(2), rep)
+    g = grad_wrt_P(np.zeros(4), np.ones(2), np.zeros((4, 2)), rep)
     assert np.allclose(g, 0.0)
 
 
@@ -129,7 +129,7 @@ def test_grad_wrt_P_pinned_product_rule():
     rep = init_reparam(3, 2, "free", seed=8)
     dL_dx = np.array([1.0, -2.0, 0.5])
     y_star = np.array([0.3, 0.7])
-    g = grad_wrt_P(dL_dx, y_star, None, np.zeros(2), rep)
+    g = grad_wrt_P(dL_dx, y_star, np.zeros((3, 2)), rep)
     assert np.allclose(g, np.outer(dL_dx, y_star))
 
 
@@ -138,8 +138,14 @@ def test_fixed_y_linear_objective_product_rule():
     c = np.array([1.0, 2.0, -1.0])
     y = np.array([0.4, 0.6])
     rep = init_reparam(3, 2, "free", seed=9)
-    g = grad_wrt_P(c, y, np.zeros((2, 6)), np.zeros(2), rep)
+    g = grad_wrt_P(c, y, np.zeros((3, 2)), rep)
     assert np.allclose(g, np.outer(c, y))
+
+
+def test_grad_wrt_P_rejects_implicit_shape():
+    rep = init_reparam(3, 2, "free", seed=9)
+    with pytest.raises(DimensionMismatch):
+        grad_wrt_P(np.ones(3), np.ones(2), np.zeros((2, 3)), rep)
 
 
 def test_materialize_grad_matches_fd():
@@ -182,8 +188,8 @@ def test_full_gradient_matches_fd_through_solver():
     sol = solve_qp(sqp.qp())
     dL_dx = -p_true
     dL_dy = P0.T @ dL_dx
-    dy_dP = kkt_jacobian_P(sqp, sol)
-    an = grad_wrt_P(dL_dx, sol.y, dy_dP, dL_dy, rep).ravel()
+    dL_dP = kkt_jacobian_P(sqp, sol, kkt_adjoint(sqp.qp(), sol, dL_dy))
+    an = grad_wrt_P(dL_dx, sol.y, dL_dP, rep).ravel()
     fd = finite_diff_grad(end_to_end, rep.P_raw.ravel().copy(), h=1e-6)
     assert np.max(np.abs(fd - an) / np.maximum(1.0, np.abs(an))) <= 1e-4
 
@@ -211,9 +217,9 @@ def test_jacobian_P_fd_total_derivative():
     sol = solve_qp(sqp.qp())
     x0 = P0 @ sol.y
     dL_dx = H_x @ x0 + c_x
-    dy_dP = kkt_jacobian_P(sqp, sol)
+    dL_dP = kkt_jacobian_P(sqp, sol, kkt_adjoint(sqp.qp(), sol, P0.T @ dL_dx))
     rep = Reparameterization(P_raw=P0, mode="free", n=n, m=m)
-    an = grad_wrt_P(dL_dx, sol.y, dy_dP, P0.T @ dL_dx, rep).ravel()
+    an = grad_wrt_P(dL_dx, sol.y, dL_dP, rep).ravel()
     fd = finite_diff_grad(opt_value, P0.ravel().copy(), h=1e-6)
     assert np.max(np.abs(fd - an) / np.maximum(1.0, np.abs(an))) <= 1e-4
 
