@@ -1,8 +1,8 @@
 """Benchmark decision problems: Markowitz portfolio and movie broadcast.
 
 Both ship synthetic generators plus CSV ingestion through the same
-featurization, objective/gradient oracles, oracle decisions under the true
-parameters, and the regret metric.
+featurization, objective/gradient oracles, and oracle decisions under the
+true parameters; regret is the oracle's objective minus the decision's.
 """
 
 import csv
@@ -21,6 +21,7 @@ FORWARD_WINDOW = 10
 N_FEATURES = RETURN_LAGS + 2
 COSINE_NORM_FLOOR = 1e-12
 COV_RIDGE = 1e-6
+ALTERNATION_ROUNDS = 10  # cap on movie-rec selection-freeze rounds per decision
 
 
 @dataclass
@@ -425,57 +426,82 @@ def movierec_base(n_movies: int, budget_k: int):
     return box_budget_base(n_movies, budget_k)
 
 
-def movierec_solve_relaxed(
-    theta, budget_k: int, picks: int, gamma: float = 0.1, max_rounds: int = 10,
-    x0=None,
-):
-    """Continuous broadcast decision by alternating selection freezes with
-    exact solves of the resulting strictly concave box-budget QP.
+def movierec_alternate(theta, budget_k: int, picks: int, solve, x0=None):
+    """Alternate selection freezes with exact solves of the frozen problem.
 
-    Freezing each user's top picks turns the objective into c^T x with
-    c_i = sum_j sel_ij theta_ij; the -gamma ||x||^2 regularizer makes the
-    frozen problem strictly concave, and each alternation cannot decrease the
-    regularized objective.  x0 seeds the first selection (uniform budget
-    spread when omitted).  Returns (x, sol, c_frozen, sel).
+    Freezing each user's top picks at x turns the objective into c^T x with
+    c_i = sum_j sel_ij theta_ij; solve(c) returns (x, result) for that frozen
+    problem.  Rounds stop when the selection at the new x equals the frozen
+    one, or after ALTERNATION_ROUNDS.  x0 seeds the first selection (uniform
+    budget spread when omitted).  Returns (x, result, c, sel) of the last
+    round; at the round cap sel is the selection at x, not the one c was
+    frozen at.
     """
     theta = np.asarray(theta, dtype=float)
     n = theta.shape[0]
     x = np.full(n, min(1.0, budget_k / n)) if x0 is None else np.asarray(x0, dtype=float)
     sel = movierec_selection(x, theta, picks)
-    sol = None
-    c = None
-    for _ in range(max_rounds):
+    for _ in range(ALTERNATION_ROUNDS):
         c = (sel * theta).sum(axis=1)
-        sol = solve_box_budget_qp(c, gamma, budget_k)
-        new_sel = movierec_selection(sol.y, theta, picks)
-        x = sol.y
+        x, result = solve(c)
+        new_sel = movierec_selection(x, theta, picks)
         if np.array_equal(new_sel, sel):
             break
         sel = new_sel
-    return x, sol, c, sel
+    return x, result, c, sel
+
+
+def movierec_solve_relaxed(theta, budget_k: int, picks: int, gamma: float = 0.1, x0=None):
+    """Continuous broadcast decision by movierec_alternate with exact solves
+    of the strictly concave box-budget QP max c^T x - gamma ||x||^2; each
+    alternation cannot decrease the regularized objective.  Returns
+    (x, sol, c_frozen, sel).
+    """
+
+    def solve(c):
+        sol = solve_box_budget_qp(c, gamma, budget_k)
+        return sol.y, sol
+
+    return movierec_alternate(theta, budget_k, picks, solve, x0=x0)
 
 
 def movierec_greedy_set(theta, budget_k: int, picks: int) -> np.ndarray:
     """Standard greedy for the binary broadcast problem: repeatedly add the
-    movie with the largest objective gain."""
+    movie with the largest objective gain.
+
+    Every candidate's gain comes from one n x U pass per step.  User u's
+    values are theta_iu for chosen movies and 0 for the rest; let t_u and b_u
+    be the picks-th and (picks+1)-th largest of them (b_u = -inf when
+    picks = n).  Choosing movie i swaps one of u's zeros for theta_iu, which
+    adds max(0, theta_iu - t_u) when t_u > 0 and max(theta_iu, b_u) when
+    t_u <= 0.  While at least picks + 1 movies are unchosen, b_u >= 0, so
+    both read max(0, theta_iu - t_u); the second form matters only near the
+    end of small instances with negative entries.  Candidates are scanned in
+    index order and a later one wins only by more than 1e-15, so ties go to
+    the lowest index; the greedy stops when no gain clears 1e-15.
+    """
     theta = np.asarray(theta, dtype=float)
     n = theta.shape[0]
+    if picks > n:
+        raise DimensionMismatch("picks cannot exceed the number of movies")
     chosen = np.zeros(n)
-    current = 0.0
+    # rows 0..n-1 hold the current values; the -inf row is b_u when picks = n
+    vals = np.zeros((n + 1, theta.shape[1]))
+    vals[n] = -np.inf
     for _ in range(min(budget_k, n)):
+        part = np.partition(vals, (n - picks, n + 1 - picks), axis=0)
+        below, t = part[n - picks], part[n + 1 - picks]
+        gains = np.where(
+            t > 0, np.maximum(theta - t, 0.0), np.maximum(theta, below)
+        ).sum(axis=1)
         best_gain, best_i = 0.0, -1
-        for i in range(n):
-            if chosen[i]:
-                continue
-            trial = chosen.copy()
-            trial[i] = 1.0
-            gain = movierec_objective(trial, theta, picks) - current
-            if gain > best_gain + 1e-15:
+        for i, gain in enumerate(gains.tolist()):
+            if not chosen[i] and gain > best_gain + 1e-15:
                 best_gain, best_i = gain, i
         if best_i < 0:
             break
         chosen[best_i] = 1.0
-        current += best_gain
+        vals[best_i] = theta[best_i]
     return chosen
 
 
@@ -500,18 +526,3 @@ def movierec_oracle_decision(
     scores = [movierec_objective(c, theta, picks) for c in candidates]
     return candidates[int(np.argmax(scores))]
 
-
-# ---------------------------------------------------------------------------
-# regret
-
-
-def regret(x_decided, theta_true, oracle, objective) -> float:
-    """Oracle solution quality minus achieved quality under the true
-    parameters; nonnegative up to solver tolerance."""
-    x_star = oracle(theta_true)
-    return float(objective(x_star, theta_true) - objective(x_decided, theta_true))
-
-
-def project_box_budget(v, k: float) -> np.ndarray:
-    """Euclidean projection onto {0 <= x <= 1, sum x <= k}."""
-    return solve_box_budget_qp(np.asarray(v, dtype=float), 0.5, k).y

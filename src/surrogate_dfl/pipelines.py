@@ -9,6 +9,7 @@ Validation uses prediction loss for two-stage and regret for the end-to-end
 methods, which is the quantity they optimize.
 """
 
+import csv
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -346,28 +347,20 @@ class MovieRecAdapter:
         # alternate selection freezes with exact y-space solves, mirroring
         # the full-problem path under x = P y; warm keys reuse the previous
         # epoch's solution on the same instance so selections evolve smoothly
-        P = sp.P
-        m = P.shape[1]
-        x = self._warm.get(("sur", warm_key))
-        if x is None:
-            x = np.full(self.n, min(1.0, self.k / self.n))
-        sel = domains.movierec_selection(x, theta, self.picks)
-        sqp = sol = qp = None
-        for _ in range(10):
-            c_frozen = (sel * theta).sum(axis=1)
+        def solve(c_frozen):
             sqp = SurrogateQp(
                 H_x=np.zeros((self.n, self.n)),
                 c_x=-c_frozen,
                 sp=sp,
-                H_extra=2.0 * self.gamma * np.eye(m),
+                H_extra=2.0 * self.gamma * np.eye(sp.P.shape[1]),
             )
             qp = sqp.qp()
             sol = solve_qp(qp, max_iter=self.config.qp_max_iter)
-            x = lift(P, sol.y)
-            new_sel = domains.movierec_selection(x, theta, self.picks)
-            if np.array_equal(new_sel, sel):
-                break
-            sel = new_sel
+            return lift(sp.P, sol.y), (sqp, qp, sol)
+
+        x, (sqp, qp, sol), _, sel = domains.movierec_alternate(
+            theta, self.k, self.picks, solve, x0=self._warm.get(("sur", warm_key))
+        )
         if warm_key is not None:
             self._warm[("sur", warm_key)] = x
         return sol.y, x, sol, sqp, (qp, sel)
@@ -738,8 +731,6 @@ def run_experiment(config: TrainConfig) -> RegretReport:
     jobs = [(config, method, seed) for method in config.methods for seed in config.seeds()]
     workers = config.max_workers
     if workers <= 0:
-        import os
-
         workers = min(len(config.seeds()), os.cpu_count() or 1)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -759,14 +750,16 @@ TIMING_COLUMNS = ("train_sec_per_epoch", "inference_sec")
 
 
 def write_report_csv(report: RegretReport, path) -> None:
-    with open(path, "w") as fh:
+    """Report rows through csv, so a status holding commas stays one field."""
+    with open(path, "w", newline="") as fh:
         fh.write("# timing columns (train_sec_per_epoch, inference_sec) are nondeterministic\n")
         fh.write(REPORT_HEADER + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
         for r in report.rows:
-            fh.write(
-                f"{r.method},{r.seed},{_fmt(r.mean_regret)},{_fmt(r.train_sec_per_epoch)},"
-                f"{_fmt(r.inference_sec)},{r.epochs_run},{r.status}\n"
-            )
+            writer.writerow([
+                r.method, r.seed, _fmt(r.mean_regret), _fmt(r.train_sec_per_epoch),
+                _fmt(r.inference_sec), r.epochs_run, r.status,
+            ])
 
 
 def write_aggregate_csv(report: RegretReport, path) -> None:

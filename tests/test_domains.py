@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surrogate_dfl import domains
 from surrogate_dfl.errors import BadDimensions, DimensionMismatch
@@ -232,8 +234,9 @@ def test_regret_zero_for_oracle_decision():
         x, theta["p"], theta["Q"], inst.risk_aversion
     )
     theta = {"p": inst.true_returns, "Q": inst.true_covariance}
+    x = oracle(theta)  # the decision under test is the oracle's own
     x_star = oracle(theta)
-    assert abs(domains.regret(x_star, theta, oracle, objective)) <= 1e-8
+    assert abs(objective(x_star, theta) - objective(x, theta)) <= 1e-8
 
 
 def test_regret_two_asset_values():
@@ -244,7 +247,7 @@ def test_regret_two_asset_values():
     objective = lambda x, theta: domains.portfolio_objective(x, theta, Q, 2.0)
     x_star = oracle(p)
     assert np.allclose(x_star, [0.4875, 0.5125], atol=1e-9)
-    value = domains.regret(np.array([1.0, 0.0]), p, oracle, objective)
+    value = objective(x_star, p) - objective(np.array([1.0, 0.0]), p)
     # direct evaluation: f(x*) = -0.849375, f([1,0]) = 0.1 - 2 = -1.9
     assert objective(np.array([1.0, 0.0]), p) == pytest.approx(-1.9)
     assert objective(x_star, p) == pytest.approx(-0.849375)
@@ -257,9 +260,10 @@ def test_regret_nonnegative_for_feasible_decisions():
     inst = ds.instances[0]
     oracle = lambda p: domains.portfolio_oracle_decision(p, inst.true_covariance, 2.0)
     objective = lambda x, p: domains.portfolio_objective(x, p, inst.true_covariance, 2.0)
+    x_star = oracle(inst.true_returns)
     for _ in range(20):
         x = rng.dirichlet(np.ones(5))
-        assert domains.regret(x, inst.true_returns, oracle, objective) >= -1e-6
+        assert objective(x_star, inst.true_returns) - objective(x, inst.true_returns) >= -1e-6
 
 
 def test_movierec_oracle_beats_relaxed_rounding():
@@ -273,21 +277,64 @@ def test_movierec_oracle_beats_relaxed_rounding():
     assert f(x) >= f(greedy) - 1e-12
 
 
+def reference_greedy_set(theta, budget_k, picks):
+    """The greedy as first written: every candidate's gain is a full
+    objective evaluation of the set with it added."""
+    theta = np.asarray(theta, dtype=float)
+    n = theta.shape[0]
+    chosen = np.zeros(n)
+    current = 0.0
+    for _ in range(min(budget_k, n)):
+        best_gain, best_i = 0.0, -1
+        for i in range(n):
+            if chosen[i]:
+                continue
+            trial = chosen.copy()
+            trial[i] = 1.0
+            gain = domains.movierec_objective(trial, theta, picks) - current
+            if gain > best_gain + 1e-15:
+                best_gain, best_i = gain, i
+        if best_i < 0:
+            break
+        chosen[best_i] = 1.0
+        current += best_gain
+    return chosen
+
+
+@st.composite
+def greedy_cases(draw):
+    """Preferences on an integer or half-integer grid, so gains tie exactly,
+    with negative entries, all-zero rows, budgets past n and picks up to n
+    (few unchosen movies left once the set grows)."""
+    n = draw(st.integers(1, 8))
+    users = draw(st.integers(1, 5))
+    step = draw(st.sampled_from([1.0, 0.5]))
+    cells = draw(st.lists(st.integers(-3, 4), min_size=n * users, max_size=n * users))
+    theta = step * np.array(cells, dtype=float).reshape(n, users)
+    theta[draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0.0
+    budget_k = draw(st.integers(1, n + 1))
+    near_n = draw(st.booleans())
+    picks = n - draw(st.integers(0, min(1, n - 1))) if near_n else draw(st.integers(1, n))
+    return theta, budget_k, picks
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(greedy_cases())
+def test_greedy_set_matches_reference(case):
+    theta, budget_k, picks = case
+    expected = reference_greedy_set(theta, budget_k, picks)
+    assert domains.movierec_greedy_set(theta, budget_k, picks).tolist() == expected.tolist()
+
+
+def test_greedy_set_matches_reference_at_generator_defaults():
+    ds = domains.gen_movierec_data(100, 30, 2, 20, seed=18, spread_max=3.5)
+    for inst in ds.instances:
+        expected = reference_greedy_set(inst.preferences, 10, 3)
+        assert np.array_equal(domains.movierec_greedy_set(inst.preferences, 10, 3), expected)
+
+
 def test_round_top_k():
     x = np.array([0.1, 0.9, 0.5, 0.9])
     out = domains.round_top_k(x, 2)
     assert np.array_equal(out, [0.0, 1.0, 0.0, 1.0])
 
-
-def test_project_box_budget():
-    v = np.array([2.0, 0.6, -1.0])
-    w = domains.project_box_budget(v, 1.2)
-    assert w.sum() <= 1.2 + 1e-10
-    assert w.min() >= 0 and w.max() <= 1.0
-    # projection property: no feasible point is closer
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        z = rng.uniform(0, 1, 3)
-        if z.sum() > 1.2:
-            z *= 1.2 / z.sum()
-        assert np.sum((w - v) ** 2) <= np.sum((z - v) ** 2) + 1e-9

@@ -16,6 +16,7 @@ from surrogate_dfl.errors import MaxIterations, NumericalBreakdown
 from surrogate_dfl.optlayer import (
     PrimalDualSolution,
     QuadraticProgram,
+    box_budget_qp,
     kkt_adjoint,
     solve_box_budget_qp,
     solve_qp,
@@ -211,6 +212,30 @@ def test_solve_qp_raises_on_uncertified_result(monkeypatch):
     qp, _ = mixed_qp(0, 4, 2, 1, False)
     with pytest.raises(NumericalBreakdown, match="KKT residual"):
         solve_qp(qp)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    k_over=st.integers(-11, 3),
+    half_k=st.booleans(),
+    ties=st.booleans(),
+)
+def test_box_budget_matches_solve_qp(seed, n, k_over, half_k, ties):
+    # the water-filling solve against the active-set solver on the same QP;
+    # k runs past n, and ties put several coordinates on one breakpoint
+    rng = np.random.default_rng(seed)
+    gamma = rng.choice([0.125, 0.25, 0.5]) if ties else rng.uniform(0.05, 2.0)
+    if ties:
+        c = 0.25 * rng.integers(-4, 9, n)
+    else:
+        c = rng.normal(rng.uniform(-1.0, 2.0), rng.uniform(0.3, 3.0), n)
+    k = max(1, n + k_over) - 0.5 * half_k
+    fast = solve_box_budget_qp(c, gamma, k)
+    slow = solve_qp(box_budget_qp(c, gamma, k))
+    assert np.max(np.abs(fast.y - slow.y)) <= 1e-9
+    assert fast.active_set.tolist() == slow.active_set.tolist()
 
 
 def test_box_budget_raises_on_uncertified_result(monkeypatch):

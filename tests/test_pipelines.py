@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from surrogate_dfl import domains, surrogate
 from surrogate_dfl.diff import finite_diff_grad
 from surrogate_dfl.errors import EmptySplit, MaxIterations
 from surrogate_dfl.pipelines import (
+    REPORT_HEADER,
     EarlyStopper,
     TrainConfig,
     evaluate,
@@ -292,6 +295,22 @@ def test_run_experiment_records_failures():
     assert len(report.rows) == 2
     assert all(r.status.startswith("error: BadDimensions: ") for r in report.rows)
     assert report.aggregates == {}
+
+
+def test_report_csv_quotes_status_with_commas(tmp_path):
+    # the BadDimensions message holds commas; each row still reads back as
+    # seven fields with the status intact
+    cfg = TrainConfig(**SMALL_PORTFOLIO, methods=("surrogate",), surrogate_m=99, max_workers=1)
+    report = run_experiment(cfg)
+    path = tmp_path / "report.csv"
+    write_report_csv(report, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+    assert rows[0] == REPORT_HEADER.split(",")
+    assert len(rows) == 1 + len(report.rows)
+    assert all(len(row) == 7 for row in rows)
+    assert "," in report.rows[0].status
+    assert [row[6] for row in rows[1:]] == [r.status for r in report.rows]
 
 
 def test_decision_and_grads_names_the_instance():
