@@ -12,24 +12,21 @@ from .errors import (
     InvalidInputs,
     MaxIterations,
     MissingFile,
-    NotPositiveDefinite,
     NumericalBreakdown,
     SingularKKT,
     SingularMatrix,
     TypeMismatch,
     UnknownKey,
 )
-from .numerics import cholesky, project_simplex, solve_symmetric
+from .numerics import solve_symmetric
 from .optlayer import (
     PrimalDualSolution,
     QpDelta,
     QuadraticProgram,
     audit_kkt,
-    frank_wolfe_maximize,
     kkt_adjoint,
     kkt_jacobian_P,
     kkt_jacobian_theta,
-    projected_gradient_maximize,
     solve_box_budget_qp,
     solve_qp,
 )

@@ -56,55 +56,12 @@ def init_mlp(layer_dims, seed) -> MlpModel:
     return MlpModel(weights, biases)
 
 
-def mlp_forward(model: MlpModel, features):
-    """Evaluate the network on one feature vector.
+def mlp_forward_batch(model: MlpModel, features):
+    """Evaluate the network on each row of a feature matrix: (batch, in) -> (batch, out).
 
     Returns (output, cache); the cache holds every layer activation and is
-    what mlp_backward consumes.
+    what mlp_backward_batch consumes.
     """
-    x = np.asarray(features, dtype=float)
-    if x.ndim != 1 or x.shape[0] != model.weights[0].shape[1]:
-        raise DimensionMismatch(
-            f"feature length {x.shape} does not match first layer "
-            f"input {model.weights[0].shape[1]}"
-        )
-    activations = [x]
-    L = len(model.weights)
-    for l, (W, b) in enumerate(zip(model.weights, model.biases)):
-        z = W @ activations[-1] + b
-        activations.append(np.tanh(z) if l < L - 1 else z)
-    return activations[-1], activations
-
-
-def mlp_backward(model: MlpModel, cache, dL_doutput):
-    """Layer-wise chain rule from an output cotangent.
-
-    Returns (grads, dL_dfeatures) where grads matches model.parameters()
-    ordering.
-    """
-    g = np.asarray(dL_doutput, dtype=float)
-    if g.shape != cache[-1].shape:
-        raise DimensionMismatch("output cotangent shape does not match forward output")
-    L = len(model.weights)
-    dW = [None] * L
-    db = [None] * L
-    delta = g
-    for l in range(L - 1, -1, -1):
-        dW[l] = np.outer(delta, cache[l])
-        db[l] = delta.copy()
-        delta = model.weights[l].T @ delta
-        if l > 0:
-            # cache[l] = tanh(z_l) on hidden layers, so tanh' = 1 - a^2
-            delta = delta * (1.0 - cache[l] ** 2)
-    grads = []
-    for l in range(L):
-        grads.append(dW[l])
-        grads.append(db[l])
-    return grads, delta
-
-
-def mlp_forward_batch(model: MlpModel, features):
-    """Vectorized forward over rows of a feature matrix: (batch, in) -> (batch, out)."""
     X = np.atleast_2d(np.asarray(features, dtype=float))
     if X.shape[1] != model.weights[0].shape[1]:
         raise DimensionMismatch("feature width does not match first layer input")
@@ -117,7 +74,11 @@ def mlp_forward_batch(model: MlpModel, features):
 
 
 def mlp_backward_batch(model: MlpModel, cache, dL_doutput):
-    """Batched counterpart of mlp_backward; gradients sum over the batch."""
+    """Layer-wise chain rule from a (batch, out) output cotangent.
+
+    Returns the parameter gradients, summed over the batch, in
+    model.parameters() ordering.
+    """
     G = np.asarray(dL_doutput, dtype=float)
     if G.shape != cache[-1].shape:
         raise DimensionMismatch("output cotangent shape does not match forward output")
@@ -128,14 +89,14 @@ def mlp_backward_batch(model: MlpModel, cache, dL_doutput):
     for l in range(L - 1, -1, -1):
         dW[l] = delta.T @ cache[l]
         db[l] = delta.sum(axis=0)
-        delta = delta @ model.weights[l]
         if l > 0:
-            delta = delta * (1.0 - cache[l] ** 2)
+            # cache[l] = tanh(z_l) on hidden layers, so tanh' = 1 - a^2
+            delta = (delta @ model.weights[l]) * (1.0 - cache[l] ** 2)
     grads = []
     for l in range(L):
         grads.append(dW[l])
         grads.append(db[l])
-    return grads, delta
+    return grads
 
 
 @dataclass

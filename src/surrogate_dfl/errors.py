@@ -13,10 +13,6 @@ class SingularMatrix(SurrogateDflError):
     pass
 
 
-class NotPositiveDefinite(SurrogateDflError):
-    pass
-
-
 class DegenerateEmbedding(SurrogateDflError):
     pass
 

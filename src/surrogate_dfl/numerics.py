@@ -1,4 +1,4 @@
-"""Dense linear algebra kernel: symmetric solves, Cholesky, simplex projection.
+"""Dense linear algebra kernel: symmetric indefinite solves and a matrix CSV dump.
 
 Matrices are plain numpy float64 arrays in row-major (C) order; vectors are
 1-d arrays.  Problem sizes in this package are at most a few hundred, so
@@ -8,7 +8,7 @@ everything is dense.
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix
 
 SYMMETRY_TOL = 1e-10
 PIVOT_TOL = 1e-12
@@ -88,58 +88,9 @@ def _check_pivots(lu, ipiv):
             raise SingularMatrix("2x2 pivot block is numerically singular")
 
 
-def cholesky(A) -> np.ndarray:
-    """Lower-triangular L with L L^T = A for symmetric positive definite A.
-
-    Raises NotPositiveDefinite when a diagonal pivot drops to 1e-12 or below.
-    """
-    A = as_matrix(A)
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise DimensionMismatch("A must be square")
-    L = np.zeros_like(A)
-    for j in range(n):
-        pivot = A[j, j] - L[j, :j] @ L[j, :j]
-        if pivot <= PIVOT_TOL:
-            raise NotPositiveDefinite(f"diagonal pivot {j} is {pivot:.3e}")
-        L[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
-def project_simplex(v, total: float = 1.0) -> np.ndarray:
-    """Euclidean projection of v onto {w : w >= 0, sum(w) = total}.
-
-    Sort-and-threshold rule: with u = sorted(v, descending) the threshold is
-    tau = (total - cumsum(u)[rho]) / (rho + 1) at the last index rho where the
-    shifted coordinate stays positive.
-    """
-    v = as_vector(v)
-    if total <= 0:
-        raise ValueError("total must be positive")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    js = np.arange(1, len(v) + 1)
-    positive = u + (total - css) / js > 0
-    rho = np.nonzero(positive)[0][-1]
-    tau = (total - css[rho]) / (rho + 1.0)
-    return np.maximum(v + tau, 0.0)
-
-
 def matrix_to_csv(A, path) -> None:
     """Debug dump: one row per line, '.' decimal separator, no header."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     with open(path, "w") as fh:
         for row in A:
             fh.write(",".join(format(x, ".12g") for x in row) + "\n")
-
-
-def matrix_from_csv(path) -> np.ndarray:
-    with open(path) as fh:
-        rows = [
-            [float(tok) for tok in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
-    return np.asarray(rows, dtype=float)

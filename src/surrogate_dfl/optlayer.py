@@ -551,65 +551,3 @@ def box_budget_qp(c_lin, gamma: float, k: float) -> QuadraticProgram:
     G = np.vstack([-np.eye(n), np.eye(n), np.ones((1, n))])
     h = np.concatenate([np.zeros(n), np.ones(n), [float(k)]])
     return QuadraticProgram(H=2.0 * gamma * np.eye(n), c=-c, Gineq=G, hineq=h)
-
-
-def projected_gradient_maximize(
-    objective, gradient, projector, y0, steps: int = 500, step_size: float = 0.05
-):
-    """Projected (super)gradient ascent; returns the best iterate seen."""
-    y = projector(np.asarray(y0, dtype=float))
-    best_y, best_val = y, objective(y)
-    for _ in range(steps):
-        y = projector(y + step_size * gradient(y))
-        val = objective(y)
-        if val > best_val:
-            best_y, best_val = y, val
-    return best_y
-
-
-def frank_wolfe_maximize(gradient, linear_oracle, y0, steps: int = 200):
-    """Conditional gradient ascent with the 2/(t+2) step schedule.
-
-    Every iterate is a convex combination of feasible points, hence feasible.
-    """
-    y = np.asarray(y0, dtype=float).copy()
-    for t in range(steps):
-        v = linear_oracle(gradient(y))
-        y = y + (2.0 / (t + 2.0)) * (v - y)
-    return y
-
-
-def qp_to_text(qp: QuadraticProgram, path) -> None:
-    """Regression-fixture format: dimensions header then CSV blocks.
-
-    Blocks appear in the order H, c, Aeq, beq, Gineq, hineq; absent blocks
-    (zero equality or inequality rows per the header) are simply omitted.
-    """
-    me, mi = qp.Aeq.shape[0], qp.Gineq.shape[0]
-    with open(path, "w") as fh:
-        fh.write(f"{qp.n},{me},{mi}\n")
-        blocks = [qp.H, qp.c[None, :]]
-        if me:
-            blocks += [qp.Aeq, qp.beq[None, :]]
-        if mi:
-            blocks += [qp.Gineq, qp.hineq[None, :]]
-        for block in blocks:
-            for row in block:
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-
-
-def qp_from_text(path) -> QuadraticProgram:
-    with open(path) as fh:
-        lines = [l.strip() for l in fh if l.strip()]
-    n, me, mi = (int(v) for v in lines[0].split(","))
-    rows = iter(np.array([float(t) for t in l.split(",")]) for l in lines[1:])
-    H = np.array([next(rows) for _ in range(n)])
-    c = next(rows)
-    Aeq = beq = Gineq = hineq = None
-    if me:
-        Aeq = np.array([next(rows) for _ in range(me)])
-        beq = next(rows)
-    if mi:
-        Gineq = np.array([next(rows) for _ in range(mi)])
-        hineq = next(rows)
-    return QuadraticProgram(H=H, c=c, Aeq=Aeq, beq=beq, Gineq=Gineq, hineq=hineq)

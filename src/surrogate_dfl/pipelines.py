@@ -214,7 +214,7 @@ class PortfolioAdapter:
         dp = theta["p"] - inst.true_returns
         dQ = theta["Q"] - inst.true_covariance
         loss = float(dp @ dp + np.sum(dQ * dQ))
-        mlp_grads, _ = mlp_backward_batch(models["mlp"], mlp_cache, (2.0 * dp)[:, None])
+        mlp_grads = mlp_backward_batch(models["mlp"], mlp_cache, (2.0 * dp)[:, None])
         emb_grad = embedding_cosine_backward(emb_cache, 2.0 * dQ)
         return loss, mlp_grads + [emb_grad]
 
@@ -224,7 +224,7 @@ class PortfolioAdapter:
     def decision_full(self, theta, warm_key=None):
         qp = self.full_qp(theta)
         sol = solve_qp(qp, max_iter=self.config.qp_max_iter)
-        return sol.y, sol, qp
+        return sol.y, sol, (qp,)
 
     def surrogate_qp(self, theta, sp):
         return SurrogateQp(H_x=2.0 * self.lam * theta["Q"], c_x=-theta["p"], sp=sp)
@@ -233,7 +233,7 @@ class PortfolioAdapter:
         sqp = self.surrogate_qp(theta, sp)
         qp = sqp.qp()
         sol = solve_qp(qp, max_iter=self.config.qp_max_iter)
-        return sol.y, lift(sp.P, sol.y), sol, sqp, qp
+        return sol.y, lift(sp.P, sol.y), sol, sqp, (qp,)
 
     def objective(self, x, inst):
         return domains.portfolio_objective(
@@ -257,19 +257,20 @@ class PortfolioAdapter:
 
     def backprop_models(self, models, caches, dtheta, grads_out):
         mlp_cache, emb_cache = caches
-        mlp_grads, _ = mlp_backward_batch(models["mlp"], mlp_cache, dtheta["p"][:, None])
+        mlp_grads = mlp_backward_batch(models["mlp"], mlp_cache, dtheta["p"][:, None])
         emb_grad = embedding_cosine_backward(emb_cache, dtheta["Q"])
         for g_acc, g in zip(grads_out, mlp_grads + [emb_grad]):
             g_acc += g
 
     def oracle(self, inst, rounded=False):
+        """Objective value of the oracle decision under the true parameters."""
         key = id(inst)
         if key not in self._oracle_cache:
             x = domains.portfolio_oracle_decision(
                 inst.true_returns, inst.true_covariance, self.lam,
                 max_iter=self.config.qp_max_iter,
             )
-            self._oracle_cache[key] = (x, self.objective(x, inst))
+            self._oracle_cache[key] = self.objective(x, inst)
         return self._oracle_cache[key]
 
     def test_decision(self, x):
@@ -330,7 +331,7 @@ class MovieRecAdapter:
         theta, cache = self.predict(models, inst)
         d = theta - inst.preferences
         loss = float(np.sum(d * d))
-        grads, _ = mlp_backward_batch(models["mlp"], cache, (2.0 * d).T)
+        grads = mlp_backward_batch(models["mlp"], cache, (2.0 * d).T)
         return loss, grads
 
     def decision_full(self, theta, warm_key=None):
@@ -381,17 +382,18 @@ class MovieRecAdapter:
         return (sqp.P @ z_y)[:, None] * sel
 
     def backprop_models(self, models, cache, dtheta, grads_out):
-        grads, _ = mlp_backward_batch(models["mlp"], cache, dtheta.T)
+        grads = mlp_backward_batch(models["mlp"], cache, dtheta.T)
         for g_acc, g in zip(grads_out, grads):
             g_acc += g
 
     def oracle(self, inst, rounded=False):
+        """Objective value of the oracle decision under the true parameters."""
         key = (id(inst), rounded)
         if key not in self._oracle_cache:
             x = domains.movierec_oracle_decision(
                 inst.preferences, self.k, self.picks, gamma=self.gamma, rounded=rounded
             )
-            self._oracle_cache[key] = (x, self.objective(x, inst))
+            self._oracle_cache[key] = self.objective(x, inst)
         return self._oracle_cache[key]
 
     def test_decision(self, x):
@@ -478,16 +480,13 @@ def _decision_and_grads(adapter, models, rep, sp, inst, train_P, idx):
         if sp is None:
             x, sol, ctx = adapter.decision_full(theta, warm_key=idx)
             loss, dL_dx = adapter.loss_grad_x(x, inst)
-            qp = ctx[0] if isinstance(ctx, tuple) else ctx
-            z_y, _, _, _ = kkt_adjoint(qp, sol, dL_dx)
+            z_y, _, _, _ = kkt_adjoint(ctx[0], sol, dL_dx)
             dtheta = adapter.theta_grads_full(ctx, z_y, sol.y)
             dP_raw = None
         else:
             y_star, x, sol, sqp, ctx = adapter.decision_surrogate(theta, sp, warm_key=idx)
             loss, dL_dx = adapter.loss_grad_x(x, inst)
-            dL_dy = sp.P.T @ dL_dx
-            qp = ctx[0] if isinstance(ctx, tuple) else ctx
-            adjoint = kkt_adjoint(qp, sol, dL_dy)
+            adjoint = kkt_adjoint(ctx[0], sol, sp.P.T @ dL_dx)
             dtheta = adapter.theta_grads_surrogate(sqp, adjoint[0], y_star, ctx=ctx)
             dP_raw = None
             if train_P:
@@ -498,9 +497,8 @@ def _decision_and_grads(adapter, models, rep, sp, inst, train_P, idx):
     return loss, caches, dtheta, dP_raw, x
 
 
-def _regret_on(adapter, models, sp, instances, rounded=None):
-    if rounded is None:
-        rounded = adapter.name == "movierec"
+def _regret_on(adapter, models, sp, instances):
+    rounded = adapter.name == "movierec"
     regrets = []
     for inst in instances:
         theta, _ = adapter.predict(models, inst)
@@ -510,8 +508,7 @@ def _regret_on(adapter, models, sp, instances, rounded=None):
             _, x, _, _, _ = adapter.decision_surrogate(theta, sp)
         if rounded:
             x = adapter.test_decision(x)
-        oracle_x, oracle_val = adapter.oracle(inst, rounded=rounded)
-        regrets.append(oracle_val - adapter.objective(x, inst))
+        regrets.append(adapter.oracle(inst, rounded=rounded) - adapter.objective(x, inst))
     return float(np.mean(regrets))
 
 
@@ -660,8 +657,7 @@ def evaluate(models, rep, dataset, config: TrainConfig, adapter=None,
         x_final = adapter.test_decision(x)
         final_decisions.append(x_final)
         max_violation = max(max_violation, adapter.base.violation(x_final))
-        oracle_x, oracle_val = adapter.oracle(inst, rounded=True)
-        regrets.append(oracle_val - adapter.objective(x_final, inst))
+        regrets.append(adapter.oracle(inst, rounded=True) - adapter.objective(x_final, inst))
     return EvalResult(
         regrets=np.array(regrets),
         inference_sec=float(np.median(times)),

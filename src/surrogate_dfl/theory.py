@@ -191,34 +191,6 @@ def rademacher_bound(inputs: BoundInputs) -> float:
     )
 
 
-def estimate_quality_gap(base: BaseProblem, thetas, ridge: float = 1e-8) -> float:
-    """Estimate C: the largest spread between best and worst solution quality
-    of the linear objective theta^T x over the feasible set, across samples."""
-    gap = 0.0
-    n = base.n
-    H = ridge * np.eye(n)
-    for theta in thetas:
-        theta = np.asarray(theta, dtype=float)
-        lo = solve_qp(_qp_with(base, H, theta)).y
-        hi = solve_qp(_qp_with(base, H, -theta)).y
-        gap = max(gap, float(theta @ hi - theta @ lo))
-    return gap
-
-
-def _qp_with(base: BaseProblem, H, c):
-    from .optlayer import QuadraticProgram
-
-    me, mi = base.Aeq.shape[0], base.G.shape[0]
-    return QuadraticProgram(
-        H=H,
-        c=c,
-        Aeq=base.Aeq if me else None,
-        beq=base.beq if me else None,
-        Gineq=base.G if mi else None,
-        hineq=base.h if mi else None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # the theory-check suite
 

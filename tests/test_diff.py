@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from surrogate_dfl.diff import (
-    AdamState,
     EmbeddingModel,
     MlpModel,
     adam_step,
@@ -13,9 +12,7 @@ from surrogate_dfl.diff import (
     init_embeddings,
     init_mlp,
     load_params_csv,
-    mlp_backward,
     mlp_backward_batch,
-    mlp_forward,
     mlp_forward_batch,
     save_params_csv,
 )
@@ -39,46 +36,53 @@ def test_finite_diff_product():
 
 def test_mlp_zero_weights():
     model = MlpModel(weights=[np.zeros((2, 3))], biases=[np.zeros(2)])
-    out, _ = mlp_forward(model, np.array([0.5, -1.0, 2.0]))
+    out, _ = mlp_forward_batch(model, np.array([[0.5, -1.0, 2.0]]))
+    assert out.shape == (1, 2)
     assert np.allclose(out, 0.0)
 
 
 def test_mlp_identity_layer():
     model = MlpModel(weights=[np.eye(2)], biases=[np.zeros(2)])
-    out, _ = mlp_forward(model, np.array([1.0, 2.0]))
-    assert np.allclose(out, [1.0, 2.0])
+    X = np.array([[1.0, 2.0], [-3.0, 0.5]])
+    out, _ = mlp_forward_batch(model, X)
+    assert np.allclose(out, X)
 
 
 def test_mlp_matches_independent_evaluation():
-    # duplicate evaluation oracle, written out by hand
+    # duplicate evaluation oracle, written out by hand row by row
     model = init_mlp([2, 3, 1], seed=0)
-    x = np.array([0.3, -0.7])
-    out, _ = mlp_forward(model, x)
-    hidden = np.tanh(model.weights[0] @ x + model.biases[0])
-    expected = model.weights[1] @ hidden + model.biases[1]
-    assert np.allclose(out, expected, atol=1e-14)
+    X = np.array([[0.3, -0.7], [1.1, 0.2], [-0.5, 0.0]])
+    out, _ = mlp_forward_batch(model, X)
+    for x, row in zip(X, out):
+        hidden = np.tanh(model.weights[0] @ x + model.biases[0])
+        expected = model.weights[1] @ hidden + model.biases[1]
+        assert np.allclose(row, expected, atol=1e-14)
 
 
 def test_mlp_dimension_mismatch():
     model = init_mlp([2, 3, 1], seed=0)
     with pytest.raises(DimensionMismatch):
-        mlp_forward(model, np.zeros(5))
+        mlp_forward_batch(model, np.zeros((4, 5)))
+    out, cache = mlp_forward_batch(model, np.zeros((4, 2)))
+    with pytest.raises(DimensionMismatch):
+        mlp_backward_batch(model, cache, np.zeros((3, 1)))
 
 
 def test_mlp_backward_zero_cotangent():
     model = init_mlp([2, 3, 2], seed=1)
-    out, cache = mlp_forward(model, np.array([0.1, 0.2]))
-    grads, dx = mlp_backward(model, cache, np.zeros_like(out))
+    out, cache = mlp_forward_batch(model, np.array([[0.1, 0.2], [0.3, -0.4]]))
+    grads = mlp_backward_batch(model, cache, np.zeros_like(out))
+    assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
     assert all(np.allclose(g, 0.0) for g in grads)
-    assert np.allclose(dx, 0.0)
 
 
 def test_mlp_bias_gradient_passthrough():
+    # with an identity output layer the bias gradient is the cotangent summed over rows
     model = MlpModel(weights=[np.eye(2)], biases=[np.zeros(2)])
-    _, cache = mlp_forward(model, np.array([1.0, 2.0]))
-    g = np.array([0.3, -0.4])
-    grads, _ = mlp_backward(model, cache, g)
-    assert np.allclose(grads[1], g)
+    _, cache = mlp_forward_batch(model, np.array([[1.0, 2.0], [0.0, -1.0]]))
+    G = np.array([[0.3, -0.4], [0.1, 0.2]])
+    grads = mlp_backward_batch(model, cache, G)
+    assert np.allclose(grads[1], G.sum(axis=0))
 
 
 def _flatten(params):
@@ -95,65 +99,47 @@ def _unflatten(flat, params):
 
 def test_mlp_backward_matches_finite_differences():
     model = init_mlp([2, 3, 1], seed=2)
-    x = np.array([0.4, -0.2])
+    X = np.array([[0.4, -0.2], [-0.1, 0.6]])
     params0 = model.parameters()
 
     def loss_of(flat):
         model.set_parameters(_unflatten(flat, params0))
-        out, _ = mlp_forward(model, x)
-        return float(out @ out)
+        out, _ = mlp_forward_batch(model, X)
+        return float(np.sum(out * out))
 
     flat0 = _flatten(params0)
     fd = finite_diff_grad(loss_of, flat0, h=1e-5)
     model.set_parameters(_unflatten(flat0, params0))
-    out, cache = mlp_forward(model, x)
-    grads, _ = mlp_backward(model, cache, 2.0 * out)
-    an = _flatten(grads)
+    out, cache = mlp_forward_batch(model, X)
+    an = _flatten(mlp_backward_batch(model, cache, 2.0 * out))
     assert np.max(np.abs(fd - an) / np.maximum(1.0, np.abs(an))) <= 1e-6
 
 
 def test_gradients_match_fd_over_many_draws():
-    # module invariant: 50 random parameter draws within 1e-5 relative
+    # module invariant: 50 random parameter draws within 1e-5 relative; batch
+    # sizes 1-4 check that the gradients sum over the batch
     rng = np.random.default_rng(3)
     worst = 0.0
     for trial in range(50):
         dims = [int(rng.integers(1, 4)), int(rng.integers(2, 5)), int(rng.integers(1, 3))]
+        batch = trial % 4 + 1
         model = init_mlp(dims, seed=trial)
-        x = rng.normal(size=dims[0])
-        w = rng.normal(size=dims[-1])
+        X = rng.normal(size=(batch, dims[0]))
+        W = rng.normal(size=(batch, dims[-1]))
         params0 = model.parameters()
         flat0 = _flatten(params0)
 
         def loss_of(flat):
             model.set_parameters(_unflatten(flat, params0))
-            out, _ = mlp_forward(model, x)
-            return float(w @ out)
+            out, _ = mlp_forward_batch(model, X)
+            return float(np.sum(W * out))
 
         fd = finite_diff_grad(loss_of, flat0, h=1e-5)
         model.set_parameters(_unflatten(flat0, params0))
-        _, cache = mlp_forward(model, x)
-        grads, _ = mlp_backward(model, cache, w)
-        an = _flatten(grads)
+        _, cache = mlp_forward_batch(model, X)
+        an = _flatten(mlp_backward_batch(model, cache, W))
         worst = max(worst, float(np.max(np.abs(fd - an) / np.maximum(1.0, np.abs(an)))))
     assert worst <= 1e-5
-
-
-def test_batch_forward_backward_consistent():
-    model = init_mlp([3, 4, 2], seed=4)
-    X = np.random.default_rng(5).normal(size=(6, 3))
-    out_b, cache_b = mlp_forward_batch(model, X)
-    G = np.random.default_rng(6).normal(size=out_b.shape)
-    grads_b, dX = mlp_backward_batch(model, cache_b, G)
-    acc = [np.zeros_like(p) for p in model.parameters()]
-    for i in range(X.shape[0]):
-        out, cache = mlp_forward(model, X[i])
-        assert np.allclose(out, out_b[i], atol=1e-13)
-        g, dx = mlp_backward(model, cache, G[i])
-        assert np.allclose(dx, dX[i], atol=1e-13)
-        for a, gi in zip(acc, g):
-            a += gi
-    for a, gb in zip(acc, grads_b):
-        assert np.allclose(a, gb, atol=1e-12)
 
 
 def test_embedding_cosine_identical():

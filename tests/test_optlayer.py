@@ -8,12 +8,8 @@ from surrogate_dfl.optlayer import (
     QuadraticProgram,
     audit_kkt,
     box_budget_qp,
-    frank_wolfe_maximize,
     kkt_adjoint,
     kkt_jacobian_theta,
-    projected_gradient_maximize,
-    qp_from_text,
-    qp_to_text,
     solve_box_budget_qp,
     solve_qp,
 )
@@ -264,121 +260,6 @@ def test_box_budget_matches_general_solver():
         assert np.max(np.abs(fast.y - slow.y)) <= 1e-9
         assert fast.kkt_residual <= 1e-8
         independent_kkt_audit(box_budget_qp(c, gamma, k), fast)
-
-
-def test_projected_gradient_symmetric_optimum():
-    from surrogate_dfl.numerics import project_simplex
-
-    y = projected_gradient_maximize(
-        lambda y: -float(y @ y), lambda y: -2.0 * y,
-        lambda v: project_simplex(v, 1.0), np.array([1.0, 0.0]),
-    )
-    assert np.max(np.abs(y - 0.5)) <= 1e-4
-
-
-def test_projected_gradient_linear_vertex():
-    from surrogate_dfl.numerics import project_simplex
-
-    c = np.array([1.0, 0.0])
-    y = projected_gradient_maximize(
-        lambda y: float(c @ y), lambda y: c,
-        lambda v: project_simplex(v, 1.0), np.array([0.5, 0.5]),
-    )
-    assert np.allclose(y, [1.0, 0.0], atol=1e-8)
-
-
-def test_projected_gradient_matches_qp_on_markowitz():
-    from surrogate_dfl.numerics import project_simplex
-
-    p = np.array([0.1, 0.2])
-    sol = solve_qp(simplex_qp(4 * np.eye(2), -p, 2))
-    y = projected_gradient_maximize(
-        lambda y: float(p @ y - 2 * y @ y), lambda y: p - 4.0 * y,
-        lambda v: project_simplex(v, 1.0), np.array([1.0, 0.0]),
-    )
-    assert np.max(np.abs(y - sol.y)) <= 1e-3
-
-
-def test_frank_wolfe_linear_immediate():
-    from surrogate_dfl.numerics import project_simplex
-
-    c = np.array([1.0, 0.0, -0.5])
-
-    def oracle(g):
-        v = np.zeros_like(g)
-        v[int(np.argmax(g))] = 1.0
-        return v
-
-    y = frank_wolfe_maximize(lambda y: c, oracle, np.array([0.0, 1.0, 0.0]), steps=200)
-    assert c @ y >= c @ oracle(c) - 1e-3
-    assert abs(y.sum() - 1.0) <= 1e-12  # convex combination stays feasible
-
-
-def test_frank_wolfe_quadratic_center():
-    def oracle(g):
-        v = np.zeros_like(g)
-        v[int(np.argmax(g))] = 1.0
-        return v
-
-    # the 2/(t+2) schedule converges at rate O(1/t), so hitting 1e-3 in
-    # coordinates needs a few thousand steps
-    target = np.array([0.5, 0.5])
-    y = frank_wolfe_maximize(lambda y: -2.0 * (y - target), oracle,
-                             np.array([1.0, 0.0]), steps=4000)
-    assert np.max(np.abs(y - target)) <= 1e-3
-
-
-def test_frank_wolfe_vs_projected_gradient_surrogate():
-    # cross-solver agreement on small movie surrogate instances, on average
-    rng = np.random.default_rng(0)
-    fw_vals, pg_vals = [], []
-    for _ in range(10):
-        n, m, k, T, users = 12, 3, 3, 2, 6
-        theta = rng.uniform(0, 1, (n, users))
-        P = rng.uniform(0.05, 1.0, (n, m))
-        gamma = 0.1
-        sp = surrogate.transform_problem(domains.movierec_base(n, k), P, check_feasible=False)
-
-        def g_obj(y):
-            return domains.movierec_objective(P @ y, theta, T) - gamma * float(y @ y)
-
-        def g_grad(y):
-            return P.T @ domains.movierec_supergradient(P @ y, theta, T) - 2 * gamma * y
-
-        def projector(v):
-            qp = QuadraticProgram(H=2 * np.eye(m), c=-2 * v, Gineq=sp.G_y, hineq=sp.h_y)
-            return solve_qp(qp).y
-
-        def lin_oracle(g):
-            qp = QuadraticProgram(H=1e-8 * np.eye(m), c=-g, Gineq=sp.G_y, hineq=sp.h_y)
-            return solve_qp(qp).y
-
-        y0 = np.zeros(m)
-        pg_vals.append(g_obj(projected_gradient_maximize(g_obj, g_grad, projector, y0)))
-        fw_vals.append(g_obj(frank_wolfe_maximize(g_grad, lin_oracle, y0)))
-    assert np.mean(fw_vals) >= 0.95 * np.mean(pg_vals)
-
-
-def test_qp_text_roundtrip(tmp_path):
-    rng = np.random.default_rng(8)
-    n = 3
-    M = rng.normal(size=(n, n))
-    qp = QuadraticProgram(
-        H=M @ M.T + np.eye(n), c=rng.normal(size=n),
-        Aeq=rng.normal(size=(1, n)), beq=rng.normal(size=1),
-        Gineq=-np.eye(n), hineq=rng.uniform(0.5, 1.0, n),
-    )
-    path = tmp_path / "qp.txt"
-    qp_to_text(qp, path)
-    back = qp_from_text(path)
-    for a, b in [(qp.H, back.H), (qp.c, back.c), (qp.Aeq, back.Aeq),
-                 (qp.beq, back.beq), (qp.Gineq, back.Gineq), (qp.hineq, back.hineq)]:
-        assert np.array_equal(a, b)
-    # blocks are optional: no constraints round-trips too
-    qp2 = QuadraticProgram(H=np.eye(2), c=np.zeros(2))
-    qp_to_text(qp2, path)
-    back2 = qp_from_text(path)
-    assert back2.Aeq.shape == (0, 2) and back2.Gineq.shape == (0, 2)
 
 
 def test_audit_kkt_flags_bad_solution():

@@ -250,12 +250,11 @@ def test_identity_reparam():
 
 
 def test_export_reparam_csv(tmp_path):
-    from surrogate_dfl.numerics import matrix_from_csv
     from surrogate_dfl.surrogate import export_reparam_csv
 
     rep = init_reparam(5, 2, "column-simplex", seed=15)
     path = tmp_path / "p.csv"
     export_reparam_csv(rep, path)
-    P = matrix_from_csv(path)
+    P = np.loadtxt(path, delimiter=",", ndmin=2)
     assert P.shape == (5, 2)
     assert np.allclose(P, materialize(rep), atol=1e-10)

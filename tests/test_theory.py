@@ -12,7 +12,6 @@ from surrogate_dfl.theory import (
     coordinate_quasiconvexity_probe,
     counterexample_matrices,
     counterexample_opt,
-    estimate_quality_gap,
     full_matrix_segment_probe,
     rademacher_bound,
     run_theory_checks,
@@ -199,13 +198,6 @@ def test_rademacher_invalid_inputs():
         rademacher_bound(BoundInputs(m=0, C=1, p_dim=1, t=10, pinv_norm=1, diameter=1))
     with pytest.raises(InvalidInputs):
         rademacher_bound(BoundInputs(m=1, C=1, p_dim=1, t=1, pinv_norm=0.1, diameter=0.1))
-
-
-def test_estimate_quality_gap():
-    # on the simplex with theta = e1, the gap between max and min of theta.x is 1
-    base = simplex_base(3)
-    gap = estimate_quality_gap(base, [np.array([1.0, 0.0, 0.0])])
-    assert gap == pytest.approx(1.0, abs=1e-6)
 
 
 def test_run_theory_checks_all_pass():
