@@ -17,13 +17,11 @@ from . import domains, theory
 from .diff import load_params_csv, save_params_csv
 from .errors import ConfigError, MissingFile, TypeMismatch, UnknownKey
 from .pipelines import (
-    RegretReport,
     TrainConfig,
     evaluate,
     get_adapter,
     make_reparam,
     run_experiment,
-    run_single,
     subseed,
     train_decision_focused,
     train_surrogate,

@@ -15,9 +15,11 @@ A bound in the working set or the frozen active set fixes its coordinate;
 the KKT system is solved over the free coordinates with the equality and
 general rows only, and the bound's multiplier is read back from the
 stationarity row of its coordinate (the null-space treatment of bounds,
-Nocedal & Wright, Numerical Optimization, ch. 16).  Rows are classified when
-they enter the working set or the frozen set, so problems without bound rows
-run the plain full-KKT path.  Every solution is certified: solve_qp and
+Nocedal & Wright, Numerical Optimization, ch. 16).  The pivot loop classifies
+the rows once per solve and assembles the KKT matrix of H, the equality rows
+and the general rows once; each pivot gathers its working-set system from
+that matrix and solves it by LU (LAPACK dgesv).  The frozen set is classified
+when it is frozen.  Every solution is certified: solve_qp and
 solve_box_budget_qp raise NumericalBreakdown when the KKT residual exceeds
 1e-8 (1 + max(|H|, |c|, |h|)).
 """
@@ -132,26 +134,26 @@ def _kkt_matrix(H, A):
     return M
 
 
-def _equality_solve(H, A, rhs):
-    """Solve one working-set system [[H, A^T], [A, 0]] [x; mu] = rhs.
+def _equality_solve(K, rhs):
+    """Solve one working-set KKT system K z = rhs by LU (LAPACK dgesv).
 
-    The pivot loop calls it once per pivot.  With simple bounds in the
-    working set it sees only the free coordinates: H_FF, the equality and
-    general working rows restricted to them, and a right-hand side that
-    carries the fixed coordinates (see _solve_fixing_bounds).  Otherwise it
-    sees the full system with rhs = [-c; b].  LU partial pivoting (LAPACK)
-    is used for speed; the differentiation paths use the symmetric
-    Bunch-Kaufman route in solve_symmetric, which exposes pivot-magnitude
-    failures.
+    The pivot loop calls it once per pivot, with K gathered from the matrix
+    it assembled (see _active_set_loop): H over the free coordinates, the
+    equality rows and the general working rows restricted to them.  LU
+    partial pivoting is used for speed; the differentiation paths use the
+    symmetric Bunch-Kaufman route in solve_symmetric, which exposes
+    pivot-magnitude failures.  Raises SingularMatrix on an exactly zero pivot.
     """
-    try:
-        return np.linalg.solve(_kkt_matrix(H, A), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
+    if not rhs.size:  # every coordinate fixed and no row left: nothing to solve
+        return rhs
+    _, _, z, info = lapack.dgesv(K, rhs, overwrite_a=True, overwrite_b=True)
+    if info > 0:
+        raise SingularMatrix(f"dgesv: U[{info - 1}, {info - 1}] is exactly zero")
+    return z
 
 
 def _symmetric_kkt_solve(H, A, rhs):
-    """_equality_solve through solve_symmetric; raises SingularKKT."""
+    """Solve [[H, A^T], [A, 0]] z = rhs through solve_symmetric; raises SingularKKT."""
     try:
         return solve_symmetric(_kkt_matrix(H, A), rhs)
     except SingularMatrix as exc:
@@ -183,63 +185,91 @@ def _solve_fixing_bounds(H, A, cols, s, r, b, f, solve):
 def _active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter):
     """Primal active-set iterations from a feasible x0 with empty working set.
 
-    A row is classified once, when it enters the working set: a simple bound
-    fixes its coordinate and stays out of the factorized system
-    (_solve_fixing_bounds).  Returns (x, nu, {row: lam}).
+    G's rows are classified once: a simple bound (one nonzero, s x_j <= h)
+    fixes x_j = h / s while it is in the working set and stays out of the
+    factorized system; every other row is general.  The KKT matrix of H, Aeq
+    and the general rows is assembled once, and each pivot gathers its
+    working-set system from it: the free coordinates, the equality rows and
+    the general working rows, with the fixed coordinates' terms moved to the
+    right-hand side.  A bound's multiplier is read back from the stationarity
+    row of its coordinate.  Returns (x, nu, lam), lam zero off the working set.
     """
+    n, me, mi = x0.shape[0], Aeq.shape[0], G.shape[0]
+    bound = np.count_nonzero(G, axis=1) == 1
+    col = np.argmax(G != 0, axis=1)  # the coordinate a bound row fixes
+    s = G[np.arange(mi), col]
+    general = np.flatnonzero(~bound)
+    K = _kkt_matrix(H, np.vstack([Aeq, G[general]]))
+    rhs = np.concatenate([-c, beq, h[general]])
+    slot = np.zeros(mi, dtype=int)  # the row and column of K of a general row
+    slot[general] = n + me + np.arange(general.size)
+    in_system = np.zeros(K.shape[0], dtype=bool)
+    in_system[: n + me] = True
+    n_fixing = np.zeros(n, dtype=int)  # working bound rows on each coordinate
+    x_fixed = np.zeros(n)  # zero off the fixed coordinates
+    work = np.zeros(mi, dtype=bool)
+    # a row blocks when G_r p exceeds its round-off, which grows with |p|
+    # (phase-one steps reach ~1e8): d > 1e-13 (1 + |h|) + 1e-12 max|G_r| max|p|
+    d_tol = 1e-13 * (1.0 + np.abs(h))
+    d_tol_per_step = 1e-12 * np.max(np.abs(G), axis=1, initial=0.0)
+
+    def set_working(r, on):
+        work[r] = on
+        if not bound[r]:
+            in_system[slot[r]] = on
+            return
+        j = col[r]
+        n_fixing[j] += 1 if on else -1
+        in_system[j] = n_fixing[j] == 0
+        if on:
+            x_fixed[j] = h[r] / s[r]
+        elif in_system[j]:
+            x_fixed[j] = 0.0
+
     x = x0.copy()
-    work = []  # sorted inequality indices treated as equalities
-    bound = {}  # simple-bound rows of work -> the coordinate each one fixes
-    n, me, mi = x.shape[0], Aeq.shape[0], G.shape[0]
     for _ in range(max_iter):
-        general = [r for r in work if r not in bound] if bound else work
-        A_work = np.vstack([Aeq, G[general]]) if general else Aeq
-        b_work = np.concatenate([beq, h[general]]) if general else beq
+        idx = in_system.nonzero()[0]
+        n_free = np.count_nonzero(in_system[:n])
+        b = rhs.take(idx)
+        if x_fixed.any():
+            b -= (K[:, :n] @ x_fixed).take(idx)
         try:
-            if bound:
-                rows, cols = list(bound), list(bound.values())
-                x_hat, mult, lam_fixed = _solve_fixing_bounds(
-                    H, A_work, cols, G[rows, cols], -c, b_work, h[rows], _equality_solve
-                )
-            else:
-                sol = _equality_solve(H, A_work, np.concatenate([-c, b_work]))
-                x_hat, mult = sol[:n], sol[n:]
+            z = _equality_solve(K.take(idx, axis=0).take(idx, axis=1), b)
         except SingularMatrix as exc:
             raise NumericalBreakdown(f"singular working-set KKT system: {exc}") from exc
+        x_hat = x_fixed.copy()
+        x_hat[idx[:n_free]] = z[:n_free]
         p = x_hat - x
-        if np.max(np.abs(p), initial=0.0) <= STEP_TOL * (1.0 + np.max(np.abs(x), initial=0.0)):
-            lam = dict(zip(general, mult[me:]))
-            if bound:
-                lam.update(zip(rows, lam_fixed))
+        p_max = np.abs(p).max()
+        if p_max <= STEP_TOL * (1.0 + np.abs(x).max()):
+            lam = np.zeros(mi)
+            lam[general[idx[n_free + me :] - n - me]] = z[n_free + me :]
+            rows = (work & bound).nonzero()[0]
+            if rows.size:
+                v = np.zeros(K.shape[0])
+                v[:n], v[idx[n_free:]] = x_hat, z[n_free:]
+                cols = col[rows]
+                lam[rows] = (rhs[cols] - K.take(cols, axis=0) @ v) / s[rows]
             # Bland-style anti-cycling: drop the lowest-index negative multiplier
-            drop = next((r for r in work if lam[r] < -MULT_TOL), None)
-            if drop is None:
-                return x, mult[:me], lam
-            work.remove(drop)
-            bound.pop(drop, None)
+            neg = (lam < -MULT_TOL).nonzero()[0]
+            if neg.size == 0:
+                return x, z[n_free : n_free + me], lam
+            set_working(neg[0], False)
             continue
         alpha = 1.0
         blocking = -1
-        if mi:
-            in_work = np.zeros(mi, dtype=bool)
-            in_work[work] = True
-            d = G @ p
-            room = h - G @ x
-            cand = ~in_work & (d > 1e-13 * (1.0 + np.abs(h)))
-            if np.any(cand):
-                ratios = np.full(mi, np.inf)
-                ratios[cand] = np.maximum(room[cand], 0.0) / d[cand]
-                j = int(np.argmin(ratios))  # argmin takes the lowest index on ties
-                if ratios[j] < alpha - 1e-12:
-                    alpha = ratios[j]
-                    blocking = j
+        d = G @ p
+        room = h - G @ x
+        cand = (~work & (d > d_tol + d_tol_per_step * p_max)).nonzero()[0]
+        if cand.size:
+            ratios = np.maximum(room[cand], 0.0) / d[cand]
+            k = ratios.argmin()  # argmin takes the lowest index on ties
+            if ratios[k] < alpha - 1e-12:
+                alpha = ratios[k]
+                blocking = cand[k]
         x = x + alpha * p
         if blocking >= 0:
-            work.append(blocking)
-            work.sort()
-            nonzero = np.flatnonzero(G[blocking])
-            if nonzero.size == 1:
-                bound[blocking] = int(nonzero[0])
+            set_working(blocking, True)
     raise MaxIterations(f"active-set pivot cap {max_iter} reached")
 
 
@@ -304,12 +334,7 @@ def solve_qp(qp: QuadraticProgram, max_iter: int = 0) -> PrimalDualSolution:
     n = qp.n
     max_iter = max_iter or _pivot_cap(n, qp.Aeq.shape[0] + qp.Gineq.shape[0])
     x0 = _phase_one(qp.Aeq, qp.beq, qp.Gineq, qp.hineq, n, max_iter)
-    x, nu, lam_map = _active_set_loop(
-        qp.H, qp.c, qp.Aeq, qp.beq, qp.Gineq, qp.hineq, x0, max_iter
-    )
-    lam = np.zeros(qp.Gineq.shape[0])
-    for idx, val in lam_map.items():
-        lam[idx] = val
+    x, nu, lam = _active_set_loop(qp.H, qp.c, qp.Aeq, qp.beq, qp.Gineq, qp.hineq, x0, max_iter)
     if qp.Gineq.shape[0]:
         slack = qp.Gineq @ x - qp.hineq
         active = np.nonzero(np.abs(slack) <= ACTIVE_TOL)[0]

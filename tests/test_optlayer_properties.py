@@ -1,9 +1,10 @@
-"""Property tests: bound elimination reproduces the dense full-KKT answers.
+"""Property tests: the solver's fast paths reproduce plain reference ones.
 
 Each dense reference below is the plain formulation the solver used before
 simple-bound rows were taken out of its linear algebra: full working-set KKT
 solves in the pivot loop, a Gram-Schmidt row filter, and one dense solve of
-the whole frozen KKT matrix.
+the whole frozen KKT matrix.  reference_active_set_loop is the pivot loop
+before it gathered its systems from one assembled matrix.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surrogate_dfl import optlayer
+from surrogate_dfl import domains, optlayer
 from surrogate_dfl.errors import MaxIterations, NumericalBreakdown
 from surrogate_dfl.optlayer import (
     PrimalDualSolution,
@@ -122,22 +123,150 @@ def gram_schmidt_filter(Aeq, rows):
     return np.array(keep, dtype=int)
 
 
+def reference_active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter, solve):
+    """The pivot loop as it was before the gathered systems, with the same
+    pivot rules: rows are classified as they enter the working set, and every
+    pivot builds its system anew, fixing the bound rows' coordinates through
+    _solve_fixing_bounds.  solve(H, A, rhs) solves [[H, A^T], [A, 0]] z = rhs.
+    Returns (x, nu, lam) with lam zero off the working set."""
+    x = x0.copy()
+    work = []
+    bound = {}
+    n, me, mi = x.shape[0], Aeq.shape[0], G.shape[0]
+    for _ in range(max_iter):
+        general = [r for r in work if r not in bound] if bound else work
+        A_work = np.vstack([Aeq, G[general]]) if general else Aeq
+        b_work = np.concatenate([beq, h[general]]) if general else beq
+        if bound:
+            rows, cols = list(bound), list(bound.values())
+            x_hat, mult, lam_fixed = optlayer._solve_fixing_bounds(
+                H, A_work, cols, G[rows, cols], -c, b_work, h[rows], solve
+            )
+        else:
+            sol = solve(H, A_work, np.concatenate([-c, b_work]))
+            x_hat, mult = sol[:n], sol[n:]
+        p = x_hat - x
+        if np.max(np.abs(p), initial=0.0) <= optlayer.STEP_TOL * (
+            1.0 + np.max(np.abs(x), initial=0.0)
+        ):
+            lam = dict(zip(general, mult[me:]))
+            if bound:
+                lam.update(zip(rows, lam_fixed))
+            drop = next((r for r in work if lam[r] < -optlayer.MULT_TOL), None)
+            if drop is None:
+                lam_all = np.zeros(mi)
+                lam_all[list(lam)] = list(lam.values())
+                return x, mult[:me], lam_all
+            work.remove(drop)
+            bound.pop(drop, None)
+            continue
+        alpha = 1.0
+        blocking = -1
+        if mi:
+            in_work = np.zeros(mi, dtype=bool)
+            in_work[work] = True
+            d = G @ p
+            room = h - G @ x
+            tol = 1e-13 * (1.0 + np.abs(h)) + 1e-12 * np.max(np.abs(G), axis=1) * np.max(
+                np.abs(p)
+            )
+            cand = ~in_work & (d > tol)
+            if np.any(cand):
+                ratios = np.full(mi, np.inf)
+                ratios[cand] = np.maximum(room[cand], 0.0) / d[cand]
+                j = int(np.argmin(ratios))
+                if ratios[j] < alpha - 1e-12:
+                    alpha = ratios[j]
+                    blocking = j
+        x = x + alpha * p
+        if blocking >= 0:
+            work.append(blocking)
+            work.sort()
+            nonzero = np.flatnonzero(G[blocking])
+            if nonzero.size == 1:
+                bound[blocking] = int(nonzero[0])
+    raise MaxIterations(f"active-set pivot cap {max_iter} reached")
+
+
 @SETTINGS
 @given(**qp_args)
 def test_reduced_pivots_match_dense_reference(seed, n, n_bounds, n_general, degenerate):
-    # both loops start from the constructed feasible point (phase one is not
-    # under test here)
+    # solve_qp starts from phase one, the dense loop from the constructed
+    # feasible point; the QP is strictly convex, so both reach its optimum
     qp, x_feas = mixed_qp(seed, n, n_bounds, n_general, degenerate)
-    x, _, _ = optlayer._active_set_loop(
-        qp.H, qp.c, qp.Aeq, qp.beq, qp.Gineq, qp.hineq, x_feas, 2000
-    )
+    sol = solve_qp(qp)
     x_ref = dense_active_set(qp, x_feas)
-    assert np.max(np.abs(x - x_ref)) <= 1e-9
+    assert np.max(np.abs(sol.y - x_ref)) <= 1e-9
+    active_ref = np.nonzero(np.abs(qp.Gineq @ x_ref - qp.hineq) <= optlayer.ACTIVE_TOL)[0]
+    assert np.array_equal(sol.active_set, active_ref)
 
-    def active(y):
-        return np.nonzero(np.abs(qp.Gineq @ y - qp.hineq) <= optlayer.ACTIVE_TOL)[0]
 
-    assert np.array_equal(active(x), active(x_ref))
+def twin_bound_qp(seed, n, n_bounds, n_general, degenerate):
+    """mixed_qp with one coordinate held by two bound rows, x_j <= u and
+    -x_j <= -u, at its feasible value u."""
+    qp, x_feas = mixed_qp(seed, n, n_bounds, n_general, degenerate)
+    j = seed % n
+    pair = np.zeros((2, n))
+    pair[:, j] = [1.0, -1.0]
+    qp.Gineq = np.vstack([qp.Gineq, pair])
+    qp.hineq = np.concatenate([qp.hineq, [x_feas[j], -x_feas[j]]])
+    return qp, x_feas
+
+
+def simplex_portfolio_qp(seed, n, n_bounds, n_general, degenerate):
+    """A random Markowitz QP over the simplex, as the portfolio domain builds it."""
+    rng = np.random.default_rng(seed)
+    F = rng.normal(size=(n, 3))
+    Q = F @ F.T / 3 + 0.01 * np.eye(n)
+    return domains.portfolio_qp(rng.normal(0.0, 0.5, n), Q, rng.uniform(0.1, 5.0)), None
+
+
+@settings(SETTINGS, max_examples=300)  # a pivot rule slip shows in ~5% of draws
+@given(
+    **qp_args,
+    build=st.sampled_from([mixed_qp, twin_bound_qp, simplex_portfolio_qp]),
+    n_portfolio=st.integers(2, 30),
+)
+def test_gathered_pivots_match_reference_loop(
+    seed, n, n_bounds, n_general, degenerate, build, n_portfolio
+):
+    # solve_qp, phase one included, once with the production loop and once with
+    # the reference loop: the same pivots (one working-set system per pivot,
+    # equal entry for entry) and the same primal-dual answer.  Both solve
+    # through _equality_solve, so only how each builds its systems is compared:
+    # on degenerate draws a one-ulp difference in the solve can break a tie
+    if build is simplex_portfolio_qp:
+        n = n_portfolio
+    qp, _ = build(seed, n, n_bounds, n_general, degenerate)
+    equality_solve = optlayer._equality_solve
+    systems, ref_systems = [], []
+
+    def recorded(K, rhs):
+        systems.append(K.copy())
+        return equality_solve(K, rhs)
+
+    def reference_solve(H, A, rhs):
+        K = optlayer._kkt_matrix(H, A)
+        ref_systems.append(K.copy())
+        return equality_solve(K, rhs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optlayer, "_equality_solve", recorded)
+        sol = solve_qp(qp)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            optlayer, "_active_set_loop",
+            lambda *args: reference_active_set_loop(*args, reference_solve),
+        )
+        ref = solve_qp(qp)
+
+    assert len(systems) == len(ref_systems)
+    assert all(np.array_equal(K, K_ref) for K, K_ref in zip(systems, ref_systems))
+    for got, want in ((sol.y, ref.y), (sol.nu, ref.nu), (sol.lam, ref.lam)):
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * (
+            1.0 + np.max(np.abs(want), initial=0.0)
+        )
+    assert np.array_equal(sol.active_set, ref.active_set)
 
 
 @SETTINGS
@@ -245,11 +374,18 @@ def test_box_budget_raises_on_uncertified_result(monkeypatch):
         solve_box_budget_qp(np.linspace(-1.0, 2.0, 8), 0.2, 3)
 
 
-def test_default_pivot_cap_scales_with_size():
+def test_default_pivot_cap_scales_with_size(monkeypatch):
     # every coordinate of min 0.5|x|^2 - 2 sum(x), x <= 1 blocks in turn:
-    # n + 1 pivots, over the old fixed cap of 200
+    # n + 1 pivots, over the old fixed cap of 200, each one _equality_solve
+    # call (the benchmark counts pivots by those calls)
     n = 250
     qp = QuadraticProgram(H=np.eye(n), c=-2.0 * np.ones(n), Gineq=np.eye(n), hineq=np.ones(n))
+    calls = []
+    equality_solve = optlayer._equality_solve
+    monkeypatch.setattr(
+        optlayer, "_equality_solve", lambda K, rhs: calls.append(1) or equality_solve(K, rhs)
+    )
     assert np.allclose(solve_qp(qp).y, 1.0)
+    assert len(calls) == n + 1
     with pytest.raises(MaxIterations):
         solve_qp(qp, max_iter=200)

@@ -22,7 +22,6 @@ from surrogate_dfl.pipelines import (
     write_aggregate_csv,
     write_report_csv,
     _decision_and_grads,
-    _scale_theta,
 )
 
 SMALL_PORTFOLIO = dict(
