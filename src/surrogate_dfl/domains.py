@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadDimensions, DimensionMismatch
-from .optlayer import solve_box_budget_qp, solve_qp
+from .optlayer import _kkt_matrix, solve_box_budget_qp, solve_qp
 from .surrogate import simplex_base, box_budget_base
 
 RETURN_LAGS = 5
@@ -222,8 +222,26 @@ def portfolio_qp(p, Q, risk_aversion: float):
     )
 
 
+def simplex_start(qp):
+    """Crash start (x0, working) for solve_qp on a QP built by portfolio_qp.
+
+    x0 is the minimizer over the equality row alone (one KKT solve; H is
+    positive definite through COV_RIDGE), projected onto the simplex by the
+    sort rule: x0 = max(u - tau, 0) with tau set so that x0 sums to 1.  The
+    working rows are the bounds -x_j <= 0 of x0's zero coordinates.
+    """
+    n = qp.n
+    u = np.linalg.solve(_kkt_matrix(qp.H, qp.Aeq), np.concatenate([-qp.c, qp.beq]))[:n]
+    v = np.sort(u)[::-1]
+    excess = np.cumsum(v) - 1.0
+    rho = np.count_nonzero(v * np.arange(1, n + 1) > excess)  # coordinates left positive
+    x0 = np.maximum(u - excess[rho - 1] / rho, 0.0)
+    return x0, x0 == 0.0
+
+
 def portfolio_oracle_decision(p, Q, risk_aversion: float, max_iter: int = 0) -> np.ndarray:
-    return solve_qp(portfolio_qp(p, Q, risk_aversion), max_iter=max_iter).y
+    qp = portfolio_qp(p, Q, risk_aversion)
+    return solve_qp(qp, max_iter=max_iter, start=simplex_start(qp)).y
 
 
 def portfolio_base(n: int):
@@ -402,17 +420,17 @@ def movierec_objective(x, theta, picks: int) -> float:
 def movierec_selection(x, theta, picks: int) -> np.ndarray:
     """0/1 matrix of each user's top-`picks` movies by x_i * theta_ij.
 
-    Ties break toward the lowest movie index (stable sort on descending
-    value)."""
+    Ties break toward the lowest movie index, as a stable sort on descending
+    value would: every value above the user's picks-th largest t is picked,
+    and the lowest-index values equal to t fill the picks left."""
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     vals = x[:, None] * theta
-    order = np.argsort(-vals, axis=0, kind="stable")
-    sel = np.zeros_like(theta)
-    cols = np.arange(theta.shape[1])
-    for r in range(picks):
-        sel[order[r], cols] = 1.0
-    return sel
+    t = np.partition(vals, vals.shape[0] - picks, axis=0)[-picks]
+    above = vals > t
+    at = vals == t
+    left = picks - np.count_nonzero(above, axis=0)
+    return (above | (at & (np.cumsum(at, axis=0) <= left))).astype(float)
 
 
 def movierec_supergradient(x, theta, picks: int) -> np.ndarray:

@@ -18,8 +18,12 @@ stationarity row of its coordinate (the null-space treatment of bounds,
 Nocedal & Wright, Numerical Optimization, ch. 16).  The pivot loop classifies
 the rows once per solve and assembles the KKT matrix of H, the equality rows
 and the general rows once; each pivot gathers its working-set system from
-that matrix and solves it by LU (LAPACK dgesv).  The frozen set is classified
-when it is frozen.  Every solution is certified: solve_qp and
+that matrix and solves it by LU (LAPACK dgesv).  It drops the working row
+with the most negative multiplier, or the lowest-index negative one after a
+zero-length step (Bland's rule, against cycling).  A caller may pass a
+start (x0, working): a feasible x0 tight on its working rows replaces phase
+one (a crash start, Nocedal & Wright ch. 16.5).  The frozen set is
+classified when it is frozen.  Every solution is certified: solve_qp and
 solve_box_budget_qp raise NumericalBreakdown when the KKT residual exceeds
 1e-8 (1 + max(|H|, |c|, |h|)).
 """
@@ -182,8 +186,11 @@ def _solve_fixing_bounds(H, A, cols, s, r, b, f, solve):
     return x, mu, lam
 
 
-def _active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter):
-    """Primal active-set iterations from a feasible x0 with empty working set.
+def _active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter, working=None):
+    """Primal active-set iterations from a feasible x0, with the working set
+    seeded by the boolean row mask `working` (empty when None); x0 must be
+    tight on those rows, and they must be linearly independent of each other
+    and of Aeq.
 
     G's rows are classified once: a simple bound (one nonzero, s x_j <= h)
     fixes x_j = h / s while it is in the working set and stays out of the
@@ -192,7 +199,10 @@ def _active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter):
     working-set system from it: the free coordinates, the equality rows and
     the general working rows, with the fixed coordinates' terms moved to the
     right-hand side.  A bound's multiplier is read back from the stationarity
-    row of its coordinate.  Returns (x, nu, lam), lam zero off the working set.
+    row of its coordinate.  When multipliers are negative, the row with the
+    most negative one leaves the working set (lowest index on ties); after a
+    zero-length step, the lowest-index negative one does instead.  Returns
+    (x, nu, lam), lam zero off the working set.
     """
     n, me, mi = x0.shape[0], Aeq.shape[0], G.shape[0]
     bound = np.count_nonzero(G, axis=1) == 1
@@ -226,7 +236,11 @@ def _active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter):
         elif in_system[j]:
             x_fixed[j] = 0.0
 
+    if working is not None:
+        for r in working.nonzero()[0]:
+            set_working(r, True)
     x = x0.copy()
+    stalled = False  # the last step had zero length
     for _ in range(max_iter):
         idx = in_system.nonzero()[0]
         n_free = np.count_nonzero(in_system[:n])
@@ -241,7 +255,8 @@ def _active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter):
         x_hat[idx[:n_free]] = z[:n_free]
         p = x_hat - x
         p_max = np.abs(p).max()
-        if p_max <= STEP_TOL * (1.0 + np.abs(x).max()):
+        step_tol = STEP_TOL * (1.0 + np.abs(x).max())
+        if p_max <= step_tol:
             lam = np.zeros(mi)
             lam[general[idx[n_free + me :] - n - me]] = z[n_free + me :]
             rows = (work & bound).nonzero()[0]
@@ -250,11 +265,13 @@ def _active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter):
                 v[:n], v[idx[n_free:]] = x_hat, z[n_free:]
                 cols = col[rows]
                 lam[rows] = (rhs[cols] - K.take(cols, axis=0) @ v) / s[rows]
-            # Bland-style anti-cycling: drop the lowest-index negative multiplier
-            neg = (lam < -MULT_TOL).nonzero()[0]
-            if neg.size == 0:
+            neg = lam < -MULT_TOL
+            if not neg.any():
                 return x, z[n_free : n_free + me], lam
-            set_working(neg[0], False)
+            # the most negative multiplier leaves (argmin: lowest index on ties);
+            # after a zero-length step the lowest-index negative one does
+            # (Bland's rule, against cycling at a degenerate vertex)
+            set_working(neg.argmax() if stalled else lam.argmin(), False)
             continue
         alpha = 1.0
         blocking = -1
@@ -268,6 +285,7 @@ def _active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter):
                 alpha = ratios[k]
                 blocking = cand[k]
         x = x + alpha * p
+        stalled = alpha * p_max <= step_tol
         if blocking >= 0:
             set_working(blocking, True)
     raise MaxIterations(f"active-set pivot cap {max_iter} reached")
@@ -322,19 +340,46 @@ def _certify(qp: QuadraticProgram, sol: PrimalDualSolution) -> PrimalDualSolutio
     return sol
 
 
-def solve_qp(qp: QuadraticProgram, max_iter: int = 0) -> PrimalDualSolution:
+def _start_fits(qp: QuadraticProgram, x0, working) -> bool:
+    """Whether x0 meets every row of qp within FEAS_TOL and is tight on the
+    inequality rows flagged in working."""
+    if x0.shape != (qp.n,) or working.shape != qp.hineq.shape:
+        raise DimensionMismatch("start must be (x0 of length n, mask over Gineq rows)")
+    slack = qp.Gineq @ x0 - qp.hineq
+    return bool(
+        np.max(np.abs(qp.Aeq @ x0 - qp.beq), initial=0.0) <= FEAS_TOL
+        and np.max(slack, initial=0.0) <= FEAS_TOL
+        and np.max(np.abs(slack[working]), initial=0.0) <= FEAS_TOL
+    )
+
+
+def solve_qp(qp: QuadraticProgram, max_iter: int = 0, start=None) -> PrimalDualSolution:
     """Solve a convex QP to a KKT-certified primal-dual pair.
 
-    Phase one finds a feasible start (raising Infeasible when none exists),
-    then primal active-set pivots run until the working-set multipliers are
-    dual feasible.  MaxIterations is raised at the pivot cap max_iter, or
-    max(200, 10 (n + rows)) when it is 0; NumericalBreakdown when a working-set system
-    cannot be factorized or the result fails its KKT certificate.
+    start = (x0, working), with working a boolean mask over the Gineq rows,
+    starts the pivots at x0 with those rows in the working set when x0 meets
+    every row within FEAS_TOL and is tight on the working rows; the working
+    rows must be linearly independent of each other and of Aeq.  Otherwise
+    (or without a start) phase one finds a feasible start, raising Infeasible
+    when none exists.  Primal active-set pivots then run until the
+    working-set multipliers are dual feasible; the optimum does not depend on
+    the start when H is positive definite.  MaxIterations is raised at the
+    pivot cap max_iter, or max(200, 10 (n + rows)) when it is 0;
+    NumericalBreakdown when a working-set system cannot be factorized or the
+    result fails its KKT certificate.
     """
     n = qp.n
     max_iter = max_iter or _pivot_cap(n, qp.Aeq.shape[0] + qp.Gineq.shape[0])
-    x0 = _phase_one(qp.Aeq, qp.beq, qp.Gineq, qp.hineq, n, max_iter)
-    x, nu, lam = _active_set_loop(qp.H, qp.c, qp.Aeq, qp.beq, qp.Gineq, qp.hineq, x0, max_iter)
+    working = None
+    if start is not None:
+        x0, working = as_vector(start[0]), np.asarray(start[1], dtype=bool)
+        if not _start_fits(qp, x0, working):
+            working = None
+    if working is None:
+        x0 = _phase_one(qp.Aeq, qp.beq, qp.Gineq, qp.hineq, n, max_iter)
+    x, nu, lam = _active_set_loop(
+        qp.H, qp.c, qp.Aeq, qp.beq, qp.Gineq, qp.hineq, x0, max_iter, working
+    )
     if qp.Gineq.shape[0]:
         slack = qp.Gineq @ x - qp.hineq
         active = np.nonzero(np.abs(slack) <= ACTIVE_TOL)[0]

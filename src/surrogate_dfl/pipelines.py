@@ -223,7 +223,7 @@ class PortfolioAdapter:
 
     def decision_full(self, theta, warm_key=None):
         qp = self.full_qp(theta)
-        sol = solve_qp(qp, max_iter=self.config.qp_max_iter)
+        sol = solve_qp(qp, max_iter=self.config.qp_max_iter, start=domains.simplex_start(qp))
         return sol.y, sol, (qp,)
 
     def surrogate_qp(self, theta, sp):

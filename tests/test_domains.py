@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from surrogate_dfl import domains
 from surrogate_dfl.errors import BadDimensions, DimensionMismatch
+from surrogate_dfl.optlayer import QuadraticProgram, solve_qp
 
 
 def test_portfolio_objective_values():
@@ -188,6 +189,38 @@ def test_movierec_tie_break_lowest_index():
     assert np.allclose(g, [0.5, 0.5, 0.0, 0.0])
 
 
+def reference_selection(x, theta, picks):
+    """The selection as first written: a full stable sort on descending value."""
+    vals = np.asarray(x, dtype=float)[:, None] * np.asarray(theta, dtype=float)
+    order = np.argsort(-vals, axis=0, kind="stable")
+    sel = np.zeros_like(vals)
+    cols = np.arange(vals.shape[1])
+    for r in range(picks):
+        sel[order[r], cols] = 1.0
+    return sel
+
+
+@st.composite
+def selection_cases(draw):
+    """x and theta on coarse grids, so products tie exactly; x has zeros and
+    theta negative entries (their products are -0.0, equal to 0.0)."""
+    n = draw(st.integers(1, 8))
+    users = draw(st.integers(1, 5))
+    x = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n)))
+    cells = draw(st.lists(st.integers(-3, 4), min_size=n * users, max_size=n * users))
+    theta = 0.5 * np.array(cells, dtype=float).reshape(n, users)
+    return x, theta, draw(st.integers(1, n))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(selection_cases())
+def test_selection_matches_sorted_reference(case):
+    x, theta, picks = case
+    assert np.array_equal(
+        domains.movierec_selection(x, theta, picks), reference_selection(x, theta, picks)
+    )
+
+
 def test_movierec_monotone_in_x():
     rng = np.random.default_rng(11)
     theta = rng.uniform(0, 1, (8, 5))
@@ -264,6 +297,44 @@ def test_regret_nonnegative_for_feasible_decisions():
     for _ in range(20):
         x = rng.dirichlet(np.ones(5))
         assert objective(x_star, inst.true_returns) - objective(x, inst.true_returns) >= -1e-6
+
+
+@st.composite
+def simplex_start_qps(draw):
+    """Portfolio QPs whose equality-row minimizer u is generic, has tied
+    entries (H a multiple of I, returns on a grid), lies on the simplex with
+    a coordinate near zero, or comes from an unconstrained minimizer -H^-1 c
+    with every entry negative."""
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["generic", "ties", "tiny", "negative"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    risk = rng.uniform(0.1, 5.0)
+    if kind == "ties":
+        return domains.portfolio_qp(0.5 * rng.integers(-3, 4, n), np.eye(n), risk)
+    if kind == "tiny":  # u = w, on the simplex, with w_0 down to 1e-9
+        w = rng.dirichlet(np.ones(n))
+        w[0] = 10.0 ** -rng.integers(4, 10)
+        return domains.portfolio_qp(2.0 * risk * w / w.sum(), np.eye(n), risk)
+    F = rng.normal(size=(n, 3))
+    Q = F @ F.T / 3 + 0.01 * np.eye(n)
+    if kind == "negative":  # c = H w with w > 0
+        return domains.portfolio_qp(-2.0 * risk * Q @ rng.uniform(0.1, 2.0, n), Q, risk)
+    return domains.portfolio_qp(rng.normal(0.0, 0.5, n), Q, risk)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(simplex_start_qps())
+def test_simplex_start_is_the_projected_equality_minimizer(qp):
+    x0, working = domains.simplex_start(qp)
+    assert abs(x0.sum() - 1.0) <= 1e-12 and x0.min() >= 0.0
+    assert np.array_equal(working, x0 == 0.0)
+    n = qp.n
+    K = np.block([[qp.H, np.ones((n, 1))], [np.ones((1, n)), np.zeros((1, 1))]])
+    u = np.linalg.solve(K, np.append(-qp.c, 1.0))[:n]
+    projection = QuadraticProgram(
+        H=np.eye(n), c=-u, Aeq=np.ones((1, n)), beq=[1.0], Gineq=-np.eye(n), hineq=np.zeros(n)
+    )
+    assert np.max(np.abs(x0 - solve_qp(projection).y)) <= 1e-12 * (1.0 + np.abs(u).max())
 
 
 def test_movierec_oracle_beats_relaxed_rounding():
