@@ -20,12 +20,10 @@ from .pipelines import (
     TrainConfig,
     evaluate,
     get_adapter,
-    make_reparam,
+    init_method,
     run_experiment,
     subseed,
-    train_decision_focused,
-    train_surrogate,
-    train_two_stage,
+    train_method,
     write_aggregate_csv,
     write_report_csv,
 )
@@ -178,22 +176,16 @@ def cmd_train(resolved) -> int:
     method = config.methods[0]
     seed = resolved["train_seed"]
     adapter, dataset = _load_dataset(config, resolved)
-    models = adapter.init_models(subseed(seed, 1))
-    rep = None
-    log.line(f"training method={method} domain={config.domain} seed={seed}")
-    if method == "two-stage":
-        result = train_two_stage(models, dataset, config, adapter)
-    elif method == "decision-focused":
-        result = train_decision_focused(models, dataset, config, adapter)
-    elif method == "surrogate":
-        rep = make_reparam(config, adapter, subseed(seed, 2))
-        result = train_surrogate(models, rep, dataset, config, adapter)
-        if config.export_p:
-            export_reparam_csv(rep, os.path.join(out, "reparam_final.csv"))
-    else:
-        log.line(f"unknown method {method}")
+    try:
+        models, rep = init_method(config, adapter, method, seed)
+    except ValueError as exc:  # unknown method or surrogate mode
+        log.line(str(exc))
         log.close()
         return 2
+    log.line(f"training method={method} domain={config.domain} seed={seed}")
+    result = train_method(models, rep, dataset, config, adapter, method)
+    if rep is not None and config.export_p:
+        export_reparam_csv(rep, os.path.join(out, "reparam_final.csv"))
     named = {}
     for i, arr in enumerate(adapter.params(result.models)):
         named[f"param_{i}"] = arr
@@ -212,19 +204,20 @@ def cmd_train(resolved) -> int:
 def cmd_eval(resolved) -> int:
     out, log = _prepare_out(resolved)
     config = config_from_dict(resolved)
-    method = config.methods[0]
-    seed = resolved["train_seed"]
     ckpt = resolved["checkpoint"] or os.path.join(out, "checkpoint.csv")
     if not os.path.exists(ckpt):
         raise MissingFile(f"checkpoint not found: {ckpt}")
     adapter, dataset = _load_dataset(config, resolved)
-    models = adapter.init_models(subseed(seed, 1))
+    try:
+        models, rep = init_method(config, adapter, config.methods[0], resolved["train_seed"])
+    except ValueError as exc:  # unknown method or surrogate mode
+        log.line(str(exc))
+        log.close()
+        return 2
     named = load_params_csv(ckpt)
     n_params = len(adapter.params(models))
     adapter.set_params(models, [named[f"param_{i}"] for i in range(n_params)])
-    rep = None
-    if method == "surrogate":
-        rep = make_reparam(config, adapter, subseed(seed, 2))
+    if rep is not None:
         rep.P_raw = named["rep_raw"]
     result = evaluate(models, rep, dataset, config, adapter)
     path = os.path.join(out, "eval.csv")

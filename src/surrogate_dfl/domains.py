@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadDimensions, DimensionMismatch
-from .optlayer import _kkt_matrix, solve_box_budget_qp, solve_qp
+from .optlayer import QuadraticProgram, _kkt_matrix, solve_box_budget_qp, solve_qp
 from .surrogate import simplex_base, box_budget_base
 
 RETURN_LAGS = 5
@@ -74,8 +74,9 @@ def cosine_similarity_matrix(rows) -> np.ndarray:
 # portfolio
 
 
-def _portfolio_instances(prices: np.ndarray, risk_aversion: float):
-    """Featurize a price matrix (n_securities x n_price_days).
+def _portfolio_dataset(prices: np.ndarray, risk_aversion: float) -> Dataset:
+    """Featurize a price matrix (n_securities x n_price_days) and split the
+    instances chronologically 70/10/20.
 
     Day t yields features from the trailing ten returns, the next-day return
     as the ground-truth p, and the cosine of the next ten returns (plus a
@@ -106,7 +107,15 @@ def _portfolio_instances(prices: np.ndarray, risk_aversion: float):
                 risk_aversion=risk_aversion,
             )
         )
-    return instances
+    train, val, test = split_indices(len(instances))
+    return Dataset(
+        domain="portfolio",
+        instances=instances,
+        train_idx=train,
+        val_idx=val,
+        test_idx=test,
+        meta={"prices": prices, "risk_aversion": risk_aversion},
+    )
 
 
 def gen_portfolio_data(
@@ -135,17 +144,7 @@ def gen_portfolio_data(
         shock = loadings @ rng.normal(size=n_factors) + idio * rng.normal(size=n_securities)
         s = s + kappa * (mu - s) + shock
         log_prices.append(s.copy())
-    prices = np.exp(np.array(log_prices).T)
-    instances = _portfolio_instances(prices, risk_aversion)
-    train, val, test = split_indices(len(instances))
-    return Dataset(
-        domain="portfolio",
-        instances=instances,
-        train_idx=train,
-        val_idx=val,
-        test_idx=test,
-        meta={"prices": prices, "risk_aversion": risk_aversion},
-    )
+    return _portfolio_dataset(np.exp(np.array(log_prices).T), risk_aversion)
 
 
 def export_portfolio_csv(dataset: Dataset, path) -> None:
@@ -178,16 +177,7 @@ def ingest_portfolio_csv(path, risk_aversion: float = 2.0) -> Dataset:
         prices[sec_pos[s], day_pos[d]] = v
     if np.any(np.isnan(prices)):
         raise BadDimensions("price table has missing (day, security) cells")
-    instances = _portfolio_instances(prices, risk_aversion)
-    train, val, test = split_indices(len(instances))
-    return Dataset(
-        domain="portfolio",
-        instances=instances,
-        train_idx=train,
-        val_idx=val,
-        test_idx=test,
-        meta={"prices": prices, "risk_aversion": risk_aversion},
-    )
+    return _portfolio_dataset(prices, risk_aversion)
 
 
 def portfolio_objective(x, p, Q, risk_aversion: float) -> float:
@@ -209,8 +199,6 @@ def portfolio_grad(x, p, Q, risk_aversion: float) -> np.ndarray:
 def portfolio_qp(p, Q, risk_aversion: float):
     """The simplex-constrained minimization QP whose solution maximizes the
     penalized return under (p, Q)."""
-    from .optlayer import QuadraticProgram
-
     n = len(p)
     return QuadraticProgram(
         H=2.0 * risk_aversion * np.asarray(Q, dtype=float),
@@ -303,6 +291,15 @@ def gen_movierec_data(
     features = _sigmoid(U @ V_feat.T) + feature_noise * rng.normal(
         size=(n_users, n_feature_movies)
     )
+    return _movierec_dataset(theta, features, users_per_group, budget_k, picks_per_user)
+
+
+def _movierec_dataset(theta, features, users_per_group: int, budget_k: int,
+                      picks_per_user: int) -> Dataset:
+    """One instance per group of users_per_group consecutive users (columns of
+    theta, rows of features); groups split 70/10/20."""
+    n_movies, n_users = theta.shape
+    n_groups = n_users // users_per_group
     instances = []
     for g in range(n_groups):
         cols = slice(g * users_per_group, (g + 1) * users_per_group)
@@ -378,27 +375,7 @@ def ingest_movierec_csv(
             theta[m, user_pos[u]] = np.clip(r, 0.0, 1.0)
         else:
             features[user_pos[u], m - n_movies] = r
-    n_groups = n_users // users_per_group
-    instances = []
-    for g in range(n_groups):
-        cols = slice(g * users_per_group, (g + 1) * users_per_group)
-        instances.append(
-            MovieRecInstance(
-                preferences=theta[:, cols].copy(),
-                user_features=features[cols].copy(),
-                budget_k=budget_k,
-                picks_per_user=picks_per_user,
-            )
-        )
-    train, val, test = split_indices(n_groups)
-    return Dataset(
-        domain="movierec",
-        instances=instances,
-        train_idx=train,
-        val_idx=val,
-        test_idx=test,
-        meta={"n_movies": n_movies, "budget_k": budget_k, "picks_per_user": picks_per_user},
-    )
+    return _movierec_dataset(theta, features, users_per_group, budget_k, picks_per_user)
 
 
 def movierec_objective(x, theta, picks: int) -> float:
@@ -531,15 +508,11 @@ def round_top_k(x, k: int) -> np.ndarray:
     return out
 
 
-def movierec_oracle_decision(
-    theta, budget_k: int, picks: int, gamma: float = 0.1, rounded: bool = True
-) -> np.ndarray:
+def movierec_oracle_decision(theta, budget_k: int, picks: int, gamma: float = 0.1) -> np.ndarray:
     """Best decision under the true preferences with the same solver family:
-    the relaxed alternation solve (optionally rounded) or the greedy set,
-    whichever scores higher."""
+    the rounded relaxed alternation solve or the greedy set, whichever scores
+    higher."""
     x_relaxed, _, _, _ = movierec_solve_relaxed(theta, budget_k, picks, gamma=gamma)
-    if not rounded:
-        return x_relaxed
     candidates = [round_top_k(x_relaxed, budget_k), movierec_greedy_set(theta, budget_k, picks)]
     scores = [movierec_objective(c, theta, picks) for c in candidates]
     return candidates[int(np.argmax(scores))]

@@ -2,11 +2,13 @@
 regret and wall-clock metrics, and the multi-seed experiment runner.
 
 Decision-focused training solves the full problem per instance and chains
-df/dw = df/dx . dx*/dtheta . dtheta/dw through the frozen KKT system; the
-surrogate regime solves only the m-dimensional reparameterized problem and
-also chains df/dP, from the same frozen-KKT adjoint (kkt_jacobian_P).
-Validation uses prediction loss for two-stage and regret for the end-to-end
-methods, which is the quantity they optimize.
+df/dw = df/dx . dx*/dtheta . dtheta/dw through the frozen KKT system.  The
+surrogate regime is that regime composed with x = P y: it solves only the
+m-dimensional reparameterized problem, lifts the answer, and takes the full
+theta-gradient at (P z_y, P y*); it also chains df/dP from the same
+frozen-KKT adjoint (kkt_jacobian_P).  Validation uses prediction loss for
+two-stage and, for the end-to-end methods, the regret they optimize, scored
+as evaluate scores the test split.
 """
 
 import csv
@@ -174,8 +176,6 @@ class PortfolioAdapter:
     """Markowitz portfolio: MLP predicts per-security returns, a learned
     embedding table predicts the covariance as cosine similarities."""
 
-    name = "portfolio"
-
     def __init__(self, config: TrainConfig):
         self.config = config
         self.lam = config.risk_aversion
@@ -218,19 +218,13 @@ class PortfolioAdapter:
         emb_grad = embedding_cosine_backward(emb_cache, 2.0 * dQ)
         return loss, mlp_grads + [emb_grad]
 
-    def full_qp(self, theta):
-        return domains.portfolio_qp(theta["p"], theta["Q"], self.lam)
-
     def decision_full(self, theta, warm_key=None):
-        qp = self.full_qp(theta)
+        qp = domains.portfolio_qp(theta["p"], theta["Q"], self.lam)
         sol = solve_qp(qp, max_iter=self.config.qp_max_iter, start=domains.simplex_start(qp))
         return sol.y, sol, (qp,)
 
-    def surrogate_qp(self, theta, sp):
-        return SurrogateQp(H_x=2.0 * self.lam * theta["Q"], c_x=-theta["p"], sp=sp)
-
     def decision_surrogate(self, theta, sp, warm_key=None):
-        sqp = self.surrogate_qp(theta, sp)
+        sqp = SurrogateQp(H_x=2.0 * self.lam * theta["Q"], c_x=-theta["p"], sp=sp)
         qp = sqp.qp()
         sol = solve_qp(qp, max_iter=self.config.qp_max_iter)
         return sol.y, lift(sp.P, sol.y), sol, sqp, (qp,)
@@ -245,15 +239,10 @@ class PortfolioAdapter:
         g = domains.portfolio_grad(x, inst.true_returns, inst.true_covariance, self.lam)
         return -self.objective(x, inst), -g
 
-    def theta_grads_full(self, ctx, z_y, y_star):
-        # c = -p and H = 2 lam Q give dL/dp = z_y, dL/dQ = -2 lam z_y y*^T
-        return {"p": z_y.copy(), "Q": -2.0 * self.lam * np.outer(z_y, y_star)}
-
-    def theta_grads_surrogate(self, sqp, z_y, y_star, ctx=None):
-        P = sqp.P
-        Pz = P @ z_y
-        Py = P @ y_star
-        return {"p": Pz, "Q": -2.0 * self.lam * np.outer(Pz, Py)}
+    def theta_grads(self, ctx, z_x, x):
+        """dL/dtheta at the x-space adjoint z_x and decision x: c = -p and
+        H = 2 lam Q give dL/dp = z_x, dL/dQ = -2 lam z_x x^T."""
+        return {"p": z_x, "Q": -2.0 * self.lam * np.outer(z_x, x)}
 
     def backprop_models(self, models, caches, dtheta, grads_out):
         mlp_cache, emb_cache = caches
@@ -262,7 +251,7 @@ class PortfolioAdapter:
         for g_acc, g in zip(grads_out, mlp_grads + [emb_grad]):
             g_acc += g
 
-    def oracle(self, inst, rounded=False):
+    def oracle(self, inst):
         """Objective value of the oracle decision under the true parameters."""
         key = id(inst)
         if key not in self._oracle_cache:
@@ -283,8 +272,6 @@ class PortfolioAdapter:
 class MovieRecAdapter:
     """Movie broadcast: an MLP maps user feature ratings to per-movie
     preference scores; decisions come from the selection-frozen concave QP."""
-
-    name = "movierec"
 
     def __init__(self, config: TrainConfig):
         self.config = config
@@ -373,25 +360,23 @@ class MovieRecAdapter:
         g = domains.movierec_supergradient(x, inst.preferences, self.picks)
         return -self.objective(x, inst), -g
 
-    def theta_grads_full(self, ctx, z_y, y_star):
+    def theta_grads(self, ctx, z_x, x):
+        """dL/dtheta at the x-space adjoint z_x: the frozen c_i is
+        sum_j sel_ij theta_ij, so dL/dtheta_ij = z_x_i sel_ij."""
         _, sel = ctx
-        return z_y[:, None] * sel
-
-    def theta_grads_surrogate(self, sqp, z_y, y_star, ctx):
-        _, sel = ctx
-        return (sqp.P @ z_y)[:, None] * sel
+        return z_x[:, None] * sel
 
     def backprop_models(self, models, cache, dtheta, grads_out):
         grads = mlp_backward_batch(models["mlp"], cache, dtheta.T)
         for g_acc, g in zip(grads_out, grads):
             g_acc += g
 
-    def oracle(self, inst, rounded=False):
-        """Objective value of the oracle decision under the true parameters."""
-        key = (id(inst), rounded)
+    def oracle(self, inst):
+        """Objective value of the rounded oracle decision under the true parameters."""
+        key = id(inst)
         if key not in self._oracle_cache:
             x = domains.movierec_oracle_decision(
-                inst.preferences, self.k, self.picks, gamma=self.gamma, rounded=rounded
+                inst.preferences, self.k, self.picks, gamma=self.gamma
             )
             self._oracle_cache[key] = self.objective(x, inst)
         return self._oracle_cache[key]
@@ -476,39 +461,40 @@ def train_two_stage(models, dataset, config: TrainConfig, adapter=None) -> Train
 def _decision_and_grads(adapter, models, rep, sp, inst, train_P, idx):
     """One end-to-end forward/backward: returns (loss, caches, dtheta, dP_raw, x)."""
     theta, caches = adapter.predict(models, inst)
+    dP_raw = None
     try:
         if sp is None:
             x, sol, ctx = adapter.decision_full(theta, warm_key=idx)
             loss, dL_dx = adapter.loss_grad_x(x, inst)
-            z_y, _, _, _ = kkt_adjoint(ctx[0], sol, dL_dx)
-            dtheta = adapter.theta_grads_full(ctx, z_y, sol.y)
-            dP_raw = None
+            z_x = kkt_adjoint(ctx[0], sol, dL_dx)[0]
         else:
             y_star, x, sol, sqp, ctx = adapter.decision_surrogate(theta, sp, warm_key=idx)
             loss, dL_dx = adapter.loss_grad_x(x, inst)
             adjoint = kkt_adjoint(ctx[0], sol, sp.P.T @ dL_dx)
-            dtheta = adapter.theta_grads_surrogate(sqp, adjoint[0], y_star, ctx=ctx)
-            dP_raw = None
+            z_x = sp.P @ adjoint[0]  # x = P y, so the x-space adjoint is P z_y
             if train_P:
                 dL_dP = kkt_jacobian_P(sqp, sol, adjoint)
                 dP_raw = grad_wrt_P(dL_dx, y_star, dL_dP, rep)
+        dtheta = adapter.theta_grads(ctx, z_x, x)
     except (Infeasible, MaxIterations, NumericalBreakdown, SingularKKT, SingularMatrix) as exc:
         raise type(exc)(f"instance {idx}: {exc}") from exc
     return loss, caches, dtheta, dP_raw, x
 
 
+def _decide(adapter, theta, sp):
+    """The full decision for theta, or, given sp, the surrogate's lifted x = P y."""
+    if sp is None:
+        return adapter.decision_full(theta)[0]
+    return adapter.decision_surrogate(theta, sp)[1]
+
+
 def _regret_on(adapter, models, sp, instances):
-    rounded = adapter.name == "movierec"
+    """Mean regret on instances, decided and scored as evaluate does."""
     regrets = []
     for inst in instances:
         theta, _ = adapter.predict(models, inst)
-        if sp is None:
-            x, _, _ = adapter.decision_full(theta)
-        else:
-            _, x, _, _, _ = adapter.decision_surrogate(theta, sp)
-        if rounded:
-            x = adapter.test_decision(x)
-        regrets.append(adapter.oracle(inst, rounded=rounded) - adapter.objective(x, inst))
+        x = adapter.test_decision(_decide(adapter, theta, sp))
+        regrets.append(adapter.oracle(inst) - adapter.objective(x, inst))
     return float(np.mean(regrets))
 
 
@@ -611,7 +597,6 @@ class EvalResult:
     regrets: np.ndarray
     inference_sec: float
     max_violation: float
-    decisions: list
 
 
 def evaluate(models, rep, dataset, config: TrainConfig, adapter=None,
@@ -637,32 +622,20 @@ def evaluate(models, rep, dataset, config: TrainConfig, adapter=None,
         return adapter.predict(models, inst)[0]
 
     times = []
-    decisions = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        decided = []
-        for inst in test_set:
-            theta = predict(inst)
-            if sp is None:
-                x, _, _ = adapter.decision_full(theta)
-            else:
-                _, x, _, _, _ = adapter.decision_surrogate(theta, sp)
-            decided.append(x)
+        decisions = [_decide(adapter, predict(inst), sp) for inst in test_set]
         times.append(time.perf_counter() - t0)
-        decisions = decided
     regrets = []
     max_violation = 0.0
-    final_decisions = []
     for inst, x in zip(test_set, decisions):
-        x_final = adapter.test_decision(x)
-        final_decisions.append(x_final)
-        max_violation = max(max_violation, adapter.base.violation(x_final))
-        regrets.append(adapter.oracle(inst, rounded=True) - adapter.objective(x_final, inst))
+        x = adapter.test_decision(x)
+        max_violation = max(max_violation, adapter.base.violation(x))
+        regrets.append(adapter.oracle(inst) - adapter.objective(x, inst))
     return EvalResult(
         regrets=np.array(regrets),
         inference_sec=float(np.median(times)),
         max_violation=max_violation,
-        decisions=final_decisions,
     )
 
 
@@ -670,21 +643,31 @@ def evaluate(models, rep, dataset, config: TrainConfig, adapter=None,
 # experiment runner
 
 
+def init_method(config: TrainConfig, adapter, method: str, seed):
+    """Initial (models, rep) of one method on one seed; rep is None but for the surrogate."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method}")
+    models = adapter.init_models(subseed(seed, 1))
+    rep = make_reparam(config, adapter, subseed(seed, 2)) if method == "surrogate" else None
+    return models, rep
+
+
+def train_method(models, rep, dataset, config: TrainConfig, adapter, method: str) -> TrainResult:
+    """Train models (and rep) from init_method by the named method."""
+    if method == "two-stage":
+        return train_two_stage(models, dataset, config, adapter)
+    if method == "decision-focused":
+        return train_decision_focused(models, dataset, config, adapter)
+    return train_surrogate(models, rep, dataset, config, adapter)
+
+
 def run_single(config: TrainConfig, method: str, seed: int):
-    """Train one method on one seed and evaluate it; returns (row, extras)."""
+    """Train one method on one seed and evaluate it; returns (row, extras),
+    extras holding the test split's max_violation and min_regret."""
     adapter = get_adapter(config)
     dataset = adapter.generate(subseed(seed, 0))
-    models = adapter.init_models(subseed(seed, 1))
-    rep = None
-    if method == "two-stage":
-        result = train_two_stage(models, dataset, config, adapter)
-    elif method == "decision-focused":
-        result = train_decision_focused(models, dataset, config, adapter)
-    elif method == "surrogate":
-        rep = make_reparam(config, adapter, subseed(seed, 2))
-        result = train_surrogate(models, rep, dataset, config, adapter)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    models, rep = init_method(config, adapter, method, seed)
+    result = train_method(models, rep, dataset, config, adapter, method)
     ev = evaluate(result.models, rep, dataset, config, adapter)
     row = ReportRow(
         method=method,
@@ -694,21 +677,13 @@ def run_single(config: TrainConfig, method: str, seed: int):
         inference_sec=ev.inference_sec,
         epochs_run=result.epochs_run,
     )
-    extras = {
-        "max_violation": ev.max_violation,
-        "min_regret": float(np.min(ev.regrets)),
-        "rep": rep,
-        "models": result.models,
-        "history": result.history,
-    }
-    return row, extras
+    return row, {"max_violation": ev.max_violation, "min_regret": float(np.min(ev.regrets))}
 
 
 def _run_single_safe(args):
     config, method, seed = args
     try:
-        row, extras = run_single(config, method, seed)
-        return row, {"max_violation": extras["max_violation"], "min_regret": extras["min_regret"]}
+        return run_single(config, method, seed)
     except Exception as exc:  # record and continue; seed failures must not abort the run
         status = f"error: {type(exc).__name__}: {exc}"
         return (

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import HypothesisViolated, InvalidInputs
 from .numerics import as_matrix
 from .optlayer import solve_qp
-from .surrogate import BaseProblem, SurrogateQp, transform_problem
+from .surrogate import BaseProblem, SurrogateQp, simplex_base, transform_problem
 
 
 @dataclass
@@ -197,8 +197,6 @@ def rademacher_bound(inputs: BoundInputs) -> float:
 
 def run_theory_checks(seed: int = 0):
     """Every theory witness as one (name, passed, value, expectation) row."""
-    from .surrogate import simplex_base
-
     rng = np.random.default_rng(seed)
     rows = []
 

@@ -201,3 +201,20 @@ def test_per_epoch_reparam_export(tmp_path):
     assert len(epochs) >= 1
     first = epochs[0].read_text().splitlines()
     assert len(first) == 6  # n_securities rows
+
+
+def test_train_and_eval_reject_unknown_method(tmp_path):
+    out = tmp_path / "u"
+    rc = main(["train", "--domain", "portfolio", "--out", str(out), *TINY,
+               "--set", "methods=bogus"])
+    assert rc == 2
+    assert "unknown method bogus" in (out / "run.log").read_text()
+    assert not (out / "checkpoint.csv").exists()
+    # a valid checkpoint does not make eval accept the unknown method
+    assert main(["train", "--domain", "portfolio", "--out", str(out), *TINY,
+                 "--method", "decision-focused"]) == 0
+    rc = main(["eval", "--domain", "portfolio", "--out", str(out), *TINY,
+               "--set", "methods=bogus"])
+    assert rc == 2
+    assert "unknown method bogus" in (out / "run.log").read_text()
+    assert not (out / "eval.csv").exists()

@@ -22,6 +22,7 @@ from surrogate_dfl.pipelines import (
     write_aggregate_csv,
     write_report_csv,
     _decision_and_grads,
+    _regret_on,
 )
 
 SMALL_PORTFOLIO = dict(
@@ -259,6 +260,24 @@ def test_evaluate_feasibility_and_regret_floor():
             assert extras["min_regret"] >= -1e-6
             assert row.train_sec_per_epoch > 0
             assert row.inference_sec > 0
+
+
+def test_validation_and_test_share_one_regret_policy():
+    # validation regret on the test split equals evaluate's mean regret
+    # exactly, for the full decision (sp None) and the lifted surrogate one
+    for base_cfg in (SMALL_PORTFOLIO, SMALL_MOVIE):
+        cfg = TrainConfig(**base_cfg)
+        adapter = get_adapter(cfg)
+        dataset = adapter.generate(subseed(3, 0))
+        models = adapter.init_models(subseed(3, 1))
+        test_set = [dataset.instances[i] for i in dataset.test_idx]
+        for rep in (None, make_reparam(cfg, adapter, subseed(3, 2))):
+            sp = None
+            if rep is not None:
+                P = surrogate.materialize(rep)
+                sp = surrogate.transform_problem(adapter.base, P, check_feasible=False)
+            ev = evaluate(models, rep, dataset, cfg, adapter)
+            assert _regret_on(adapter, models, sp, test_set) == np.mean(ev.regrets)
 
 
 def test_run_experiment_rows_and_aggregate(tmp_path):
