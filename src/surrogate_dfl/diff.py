@@ -26,10 +26,6 @@ class MlpModel:
     weights: list
     biases: list
 
-    @property
-    def layer_dims(self):
-        return [self.weights[0].shape[1]] + [W.shape[0] for W in self.weights]
-
     def parameters(self):
         """Flat list of parameter arrays, weights interleaved with biases."""
         out = []
@@ -45,11 +41,11 @@ class MlpModel:
             self.biases[l] = params[2 * l + 1]
 
 
-def init_mlp(layer_dims, seed) -> MlpModel:
+def init_mlp(widths, seed) -> MlpModel:
     """Uniform [-a, a] init with a = sqrt(6 / (fan_in + fan_out)), zero biases."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         a = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-a, a, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))

@@ -9,6 +9,11 @@ theta-gradient at (P z_y, P y*); it also chains df/dP from the same
 frozen-KKT adjoint (kkt_jacobian_P).  Validation uses prediction loss for
 two-stage and, for the end-to-end methods, the regret they optimize, scored
 as evaluate scores the test split.
+
+Adapters hold only domain math and a cache of oracle values; the end-to-end
+training loop owns the start store (each training instance's last decision
+seeds its next solve; validation and evaluation start cold), so a run
+depends only on its (method, seed).
 """
 
 import csv
@@ -71,7 +76,7 @@ class TrainConfig:
     patience: int = 3
     n_seeds: int = 30
     surrogate_m: int = 0  # 0 -> ceil(0.1 n)
-    surrogate_mode: str = "auto"  # per-domain default (column-simplex); see adapters
+    surrogate_mode: str = "auto"  # auto -> column-simplex; see make_reparam
     # portfolio sizes
     n_securities: int = 50
     n_days: int = 100
@@ -210,24 +215,24 @@ class PortfolioAdapter:
         return {"p": p_hat[:, 0], "Q": Q_hat}, (mlp_cache, emb_cache)
 
     def two_stage_loss_grad(self, models, inst):
-        theta, (mlp_cache, emb_cache) = self.predict(models, inst)
+        theta, caches = self.predict(models, inst)
         dp = theta["p"] - inst.true_returns
         dQ = theta["Q"] - inst.true_covariance
         loss = float(dp @ dp + np.sum(dQ * dQ))
-        mlp_grads = mlp_backward_batch(models["mlp"], mlp_cache, (2.0 * dp)[:, None])
-        emb_grad = embedding_cosine_backward(emb_cache, 2.0 * dQ)
-        return loss, mlp_grads + [emb_grad]
+        return loss, self.backprop_models(models, caches, {"p": 2.0 * dp, "Q": 2.0 * dQ})
 
-    def decision_full(self, theta, warm_key=None):
+    def decision_full(self, theta, x0=None):
+        """(x, sol, ctx) of the full QP, started at domains.simplex_start, not x0."""
         qp = domains.portfolio_qp(theta["p"], theta["Q"], self.lam)
         sol = solve_qp(qp, max_iter=self.config.qp_max_iter, start=domains.simplex_start(qp))
         return sol.y, sol, (qp,)
 
-    def decision_surrogate(self, theta, sp, warm_key=None):
-        sqp = SurrogateQp(H_x=2.0 * self.lam * theta["Q"], c_x=-theta["p"], sp=sp)
-        qp = sqp.qp()
-        sol = solve_qp(qp, max_iter=self.config.qp_max_iter)
-        return sol.y, lift(sp.P, sol.y), sol, sqp, (qp,)
+    def decision_surrogate(self, theta, sp, x0=None):
+        """(y*, x = P y*, sol, sqp, ctx) of the y-space QP; x0 is ignored."""
+        x, (sqp, qp, sol) = _solve_surrogate(
+            sp, 2.0 * self.lam * theta["Q"], -theta["p"], self.config.qp_max_iter
+        )
+        return sol.y, x, sol, sqp, (qp,)
 
     def objective(self, x, inst):
         return domains.portfolio_objective(
@@ -244,29 +249,26 @@ class PortfolioAdapter:
         H = 2 lam Q give dL/dp = z_x, dL/dQ = -2 lam z_x x^T."""
         return {"p": z_x, "Q": -2.0 * self.lam * np.outer(z_x, x)}
 
-    def backprop_models(self, models, caches, dtheta, grads_out):
+    def backprop_models(self, models, caches, dtheta):
+        """Parameter gradients, in params order, of theta-gradient dtheta."""
         mlp_cache, emb_cache = caches
         mlp_grads = mlp_backward_batch(models["mlp"], mlp_cache, dtheta["p"][:, None])
-        emb_grad = embedding_cosine_backward(emb_cache, dtheta["Q"])
-        for g_acc, g in zip(grads_out, mlp_grads + [emb_grad]):
-            g_acc += g
+        return mlp_grads + [embedding_cosine_backward(emb_cache, dtheta["Q"])]
 
     def oracle(self, inst):
         """Objective value of the oracle decision under the true parameters."""
-        key = id(inst)
-        if key not in self._oracle_cache:
+        hit = self._oracle_cache.get(id(inst))
+        if hit is None:
             x = domains.portfolio_oracle_decision(
                 inst.true_returns, inst.true_covariance, self.lam,
                 max_iter=self.config.qp_max_iter,
             )
-            self._oracle_cache[key] = self.objective(x, inst)
-        return self._oracle_cache[key]
+            # the entry holds inst, so no other instance can take its id
+            hit = self._oracle_cache[id(inst)] = (inst, self.objective(x, inst))
+        return hit[1]
 
     def test_decision(self, x):
         return x
-
-    def surrogate_default_mode(self):
-        return "column-simplex"
 
 
 class MovieRecAdapter:
@@ -281,7 +283,6 @@ class MovieRecAdapter:
         self.gamma = config.gamma
         self.base = domains.movierec_base(self.n, self.k)
         self._oracle_cache = {}
-        self._warm = {}
 
     def generate(self, seed):
         return domains.gen_movierec_data(
@@ -318,39 +319,26 @@ class MovieRecAdapter:
         theta, cache = self.predict(models, inst)
         d = theta - inst.preferences
         loss = float(np.sum(d * d))
-        grads = mlp_backward_batch(models["mlp"], cache, (2.0 * d).T)
-        return loss, grads
+        return loss, self.backprop_models(models, cache, 2.0 * d)
 
-    def decision_full(self, theta, warm_key=None):
+    def decision_full(self, theta, x0=None):
+        """(x, sol, ctx) of the selection-frozen QP; x0 seeds the first selection."""
         x, sol, c_frozen, sel = domains.movierec_solve_relaxed(
-            theta, self.k, self.picks, gamma=self.gamma,
-            x0=self._warm.get(("full", warm_key)),
+            theta, self.k, self.picks, gamma=self.gamma, x0=x0
         )
-        if warm_key is not None:
-            self._warm[("full", warm_key)] = x
         qp = box_budget_qp(c_frozen, self.gamma, self.k)
         return x, sol, (qp, sel)
 
-    def decision_surrogate(self, theta, sp, warm_key=None):
-        # alternate selection freezes with exact y-space solves, mirroring
-        # the full-problem path under x = P y; warm keys reuse the previous
-        # epoch's solution on the same instance so selections evolve smoothly
-        def solve(c_frozen):
-            sqp = SurrogateQp(
-                H_x=np.zeros((self.n, self.n)),
-                c_x=-c_frozen,
-                sp=sp,
-                H_extra=2.0 * self.gamma * np.eye(sp.P.shape[1]),
-            )
-            qp = sqp.qp()
-            sol = solve_qp(qp, max_iter=self.config.qp_max_iter)
-            return lift(sp.P, sol.y), (sqp, qp, sol)
-
+    def decision_surrogate(self, theta, sp, x0=None):
+        """(y*, x = P y*, sol, sqp, ctx): decision_full's alternation with exact
+        y-space solves; x0, the previous lifted decision, seeds the first selection."""
+        H_x = np.zeros((self.n, self.n))
+        H_extra = 2.0 * self.gamma * np.eye(sp.m)
         x, (sqp, qp, sol), _, sel = domains.movierec_alternate(
-            theta, self.k, self.picks, solve, x0=self._warm.get(("sur", warm_key))
+            theta, self.k, self.picks,
+            lambda c: _solve_surrogate(sp, H_x, -c, self.config.qp_max_iter, H_extra),
+            x0=x0,
         )
-        if warm_key is not None:
-            self._warm[("sur", warm_key)] = x
         return sol.y, x, sol, sqp, (qp, sel)
 
     def objective(self, x, inst):
@@ -366,28 +354,31 @@ class MovieRecAdapter:
         _, sel = ctx
         return z_x[:, None] * sel
 
-    def backprop_models(self, models, cache, dtheta, grads_out):
-        grads = mlp_backward_batch(models["mlp"], cache, dtheta.T)
-        for g_acc, g in zip(grads_out, grads):
-            g_acc += g
+    def backprop_models(self, models, cache, dtheta):
+        """Parameter gradients, in params order, of theta-gradient dtheta."""
+        return mlp_backward_batch(models["mlp"], cache, dtheta.T)
 
     def oracle(self, inst):
         """Objective value of the rounded oracle decision under the true parameters."""
-        key = id(inst)
-        if key not in self._oracle_cache:
+        hit = self._oracle_cache.get(id(inst))
+        if hit is None:
             x = domains.movierec_oracle_decision(
                 inst.preferences, self.k, self.picks, gamma=self.gamma
             )
-            self._oracle_cache[key] = self.objective(x, inst)
-        return self._oracle_cache[key]
+            # the entry holds inst, so no other instance can take its id
+            hit = self._oracle_cache[id(inst)] = (inst, self.objective(x, inst))
+        return hit[1]
 
     def test_decision(self, x):
         return domains.round_top_k(x, self.k)
 
-    def surrogate_default_mode(self):
-        # softmax columns keep P >= 0 (the DR-submodularity hypothesis) and
-        # concentrate much faster than the softplus floor during training
-        return "column-simplex"
+
+def _solve_surrogate(sp, H_x, c_x, max_iter, H_extra=None):
+    """Solves the y-space QP of x-space objective (H_x, c_x) on sp: (P y*, (sqp, qp, sol))."""
+    sqp = SurrogateQp(H_x=H_x, c_x=c_x, sp=sp, H_extra=H_extra)
+    qp = sqp.qp()
+    sol = solve_qp(qp, max_iter=max_iter)
+    return lift(sp.P, sol.y), (sqp, qp, sol)
 
 
 def get_adapter(config: TrainConfig):
@@ -458,17 +449,17 @@ def train_two_stage(models, dataset, config: TrainConfig, adapter=None) -> Train
     return TrainResult(models, None, epochs, per_epoch, history)
 
 
-def _decision_and_grads(adapter, models, rep, sp, inst, train_P, idx):
-    """One end-to-end forward/backward: returns (loss, caches, dtheta, dP_raw, x)."""
+def _decision_and_grads(adapter, models, rep, sp, inst, train_P, idx, x0=None):
+    """One end-to-end forward/backward from start x0: (loss, caches, dtheta, dP_raw, x)."""
     theta, caches = adapter.predict(models, inst)
     dP_raw = None
     try:
         if sp is None:
-            x, sol, ctx = adapter.decision_full(theta, warm_key=idx)
+            x, sol, ctx = adapter.decision_full(theta, x0=x0)
             loss, dL_dx = adapter.loss_grad_x(x, inst)
             z_x = kkt_adjoint(ctx[0], sol, dL_dx)[0]
         else:
-            y_star, x, sol, sqp, ctx = adapter.decision_surrogate(theta, sp, warm_key=idx)
+            y_star, x, sol, sqp, ctx = adapter.decision_surrogate(theta, sp, x0=x0)
             loss, dL_dx = adapter.loss_grad_x(x, inst)
             adjoint = kkt_adjoint(ctx[0], sol, sp.P.T @ dL_dx)
             z_x = sp.P @ adjoint[0]  # x = P y, so the x-space adjoint is P z_y
@@ -499,6 +490,7 @@ def _regret_on(adapter, models, sp, instances):
 
 
 def _train_end_to_end(models, rep, dataset, config, adapter, train_P):
+    adapter = adapter or get_adapter(config)
     train_set = _split(dataset, dataset.train_idx)
     val_set = _split(dataset, dataset.val_idx)
     if not train_set or not val_set:
@@ -510,23 +502,23 @@ def _train_end_to_end(models, rep, dataset, config, adapter, train_P):
     best_params = [p.copy() for p in params]
     best_raw = rep.P_raw.copy() if rep is not None else None
     history = []
+    starts = {}  # training index -> the instance's last decision (lifted for the surrogate)
     train_time = 0.0
     epochs = 0
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
-        sp = None
-        if rep is not None:
-            P = materialize(rep)
-            sp = transform_problem(adapter.base, P, check_feasible=(epoch == 1))
+        sp = _surrogate_problem(adapter, rep, check_feasible=(epoch == 1))
         grads = [np.zeros_like(p) for p in params]
         p_grad = np.zeros_like(rep.P_raw) if train_P else None
         epoch_loss = 0.0
         for idx, inst in zip(dataset.train_idx, train_set):
-            loss, caches, dtheta, dP_raw, _ = _decision_and_grads(
-                adapter, models, rep, sp, inst, train_P, idx
+            loss, caches, dtheta, dP_raw, starts[idx] = _decision_and_grads(
+                adapter, models, rep, sp, inst, train_P, idx, x0=starts.get(idx)
             )
             epoch_loss += loss
-            adapter.backprop_models(models, caches, _scale_theta(dtheta, 1.0 / len(train_set)), grads)
+            scaled = _scale_theta(dtheta, 1.0 / len(train_set))
+            for g_acc, g in zip(grads, adapter.backprop_models(models, caches, scaled)):
+                g_acc += g
             if train_P and dP_raw is not None:
                 p_grad += dP_raw / len(train_set)
         params, state = adam_step(params, grads, state)
@@ -541,10 +533,7 @@ def _train_end_to_end(models, rep, dataset, config, adapter, train_P):
             export_reparam_csv(
                 rep, os.path.join(config.out_dir, f"reparam_epoch_{epoch:03d}.csv")
             )
-        val_sp = None
-        if rep is not None:
-            val_sp = transform_problem(adapter.base, materialize(rep), check_feasible=False)
-        val_regret = _regret_on(adapter, models, val_sp, val_set)
+        val_regret = _regret_on(adapter, models, _surrogate_problem(adapter, rep), val_set)
         history.append((epoch, epoch_loss / len(train_set), val_regret))
         if stopper.update(val_regret, epoch):
             best_params = [p.copy() for p in params]
@@ -559,6 +548,13 @@ def _train_end_to_end(models, rep, dataset, config, adapter, train_P):
     return TrainResult(models, rep, epochs, per_epoch, history)
 
 
+def _surrogate_problem(adapter, rep, check_feasible=False):
+    """The y-space constraint set of rep's current P, or None without a rep."""
+    if rep is None:
+        return None
+    return transform_problem(adapter.base, materialize(rep), check_feasible=check_feasible)
+
+
 def _scale_theta(dtheta, scale):
     if isinstance(dtheta, dict):
         return {k: v * scale for k, v in dtheta.items()}
@@ -567,7 +563,6 @@ def _scale_theta(dtheta, scale):
 
 def train_decision_focused(models, dataset, config: TrainConfig, adapter=None) -> TrainResult:
     """End-to-end training through the full optimization layer (x-space)."""
-    adapter = adapter or get_adapter(config)
     return _train_end_to_end(models, None, dataset, config, adapter, train_P=False)
 
 
@@ -575,16 +570,15 @@ def train_surrogate(models, rep, dataset, config: TrainConfig, adapter=None,
                     train_P: bool = True) -> TrainResult:
     """Joint training of the predictive model and the reparameterization by
     solving only the m-dimensional surrogate problem."""
-    adapter = adapter or get_adapter(config)
     return _train_end_to_end(models, rep, dataset, config, adapter, train_P=train_P)
 
 
 def make_reparam(config: TrainConfig, adapter, seed) -> Reparameterization:
     n = adapter.base.n
     m = config.surrogate_m or default_m(n)
-    mode = config.surrogate_mode
-    if mode == "auto":
-        mode = adapter.surrogate_default_mode()
+    # softmax columns keep P >= 0 (the DR-submodularity hypothesis) and
+    # concentrate much faster than the softplus floor during training
+    mode = "column-simplex" if config.surrogate_mode == "auto" else config.surrogate_mode
     return init_reparam(n, m, mode, seed)
 
 
@@ -600,7 +594,7 @@ class EvalResult:
 
 
 def evaluate(models, rep, dataset, config: TrainConfig, adapter=None,
-             theta_override=None, timing_repeats: int = None) -> EvalResult:
+             timing_repeats: int = None) -> EvalResult:
     """Timed decisions plus regret for every test instance.
 
     The surrogate path (rep given) solves only the m-dimensional problem and
@@ -612,19 +606,11 @@ def evaluate(models, rep, dataset, config: TrainConfig, adapter=None,
     if not test_set:
         raise EmptySplit("test split is empty")
     repeats = max(1, timing_repeats or config.timing_repeats)
-    sp = None
-    if rep is not None:
-        sp = transform_problem(adapter.base, materialize(rep), check_feasible=False)
-
-    def predict(inst):
-        if theta_override is not None:
-            return theta_override(inst)
-        return adapter.predict(models, inst)[0]
-
+    sp = _surrogate_problem(adapter, rep)
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        decisions = [_decide(adapter, predict(inst), sp) for inst in test_set]
+        decisions = [_decide(adapter, adapter.predict(models, inst)[0], sp) for inst in test_set]
         times.append(time.perf_counter() - t0)
     regrets = []
     max_violation = 0.0

@@ -155,7 +155,6 @@ class SurrogateProblem:
     beq: np.ndarray
     G_y: np.ndarray
     h_y: np.ndarray
-    n_extra_rows: int = 0
 
     @property
     def m(self):
@@ -179,15 +178,10 @@ def transform_problem(
     Aeq_y = base.Aeq @ P
     G_y = base.G @ P
     h_y = base.h.copy()
-    extra = 0
     if nonneg_y:
         G_y = np.vstack([G_y, -np.eye(m)])
         h_y = np.concatenate([h_y, np.zeros(m)])
-        extra = m
-    sp = SurrogateProblem(
-        base=base, P=P, Aeq_y=Aeq_y, beq=base.beq.copy(), G_y=G_y, h_y=h_y,
-        n_extra_rows=extra,
-    )
+    sp = SurrogateProblem(base=base, P=P, Aeq_y=Aeq_y, beq=base.beq.copy(), G_y=G_y, h_y=h_y)
     if check_feasible:
         try:
             find_feasible_point(sp.Aeq_y, sp.beq, sp.G_y, sp.h_y, m)

@@ -6,17 +6,20 @@ import pytest
 from surrogate_dfl import domains, surrogate
 from surrogate_dfl.diff import finite_diff_grad
 from surrogate_dfl.errors import EmptySplit, MaxIterations
+from surrogate_dfl.optlayer import strongly_active
 from surrogate_dfl.pipelines import (
     REPORT_HEADER,
     EarlyStopper,
     TrainConfig,
     evaluate,
     get_adapter,
+    init_method,
     make_reparam,
     run_experiment,
     run_single,
     subseed,
     train_decision_focused,
+    train_method,
     train_surrogate,
     train_two_stage,
     write_aggregate_csv,
@@ -33,6 +36,10 @@ SMALL_MOVIE = dict(
     domain="movierec", n_movies=15, users_per_group=6, n_groups=10,
     n_feature_movies=8, budget_k=4, picks_per_user=2, hidden_size=16,
     max_epochs=8, n_seeds=2,
+)
+TOY_MOVIE = dict(
+    domain="movierec", n_movies=12, users_per_group=4, n_groups=10,
+    n_feature_movies=5, budget_k=3, picks_per_user=2, hidden_size=8,
 )
 
 
@@ -99,10 +106,11 @@ def test_perfect_predictor_regret_near_zero():
     dataset = adapter.generate(2)
     models = adapter.init_models(3)
 
-    def truth(inst):
-        return {"p": inst.true_returns, "Q": inst.true_covariance}
+    def truth(models, inst):
+        return {"p": inst.true_returns, "Q": inst.true_covariance}, None
 
-    result = evaluate(models, None, dataset, cfg, adapter, theta_override=truth)
+    adapter.predict = truth
+    result = evaluate(models, None, dataset, cfg, adapter)
     assert np.max(np.abs(result.regrets)) <= 1e-6
 
 
@@ -131,8 +139,7 @@ def test_decision_focused_gradient_matches_fd():
 
     adapter.set_params(models, unflatten(flat0))
     _, caches, dtheta, _, _ = _decision_and_grads(adapter, models, None, None, inst, False, 0)
-    grads = [np.zeros_like(p) for p in params0]
-    adapter.backprop_models(models, caches, dtheta, grads)
+    grads = adapter.backprop_models(models, caches, dtheta)
     an = np.concatenate([g.ravel() for g in grads])
     fd = finite_diff_grad(loss_of, flat0, h=1e-5)
     assert np.max(np.abs(fd - an) / np.maximum(1.0, np.abs(an))) <= 1e-3
@@ -169,8 +176,7 @@ def test_surrogate_joint_gradient_matches_fd():
 
     adapter.set_params(models, unflatten(flat0))
     _, caches, dtheta, dP_raw, _ = _decision_and_grads(adapter, models, rep, sp, inst, True, 0)
-    grads = [np.zeros_like(p) for p in params0]
-    adapter.backprop_models(models, caches, dtheta, grads)
+    grads = adapter.backprop_models(models, caches, dtheta)
     an_w = np.concatenate([g.ravel() for g in grads])
     fd_w = finite_diff_grad(loss_of_w, flat0, h=1e-5)
     assert np.max(np.abs(fd_w - an_w) / np.maximum(1.0, np.abs(an_w))) <= 1e-3
@@ -189,6 +195,63 @@ def test_surrogate_joint_gradient_matches_fd():
 
     fd_P = finite_diff_grad(loss_of_P, rep.P_raw.ravel().copy(), h=1e-6)
     assert np.max(np.abs(fd_P - dP_raw.ravel()) / np.maximum(1.0, np.abs(dP_raw.ravel()))) <= 1e-3
+
+
+def _weight_grads(adapter, models, inst, rep, h):
+    """dL/dw of one instance by central differences and by _decision_and_grads,
+    plus the (selection, strongly active set) pairs met at w and at every
+    difference point; the selection is None for portfolio."""
+    sp = None
+    if rep is not None:
+        sp = surrogate.transform_problem(adapter.base, surrogate.materialize(rep),
+                                         check_feasible=False)
+    params0 = [p.copy() for p in adapter.params(models)]
+    flat0 = np.concatenate([p.ravel() for p in params0])
+    branches = set()
+
+    def loss_of(flat):
+        out, off = [], 0
+        for p in params0:
+            out.append(flat[off : off + p.size].reshape(p.shape))
+            off += p.size
+        adapter.set_params(models, out)
+        theta, _ = adapter.predict(models, inst)
+        if sp is None:
+            x, sol, ctx = adapter.decision_full(theta)
+        else:
+            _, x, sol, _, ctx = adapter.decision_surrogate(theta, sp)
+        sel = ctx[1].tobytes() if len(ctx) > 1 else None
+        branches.add((sel, strongly_active(sol).tobytes()))
+        return adapter.loss_grad_x(x, inst)[0]
+
+    loss_of(flat0)
+    fd = finite_diff_grad(loss_of, flat0, h=h)
+    adapter.set_params(models, params0)
+    _, caches, dtheta, _, _ = _decision_and_grads(adapter, models, rep, sp, inst, False, 0)
+    an = np.concatenate([g.ravel() for g in adapter.backprop_models(models, caches, dtheta)])
+    return fd, an, branches
+
+
+def test_weight_gradients_match_fd_in_norm():
+    # |fd - an| <= 1e-6 |fd| in the 2-norm, on gradients no smaller than 1e-2:
+    # a 0.1% error in the chain rule fails here, where the entrywise checks
+    # above, divided by max(1, |an|), pass it.  Every difference point must
+    # keep the selection and the strongly active set, so the loss is smooth
+    # across the stencil.
+    port = TrainConfig(domain="portfolio", n_securities=4, n_days=25, hidden_size=6,
+                       embedding_dim=3, surrogate_m=2)
+    cases = [(port, 20, "decision-focused"), (port, 20, "surrogate")]
+    cases += [(TrainConfig(**TOY_MOVIE), seed, "surrogate") for seed in range(6)]
+    for cfg, seed, method in cases:
+        adapter = get_adapter(cfg)
+        dataset = adapter.generate(subseed(seed, 0))
+        models, rep = init_method(cfg, adapter, method, seed)
+        inst = dataset.instances[dataset.train_idx[0]]
+        fd, an, branches = _weight_grads(adapter, models, inst, rep, h=1e-6)
+        case = (cfg.domain, seed, method)
+        assert len(branches) == 1, case
+        assert np.linalg.norm(fd) >= 1e-2, case
+        assert np.linalg.norm(fd - an) <= 1e-6 * np.linalg.norm(fd), case
 
 
 def test_training_deterministic():
@@ -224,6 +287,38 @@ def test_identity_neutrality():
         assert abs(v1 - v2) <= 1e-8
     for a, b in zip(adapter_a.params(r_df.models), adapter_b.params(r_sur.models)):
         assert np.max(np.abs(a - b)) <= 1e-8
+
+
+def test_adapter_carries_nothing_between_runs():
+    # one adapter serving three trainings on new datasets gives each the
+    # history a fresh adapter gives it: a run depends only on (method, seed)
+    cfg = TrainConfig(domain="movierec", max_epochs=5)
+    for method in ("decision-focused", "surrogate"):
+        reused = get_adapter(cfg)
+        differ = []
+        for seed in range(3):
+            histories = []
+            for adapter in (reused, get_adapter(cfg)):
+                dataset = adapter.generate(subseed(seed, 0))
+                models, rep = init_method(cfg, adapter, method, seed)
+                histories.append(train_method(models, rep, dataset, cfg, adapter, method).history)
+            if histories[0] != histories[1]:
+                differ.append(seed)
+        assert differ == [], (method, differ)
+
+
+def test_oracle_serves_only_its_own_instance():
+    # instance 0 of 50 fresh datasets, each freed after its oracle call: a
+    # cache keyed by id() alone hands a freed instance's value to a new
+    # instance that takes its id
+    for base_cfg in (SMALL_PORTFOLIO, SMALL_MOVIE):
+        cfg = TrainConfig(**base_cfg)
+        reused = get_adapter(cfg)
+        stale = 0
+        for seed in range(50):
+            inst = reused.generate(seed).instances[0]
+            stale += reused.oracle(inst) != get_adapter(cfg).oracle(inst)
+        assert stale == 0, (cfg.domain, stale)
 
 
 def test_surrogate_capacity_reported():

@@ -78,10 +78,8 @@ def test_transform_row_count_expansion():
     P = np.abs(np.random.default_rng(3).normal(size=(4, 2))) + 0.05
     sp = transform_problem(base, P)
     assert sp.G_y.shape == (2 * 4 + 1, 2)
-    assert sp.n_extra_rows == 0
     sp2 = transform_problem(base, P, nonneg_y=True)
     assert sp2.G_y.shape == (2 * 4 + 1 + 2, 2)
-    assert sp2.n_extra_rows == 2
 
 
 def test_transform_column_simplex_gives_m_simplex():
