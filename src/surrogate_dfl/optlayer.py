@@ -18,12 +18,14 @@ stationarity row of its coordinate (the null-space treatment of bounds,
 Nocedal & Wright, Numerical Optimization, ch. 16).  The pivot loop classifies
 the rows once per solve and assembles the KKT matrix of H, the equality rows
 and the general rows once; each pivot gathers its working-set system from
-that matrix and solves it by LU (LAPACK dgesv).  It drops the working row
-with the most negative multiplier, or the lowest-index negative one after a
-zero-length step (Bland's rule, against cycling).  A caller may pass a
-start (x0, working): a feasible x0 tight on its working rows replaces phase
-one (a crash start, Nocedal & Wright ch. 16.5).  The frozen set is
-classified when it is frozen.  Every solution is certified: solve_qp and
+that matrix and solves it by LU (LAPACK dgesv), except after a full step,
+which leaves the working set and so the solution unchanged.  When every row
+is a bound, the ratio test reads G p and G x off the bounds' coordinates.
+It drops the working row with the most negative multiplier, or the
+lowest-index negative one after a zero-length step (Bland's rule, against
+cycling).  A caller may pass a start (x0, working): a feasible x0 tight on
+its working rows replaces phase one (a crash start, Nocedal & Wright
+ch. 16.5).  The frozen set is classified when it is frozen.  Every solution is certified: solve_qp and
 solve_box_budget_qp raise NumericalBreakdown when the KKT residual exceeds
 1e-8 (1 + max(|H|, |c|, |h|)).
 """
@@ -141,9 +143,10 @@ def _kkt_matrix(H, A):
 def _equality_solve(K, rhs):
     """Solve one working-set KKT system K z = rhs by LU (LAPACK dgesv).
 
-    The pivot loop calls it once per pivot, with K gathered from the matrix
-    it assembled (see _active_set_loop): H over the free coordinates, the
-    equality rows and the general working rows restricted to them.  LU
+    The pivot loop calls it once per working set it visits, with K gathered
+    from the matrix it assembled (see _active_set_loop): H over the free
+    coordinates, the equality rows and the general working rows restricted
+    to them.  LU
     partial pivoting is used for speed; the differentiation paths use the
     symmetric Bunch-Kaufman route in solve_symmetric, which exposes
     pivot-magnitude failures.  Raises SingularMatrix on an exactly zero pivot.
@@ -198,16 +201,22 @@ def _active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter, working=None):
     and the general rows is assembled once, and each pivot gathers its
     working-set system from it: the free coordinates, the equality rows and
     the general working rows, with the fixed coordinates' terms moved to the
-    right-hand side.  A bound's multiplier is read back from the stationarity
-    row of its coordinate.  When multipliers are negative, the row with the
-    most negative one leaves the working set (lowest index on ties); after a
-    zero-length step, the lowest-index negative one does instead.  Returns
-    (x, nu, lam), lam zero off the working set.
+    right-hand side.  A step of full length with no blocking row leaves the
+    working set unchanged, so the next iteration reuses its solution instead
+    of gathering and solving the same system; it still counts toward
+    max_iter.  When every row of G is a bound, the ratio test forms G p and
+    G x as s p_j and s x_j, which is exact.  A bound's multiplier is read
+    back from the stationarity row of its coordinate.  When multipliers are
+    negative, the row with the most negative one leaves the working set
+    (lowest index on ties); after a zero-length step, the lowest-index
+    negative one does instead.  Returns (x, nu, lam), lam zero off the
+    working set.
     """
     n, me, mi = x0.shape[0], Aeq.shape[0], G.shape[0]
     bound = np.count_nonzero(G, axis=1) == 1
     col = np.argmax(G != 0, axis=1)  # the coordinate a bound row fixes
     s = G[np.arange(mi), col]
+    all_bounds = bound.all()
     general = np.flatnonzero(~bound)
     K = _kkt_matrix(H, np.vstack([Aeq, G[general]]))
     rhs = np.concatenate([-c, beq, h[general]])
@@ -241,18 +250,20 @@ def _active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter, working=None):
             set_working(r, True)
     x = x0.copy()
     stalled = False  # the last step had zero length
+    full_step = False  # the last step had alpha = 1 and no blocking row
     for _ in range(max_iter):
-        idx = in_system.nonzero()[0]
-        n_free = np.count_nonzero(in_system[:n])
-        b = rhs.take(idx)
-        if x_fixed.any():
-            b -= (K[:, :n] @ x_fixed).take(idx)
-        try:
-            z = _equality_solve(K.take(idx, axis=0).take(idx, axis=1), b)
-        except SingularMatrix as exc:
-            raise NumericalBreakdown(f"singular working-set KKT system: {exc}") from exc
-        x_hat = x_fixed.copy()
-        x_hat[idx[:n_free]] = z[:n_free]
+        if not full_step:  # after a full step the system, and so z, is the same
+            idx = in_system.nonzero()[0]
+            n_free = np.count_nonzero(in_system[:n])
+            b = rhs.take(idx)
+            if x_fixed.any():
+                b -= (K[:, :n] @ x_fixed).take(idx)
+            try:
+                z = _equality_solve(K.take(idx, axis=0).take(idx, axis=1), b)
+            except SingularMatrix as exc:
+                raise NumericalBreakdown(f"singular working-set KKT system: {exc}") from exc
+            x_hat = x_fixed.copy()
+            x_hat[idx[:n_free]] = z[:n_free]
         p = x_hat - x
         p_max = np.abs(p).max()
         step_tol = STEP_TOL * (1.0 + np.abs(x).max())
@@ -272,11 +283,16 @@ def _active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter, working=None):
             # after a zero-length step the lowest-index negative one does
             # (Bland's rule, against cycling at a degenerate vertex)
             set_working(neg.argmax() if stalled else lam.argmin(), False)
+            full_step = False
             continue
         alpha = 1.0
         blocking = -1
-        d = G @ p
-        room = h - G @ x
+        if all_bounds:  # G_r p = s_r p_j exactly when row r is s_r x_j <= h_r
+            d = s * p.take(col)
+            room = h - s * x.take(col)
+        else:
+            d = G @ p
+            room = h - G @ x
         cand = (~work & (d > d_tol + d_tol_per_step * p_max)).nonzero()[0]
         if cand.size:
             ratios = np.maximum(room[cand], 0.0) / d[cand]
@@ -286,7 +302,8 @@ def _active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter, working=None):
                 blocking = cand[k]
         x = x + alpha * p
         stalled = alpha * p_max <= step_tol
-        if blocking >= 0:
+        full_step = blocking < 0
+        if not full_step:
             set_working(blocking, True)
     raise MaxIterations(f"active-set pivot cap {max_iter} reached")
 

@@ -222,9 +222,13 @@ class PortfolioAdapter:
         return loss, self.backprop_models(models, caches, {"p": 2.0 * dp, "Q": 2.0 * dQ})
 
     def decision_full(self, theta, x0=None):
-        """(x, sol, ctx) of the full QP, started at domains.simplex_start, not x0."""
+        """(x, sol, ctx) of the full QP, started at x0 with the bounds of its
+        zero coordinates working, or at domains.simplex_start without x0.
+        x0, the instance's previous decision, stays feasible: the constraints
+        do not depend on theta."""
         qp = domains.portfolio_qp(theta["p"], theta["Q"], self.lam)
-        sol = solve_qp(qp, max_iter=self.config.qp_max_iter, start=domains.simplex_start(qp))
+        start = domains.simplex_start(qp) if x0 is None else (x0, x0 == 0.0)
+        sol = solve_qp(qp, max_iter=self.config.qp_max_iter, start=start)
         return sol.y, sol, (qp,)
 
     def decision_surrogate(self, theta, sp, x0=None):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surrogate_dfl import domains
+from surrogate_dfl import domains, optlayer
 from surrogate_dfl.errors import BadDimensions, DimensionMismatch
 from surrogate_dfl.optlayer import QuadraticProgram, solve_qp
 
@@ -325,16 +325,65 @@ def simplex_start_qps(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(simplex_start_qps())
 def test_simplex_start_is_the_projected_equality_minimizer(qp):
+    # the projection of u, the minimizer of the objective with H + delta I
+    # over the equality row, delta = START_RIDGE tr(H) / n
     x0, working = domains.simplex_start(qp)
     assert abs(x0.sum() - 1.0) <= 1e-12 and x0.min() >= 0.0
     assert np.array_equal(working, x0 == 0.0)
     n = qp.n
-    K = np.block([[qp.H, np.ones((n, 1))], [np.ones((1, n)), np.zeros((1, 1))]])
+    H = qp.H + domains.START_RIDGE * np.trace(qp.H) / n * np.eye(n)
+    K = np.block([[H, np.ones((n, 1))], [np.ones((1, n)), np.zeros((1, 1))]])
     u = np.linalg.solve(K, np.append(-qp.c, 1.0))[:n]
     projection = QuadraticProgram(
         H=np.eye(n), c=-u, Aeq=np.ones((1, n)), beq=[1.0], Gineq=-np.eye(n), hineq=np.zeros(n)
     )
     assert np.max(np.abs(x0 - solve_qp(projection).y)) <= 1e-12 * (1.0 + np.abs(u).max())
+
+
+def unregularized_simplex_start(qp):
+    """simplex_start as first written: the projection of the minimizer of
+    the objective itself over the equality row."""
+    n = qp.n
+    K = np.block([[qp.H, np.ones((n, 1))], [np.ones((1, n)), np.zeros((1, 1))]])
+    u = np.linalg.solve(K, np.append(-qp.c, 1.0))[:n]
+    v = np.sort(u)[::-1]
+    excess = np.cumsum(v) - 1.0
+    rho = np.count_nonzero(v * np.arange(1, n + 1) > excess)
+    x0 = np.maximum(u - excess[rho - 1] / rho, 0.0)
+    return x0, x0 == 0.0
+
+
+def test_simplex_start_takes_no_more_pivots_than_the_unregularized_start(monkeypatch):
+    # fixed QPs shaped like the models' predictions (cosine H of 32-dimensional
+    # embeddings plus COV_RIDGE, small returns) at n = 50 and 100, and
+    # true-covariance QPs: the ridge must not cost pivots in total, and both
+    # starts reach one optimum
+    rng = np.random.default_rng(17)
+    qps = []
+    for n in (50, 100):
+        for _ in range(8):
+            Q = domains.cosine_similarity_matrix(rng.normal(size=(n, 32)))
+            qps.append(domains.portfolio_qp(
+                rng.normal(0.0, 0.01, n), Q + domains.COV_RIDGE * np.eye(n), 2.0
+            ))
+        for inst in domains.gen_portfolio_data(n, 60, seed=18).instances[:8]:
+            qps.append(domains.portfolio_qp(inst.true_returns, inst.true_covariance, 2.0))
+    calls = []
+    equality_solve = optlayer._equality_solve
+    monkeypatch.setattr(
+        optlayer, "_equality_solve", lambda K, rhs: calls.append(1) or equality_solve(K, rhs)
+    )
+
+    def solve_all(start):
+        del calls[:]
+        ys = [solve_qp(qp, max_iter=2000, start=start(qp)).y for qp in qps]
+        return len(calls), ys
+
+    old_calls, old_ys = solve_all(unregularized_simplex_start)
+    new_calls, new_ys = solve_all(domains.simplex_start)
+    assert new_calls <= old_calls, (new_calls, old_calls)
+    for y_new, y_old in zip(new_ys, old_ys):
+        assert np.max(np.abs(y_new - y_old)) <= 1e-9
 
 
 def test_movierec_oracle_beats_relaxed_rounding():

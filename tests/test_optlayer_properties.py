@@ -227,40 +227,63 @@ def simplex_portfolio_qp(seed, n, n_bounds, n_general, degenerate):
 
 def assert_pivots_match_reference(qp):
     """solve_qp, phase one included, once with the production loop and once
-    with the reference loop: the same pivots (one working-set system per
-    pivot, equal entry for entry) and the same primal-dual answer.  Both
-    solve through _equality_solve, so only how each builds its systems is
-    compared: on degenerate draws a one-ulp difference in the solve can break
-    a tie."""
+    with the reference loop: the same pivots and the same primal-dual answer.
+
+    The reference solves one working-set system per iteration.  After a full
+    step (alpha = 1, no blocking row) its working set is unchanged, so its
+    next system equals its last; production reuses that solution instead.
+    So the reference's systems, less each one equal to its predecessor, must
+    equal production's entry for entry, and production never solves one
+    system twice in a row.  Both solve through _equality_solve, so only how
+    each builds its systems is compared: on degenerate draws a one-ulp
+    difference in the solve can break a tie.  The reused iterations still
+    count toward the pivot cap: with k the iterations of the reference's
+    longest loop (phase one or the pivots), solve_qp raises MaxIterations
+    at max_iter = k - 1 and not at k."""
     equality_solve = optlayer._equality_solve
-    systems, ref_systems = [], []
+    systems, ref_systems, ref_iterations = [], [], []
 
     def recorded(K, rhs):
-        systems.append(K.copy())
+        systems.append((K.copy(), rhs.copy()))
         return equality_solve(K, rhs)
 
     def reference_solve(H, A, rhs):
         K = optlayer._kkt_matrix(H, A)
-        ref_systems.append(K.copy())
+        ref_systems.append((K.copy(), rhs.copy()))
         return equality_solve(K, rhs)
+
+    def reference_loop(*args):
+        first = len(ref_systems)
+        out = reference_active_set_loop(*args[:8], reference_solve)
+        ref_iterations.append(len(ref_systems) - first)
+        return out
+
+    def same(a, b):
+        return all(np.array_equal(u, v) for u, v in zip(a, b))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optlayer, "_equality_solve", recorded)
         sol = solve_qp(qp)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            optlayer, "_active_set_loop",
-            lambda *args: reference_active_set_loop(*args[:8], reference_solve),
-        )
+        patch.setattr(optlayer, "_active_set_loop", reference_loop)
         ref = solve_qp(qp)
 
+    assert not any(same(a, b) for a, b in zip(systems, systems[1:]))
+    ref_systems = ref_systems[:1] + [
+        b for a, b in zip(ref_systems, ref_systems[1:]) if not same(a, b)
+    ]
     assert len(systems) == len(ref_systems)
-    assert all(np.array_equal(K, K_ref) for K, K_ref in zip(systems, ref_systems))
+    assert all(np.array_equal(K, K_ref) for (K, _), (K_ref, _) in zip(systems, ref_systems))
     for got, want in ((sol.y, ref.y), (sol.nu, ref.nu), (sol.lam, ref.lam)):
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * (
             1.0 + np.max(np.abs(want), initial=0.0)
         )
     assert np.array_equal(sol.active_set, ref.active_set)
+    k = max(ref_iterations)
+    if k > 1:  # max_iter = 0 means the default cap
+        with pytest.raises(MaxIterations):
+            solve_qp(qp, max_iter=k - 1)
+    assert np.array_equal(solve_qp(qp, max_iter=k).y, sol.y)
 
 
 @settings(SETTINGS, max_examples=300)  # a pivot rule slip shows in ~5% of draws
