@@ -170,6 +170,24 @@ def _load_dataset(config: TrainConfig, resolved):
     return adapter, adapter.generate(subseed(resolved["train_seed"], 0))
 
 
+def _checkpoint_entries(adapter, models, rep) -> dict:
+    """Checkpoint name -> array: param_0.. in params order, then rep's rep_raw."""
+    named = {f"param_{i}": arr for i, arr in enumerate(adapter.params(models))}
+    if rep is not None:
+        named["rep_raw"] = rep.P_raw
+    return named
+
+
+def _checkpoint_mismatch(named, expected):
+    """The first entry absent from named or expected, or shaped apart, as a message; else None."""
+    for name in [*expected, *named]:
+        if name not in named or name not in expected:
+            return f"{'no' if name not in named else 'unexpected'} entry {name}"
+        if named[name].shape != expected[name].shape:
+            return f"entry {name} has shape {named[name].shape}, not {expected[name].shape}"
+    return None
+
+
 def cmd_train(resolved) -> int:
     out, log = _prepare_out(resolved)
     config = config_from_dict(resolved)
@@ -186,13 +204,8 @@ def cmd_train(resolved) -> int:
     result = train_method(models, rep, dataset, config, adapter, method)
     if rep is not None and config.export_p:
         export_reparam_csv(rep, os.path.join(out, "reparam_final.csv"))
-    named = {}
-    for i, arr in enumerate(adapter.params(result.models)):
-        named[f"param_{i}"] = arr
-    if rep is not None:
-        named["rep_raw"] = rep.P_raw
     ckpt = resolved["checkpoint"] or os.path.join(out, "checkpoint.csv")
-    save_params_csv(named, ckpt)
+    save_params_csv(_checkpoint_entries(adapter, result.models, rep), ckpt)
     log.line(
         f"trained {result.epochs_run} epochs "
         f"({result.train_sec_per_epoch:.4f} s/epoch); checkpoint -> {ckpt}"
@@ -215,6 +228,11 @@ def cmd_eval(resolved) -> int:
         log.close()
         return 2
     named = load_params_csv(ckpt)
+    mismatch = _checkpoint_mismatch(named, _checkpoint_entries(adapter, models, rep))
+    if mismatch:
+        log.line(f"checkpoint {ckpt} does not fit the model: {mismatch}")
+        log.close()
+        return 2
     n_params = len(adapter.params(models))
     adapter.set_params(models, [named[f"param_{i}"] for i in range(n_params)])
     if rep is not None:

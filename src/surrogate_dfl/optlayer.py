@@ -25,9 +25,9 @@ It drops the working row with the most negative multiplier, or the
 lowest-index negative one after a zero-length step (Bland's rule, against
 cycling).  A caller may pass a start (x0, working): a feasible x0 tight on
 its working rows replaces phase one (a crash start, Nocedal & Wright
-ch. 16.5).  The frozen set is classified when it is frozen.  Every solution is certified: solve_qp and
-solve_box_budget_qp raise NumericalBreakdown when the KKT residual exceeds
-1e-8 (1 + max(|H|, |c|, |h|)).
+ch. 16.5).  The frozen set is classified when it is frozen.  Every solution
+is certified: solve_qp and solve_box_budget_qp raise NumericalBreakdown when
+the KKT residual exceeds 1e-8 (1 + max(|H|, |c|, |h|)).
 """
 
 from dataclasses import dataclass
@@ -146,10 +146,10 @@ def _equality_solve(K, rhs):
     The pivot loop calls it once per working set it visits, with K gathered
     from the matrix it assembled (see _active_set_loop): H over the free
     coordinates, the equality rows and the general working rows restricted
-    to them.  LU
-    partial pivoting is used for speed; the differentiation paths use the
-    symmetric Bunch-Kaufman route in solve_symmetric, which exposes
-    pivot-magnitude failures.  Raises SingularMatrix on an exactly zero pivot.
+    to them.  LU with partial pivoting is used for speed; the differentiation
+    paths use the symmetric Bunch-Kaufman route in solve_symmetric, which
+    exposes pivot-magnitude failures.  Raises SingularMatrix on an exactly
+    zero pivot.
     """
     if not rhs.size:  # every coordinate fixed and no row left: nothing to solve
         return rhs

@@ -1,19 +1,22 @@
 """Training regimes (two-stage, decision-focused, surrogate), evaluation with
 regret and wall-clock metrics, and the multi-seed experiment runner.
 
+One loop (_train) trains every method; a method is a per-instance step and a
+validation score.  Two-stage steps on and scores the squared prediction
+error; the end-to-end methods step through the optimization layer and score
+the regret they optimize, as evaluate scores the test split.
+
 Decision-focused training solves the full problem per instance and chains
 df/dw = df/dx . dx*/dtheta . dtheta/dw through the frozen KKT system.  The
 surrogate regime is that regime composed with x = P y: it solves only the
 m-dimensional reparameterized problem, lifts the answer, and takes the full
 theta-gradient at (P z_y, P y*); it also chains df/dP from the same
-frozen-KKT adjoint (kkt_jacobian_P).  Validation uses prediction loss for
-two-stage and, for the end-to-end methods, the regret they optimize, scored
-as evaluate scores the test split.
+frozen-KKT adjoint (kkt_jacobian_P).
 
-Adapters hold only domain math and a cache of oracle values; the end-to-end
-training loop owns the start store (each training instance's last decision
-seeds its next solve; validation and evaluation start cold), so a run
-depends only on its (method, seed).
+Adapters hold only domain math and a cache of oracle values; the training
+loop owns the start store (each training instance's last decision seeds its
+next solve; validation and evaluation start cold), so a run depends only on
+its (method, seed).
 """
 
 import csv
@@ -214,12 +217,11 @@ class PortfolioAdapter:
         Q_hat = Q_cos + domains.COV_RIDGE * np.eye(self.n)
         return {"p": p_hat[:, 0], "Q": Q_hat}, (mlp_cache, emb_cache)
 
-    def two_stage_loss_grad(self, models, inst):
-        theta, caches = self.predict(models, inst)
+    def prediction_loss(self, theta, inst):
+        """Squared prediction error of theta and its theta-gradient."""
         dp = theta["p"] - inst.true_returns
         dQ = theta["Q"] - inst.true_covariance
-        loss = float(dp @ dp + np.sum(dQ * dQ))
-        return loss, self.backprop_models(models, caches, {"p": 2.0 * dp, "Q": 2.0 * dQ})
+        return float(dp @ dp + np.sum(dQ * dQ)), {"p": 2.0 * dp, "Q": 2.0 * dQ}
 
     def decision_full(self, theta, x0=None):
         """(x, sol, ctx) of the full QP, started at x0 with the bounds of its
@@ -319,11 +321,10 @@ class MovieRecAdapter:
         scores, cache = mlp_forward_batch(models["mlp"], inst.user_features)
         return scores.T, cache  # (n_movies, n_users)
 
-    def two_stage_loss_grad(self, models, inst):
-        theta, cache = self.predict(models, inst)
+    def prediction_loss(self, theta, inst):
+        """Squared prediction error of theta and its theta-gradient."""
         d = theta - inst.preferences
-        loss = float(np.sum(d * d))
-        return loss, self.backprop_models(models, cache, 2.0 * d)
+        return float(np.sum(d * d)), 2.0 * d
 
     def decision_full(self, theta, x0=None):
         """(x, sol, ctx) of the selection-frozen QP; x0 seeds the first selection."""
@@ -400,7 +401,6 @@ def get_adapter(config: TrainConfig):
 @dataclass
 class TrainResult:
     models: dict
-    rep: Reparameterization
     epochs_run: int
     train_sec_per_epoch: float
     history: list
@@ -410,47 +410,18 @@ def _split(dataset, idx):
     return [dataset.instances[i] for i in idx]
 
 
-def train_two_stage(models, dataset, config: TrainConfig, adapter=None) -> TrainResult:
-    """Full-batch Adam on the squared prediction error; early stopping on the
-    validation loss; returns the best-validation checkpoint."""
-    adapter = adapter or get_adapter(config)
-    train_set = _split(dataset, dataset.train_idx)
-    val_set = _split(dataset, dataset.val_idx)
-    if not train_set or not val_set:
-        raise EmptySplit("two-stage training needs nonempty train and validation splits")
-    params = adapter.params(models)
-    state = init_adam(params, config.learning_rate)
-    stopper = EarlyStopper(config.patience)
-    best = [p.copy() for p in params]
-    history = []
-    train_time = 0.0
-    epochs = 0
-    for epoch in range(1, config.max_epochs + 1):
-        t0 = time.perf_counter()
-        grads = [np.zeros_like(p) for p in params]
-        train_loss = 0.0
-        for inst in train_set:
-            loss, g = adapter.two_stage_loss_grad(models, inst)
-            train_loss += loss
-            for acc, gi in zip(grads, g):
-                acc += gi
-        scale = 1.0 / len(train_set)
-        grads = [g * scale for g in grads]
-        params, state = adam_step(params, grads, state)
-        adapter.set_params(models, params)
-        train_time += time.perf_counter() - t0
-        epochs = epoch
-        val_loss = np.mean(
-            [adapter.two_stage_loss_grad(models, inst)[0] for inst in val_set]
-        )
-        history.append((epoch, train_loss * scale, float(val_loss)))
-        if stopper.update(float(val_loss), epoch):
-            best = [p.copy() for p in params]
-        if stopper.should_stop:
-            break
-    adapter.set_params(models, best)
-    per_epoch = train_time / epochs if epochs else 0.0
-    return TrainResult(models, None, epochs, per_epoch, history)
+def _prediction_step(adapter, models, rep, sp, inst, train_P, idx, x0=None):
+    """The two-stage step in _decision_and_grads' signature: (loss, caches,
+    dtheta, None, None) of the squared prediction error."""
+    theta, caches = adapter.predict(models, inst)
+    loss, dtheta = adapter.prediction_loss(theta, inst)
+    return loss, caches, dtheta, None, None
+
+
+def _prediction_error_on(adapter, models, sp, instances):
+    """Mean squared prediction error on instances; sp is unused."""
+    losses = [adapter.prediction_loss(adapter.predict(models, i)[0], i)[0] for i in instances]
+    return float(np.mean(losses))
 
 
 def _decision_and_grads(adapter, models, rep, sp, inst, train_P, idx, x0=None):
@@ -493,7 +464,9 @@ def _regret_on(adapter, models, sp, instances):
     return float(np.mean(regrets))
 
 
-def _train_end_to_end(models, rep, dataset, config, adapter, train_P):
+def _train(models, rep, dataset, config, adapter, step, score, train_P):
+    """Full-batch Adam on step's mean loss with early stopping on score over
+    the validation split; returns the best checkpoint.  step's x is its next x0."""
     adapter = adapter or get_adapter(config)
     train_set = _split(dataset, dataset.train_idx)
     val_set = _split(dataset, dataset.val_idx)
@@ -516,7 +489,7 @@ def _train_end_to_end(models, rep, dataset, config, adapter, train_P):
         p_grad = np.zeros_like(rep.P_raw) if train_P else None
         epoch_loss = 0.0
         for idx, inst in zip(dataset.train_idx, train_set):
-            loss, caches, dtheta, dP_raw, starts[idx] = _decision_and_grads(
+            loss, caches, dtheta, dP_raw, starts[idx] = step(
                 adapter, models, rep, sp, inst, train_P, idx, x0=starts.get(idx)
             )
             epoch_loss += loss
@@ -537,9 +510,9 @@ def _train_end_to_end(models, rep, dataset, config, adapter, train_P):
             export_reparam_csv(
                 rep, os.path.join(config.out_dir, f"reparam_epoch_{epoch:03d}.csv")
             )
-        val_regret = _regret_on(adapter, models, _surrogate_problem(adapter, rep), val_set)
-        history.append((epoch, epoch_loss / len(train_set), val_regret))
-        if stopper.update(val_regret, epoch):
+        val_score = score(adapter, models, _surrogate_problem(adapter, rep), val_set)
+        history.append((epoch, epoch_loss / len(train_set), val_score))
+        if stopper.update(val_score, epoch):
             best_params = [p.copy() for p in params]
             if rep is not None:
                 best_raw = rep.P_raw.copy()
@@ -549,7 +522,7 @@ def _train_end_to_end(models, rep, dataset, config, adapter, train_P):
     if rep is not None:
         rep.P_raw = best_raw
     per_epoch = train_time / epochs if epochs else 0.0
-    return TrainResult(models, rep, epochs, per_epoch, history)
+    return TrainResult(models, epochs, per_epoch, history)
 
 
 def _surrogate_problem(adapter, rep, check_feasible=False):
@@ -565,16 +538,24 @@ def _scale_theta(dtheta, scale):
     return dtheta * scale
 
 
+def train_two_stage(models, dataset, config: TrainConfig, adapter=None) -> TrainResult:
+    """Training on the squared prediction error, validated on the same error."""
+    return _train(models, None, dataset, config, adapter,
+                  _prediction_step, _prediction_error_on, train_P=False)
+
+
 def train_decision_focused(models, dataset, config: TrainConfig, adapter=None) -> TrainResult:
     """End-to-end training through the full optimization layer (x-space)."""
-    return _train_end_to_end(models, None, dataset, config, adapter, train_P=False)
+    return _train(models, None, dataset, config, adapter,
+                  _decision_and_grads, _regret_on, train_P=False)
 
 
 def train_surrogate(models, rep, dataset, config: TrainConfig, adapter=None,
                     train_P: bool = True) -> TrainResult:
     """Joint training of the predictive model and the reparameterization by
     solving only the m-dimensional surrogate problem."""
-    return _train_end_to_end(models, rep, dataset, config, adapter, train_P=train_P)
+    return _train(models, rep, dataset, config, adapter,
+                  _decision_and_grads, _regret_on, train_P=train_P)
 
 
 def make_reparam(config: TrainConfig, adapter, seed) -> Reparameterization:

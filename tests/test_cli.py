@@ -218,3 +218,27 @@ def test_train_and_eval_reject_unknown_method(tmp_path):
     assert rc == 2
     assert "unknown method bogus" in (out / "run.log").read_text()
     assert not (out / "eval.csv").exists()
+
+
+def test_eval_rejects_checkpoint_of_another_model(tmp_path):
+    out = tmp_path / "t"
+    tiny = [*TINY, "--set", "hidden_size=4"]
+    assert main(["train", "--domain", "portfolio", "--out", str(out), *tiny,
+                 "--method", "decision-focused"]) == 0
+    ckpt = out / "checkpoint.csv"
+    stray = tmp_path / "stray.csv"
+    stray.write_text(ckpt.read_text() + "stray,1,0\n")
+    df = ["--domain", "portfolio", "--method", "decision-focused", "--checkpoint"]
+    cases = [
+        (["--domain", "portfolio", "--method", "surrogate", "--checkpoint", ckpt],
+         "no entry rep_raw"),
+        (["--domain", "movierec", "--method", "decision-focused", "--checkpoint", ckpt],
+         "entry param_0 has shape (4, 7), not (4, 20)"),
+        ([*df, ckpt, "--set", "hidden_size=5"], "entry param_0 has shape (4, 7), not (5, 7)"),
+        ([*df, stray], "unexpected entry stray"),
+    ]
+    for i, (args, reason) in enumerate(cases):
+        ev = tmp_path / f"e{i}"
+        assert main(["eval", "--out", str(ev), *tiny, *map(str, args)]) == 2
+        assert reason in (ev / "run.log").read_text()
+        assert not (ev / "eval.csv").exists()

@@ -345,6 +345,40 @@ def test_evaluate_empty_split_raises():
         evaluate(models, None, dataset, cfg, adapter)
 
 
+@pytest.mark.parametrize("split", ["train_idx", "val_idx"])
+@pytest.mark.parametrize("trainer", ["two-stage", "decision-focused", "surrogate"])
+def test_trainers_reject_empty_split(trainer, split):
+    cfg = TrainConfig(**SMALL_PORTFOLIO)
+    adapter = get_adapter(cfg)
+    dataset = adapter.generate(9)
+    setattr(dataset, split, np.zeros(0, dtype=int))
+    models, rep = init_method(cfg, adapter, trainer, 10)
+    with pytest.raises(EmptySplit):
+        if trainer == "two-stage":
+            train_two_stage(models, dataset, cfg, adapter)
+        elif trainer == "decision-focused":
+            train_decision_focused(models, dataset, cfg, adapter)
+        else:
+            train_surrogate(models, rep, dataset, cfg, adapter)
+
+
+def test_two_stage_validation_runs_no_backward_pass():
+    cfg = TrainConfig(**SMALL_PORTFOLIO)
+    adapter = get_adapter(cfg)
+    dataset = adapter.generate(0)
+    models = adapter.init_models(1)
+    backprop, calls = adapter.backprop_models, []
+
+    def counted(*args):
+        calls.append(args)
+        return backprop(*args)
+
+    adapter.backprop_models = counted
+    result = train_two_stage(models, dataset, cfg, adapter)
+    assert result.epochs_run > 0 and len(dataset.val_idx) > 0
+    assert len(calls) == result.epochs_run * len(dataset.train_idx)
+
+
 def test_evaluate_feasibility_and_regret_floor():
     for base_cfg in (SMALL_PORTFOLIO, SMALL_MOVIE):
         cfg = TrainConfig(**base_cfg)
