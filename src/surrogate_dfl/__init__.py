@@ -21,12 +21,10 @@ from .errors import (
 from .numerics import solve_symmetric
 from .optlayer import (
     PrimalDualSolution,
-    QpDelta,
     QuadraticProgram,
     audit_kkt,
     kkt_adjoint,
     kkt_jacobian_P,
-    kkt_jacobian_theta,
     solve_box_budget_qp,
     solve_qp,
 )

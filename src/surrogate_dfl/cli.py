@@ -115,30 +115,49 @@ def echo_config(resolved, path) -> None:
 
 
 class RunLog:
-    def __init__(self, path):
-        self.path = path
-        self.fh = open(path, "w")
+    """Lines of run.log, each also printed."""
+
+    def __init__(self, fh):
+        self.fh = fh
 
     def line(self, msg):
         self.fh.write(msg + "\n")
         self.fh.flush()
         print(msg)
 
-    def close(self):
-        self.fh.close()
 
+def _run_logged(handler, resolved) -> int:
+    """Echo the config and run handler(resolved, out, log) with run.log open.
 
-def _prepare_out(resolved):
+    A ConfigError the handler raises (a missing checkpoint, an unknown
+    domain, method or surrogate mode, a checkpoint that does not parse or fit
+    the model) is written to run.log and returns exit code 2; handlers raise
+    them before writing any output file.
+    """
     out = resolved["out_dir"]
     os.makedirs(out, exist_ok=True)
     echo_config(resolved, os.path.join(out, "config_echo.txt"))
-    return out, RunLog(os.path.join(out, "run.log"))
+    with open(os.path.join(out, "run.log"), "w") as fh:
+        log = RunLog(fh)
+        try:
+            return handler(resolved, out, log)
+        except ConfigError as exc:
+            log.line(f"config error: {exc}")
+            return 2
 
 
-def cmd_gen_data(resolved) -> int:
-    out, log = _prepare_out(resolved)
+def _checked(make, *args):
+    """make(*args), its ValueError (an unknown domain, method or surrogate
+    mode) raised as TypeMismatch."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise TypeMismatch(str(exc)) from exc
+
+
+def cmd_gen_data(resolved, out, log) -> int:
     config = config_from_dict(resolved)
-    adapter = get_adapter(config)
+    adapter = _checked(get_adapter, config)
     dataset = adapter.generate(subseed(resolved["train_seed"], 0))
     if config.domain == "portfolio":
         path = os.path.join(out, "portfolio_prices.csv")
@@ -147,12 +166,11 @@ def cmd_gen_data(resolved) -> int:
         path = os.path.join(out, "movierec_ratings.csv")
         domains.export_movierec_csv(dataset, path)
     log.line(f"wrote {path} ({len(dataset.instances)} instances)")
-    log.close()
     return 0
 
 
 def _load_dataset(config: TrainConfig, resolved):
-    adapter = get_adapter(config)
+    adapter = _checked(get_adapter, config)
     if config.data_in:
         if not os.path.exists(config.data_in):
             raise MissingFile(f"data_in not found: {config.data_in}")
@@ -188,18 +206,12 @@ def _checkpoint_mismatch(named, expected):
     return None
 
 
-def cmd_train(resolved) -> int:
-    out, log = _prepare_out(resolved)
+def cmd_train(resolved, out, log) -> int:
     config = config_from_dict(resolved)
     method = config.methods[0]
     seed = resolved["train_seed"]
     adapter, dataset = _load_dataset(config, resolved)
-    try:
-        models, rep = init_method(config, adapter, method, seed)
-    except ValueError as exc:  # unknown method or surrogate mode
-        log.line(str(exc))
-        log.close()
-        return 2
+    models, rep = _checked(init_method, config, adapter, method, seed)
     log.line(f"training method={method} domain={config.domain} seed={seed}")
     result = train_method(models, rep, dataset, config, adapter, method)
     if rep is not None and config.export_p:
@@ -210,29 +222,24 @@ def cmd_train(resolved) -> int:
         f"trained {result.epochs_run} epochs "
         f"({result.train_sec_per_epoch:.4f} s/epoch); checkpoint -> {ckpt}"
     )
-    log.close()
     return 0
 
 
-def cmd_eval(resolved) -> int:
-    out, log = _prepare_out(resolved)
+def cmd_eval(resolved, out, log) -> int:
     config = config_from_dict(resolved)
     ckpt = resolved["checkpoint"] or os.path.join(out, "checkpoint.csv")
     if not os.path.exists(ckpt):
         raise MissingFile(f"checkpoint not found: {ckpt}")
     adapter, dataset = _load_dataset(config, resolved)
+    models, rep = _checked(init_method, config, adapter, config.methods[0],
+                           resolved["train_seed"])
     try:
-        models, rep = init_method(config, adapter, config.methods[0], resolved["train_seed"])
-    except ValueError as exc:  # unknown method or surrogate mode
-        log.line(str(exc))
-        log.close()
-        return 2
-    named = load_params_csv(ckpt)
+        named = load_params_csv(ckpt)
+    except ValueError as exc:  # a name, shape or value that does not parse
+        raise TypeMismatch(f"checkpoint {ckpt} does not parse: {exc}") from exc
     mismatch = _checkpoint_mismatch(named, _checkpoint_entries(adapter, models, rep))
     if mismatch:
-        log.line(f"checkpoint {ckpt} does not fit the model: {mismatch}")
-        log.close()
-        return 2
+        raise TypeMismatch(f"checkpoint {ckpt} does not fit the model: {mismatch}")
     n_params = len(adapter.params(models))
     adapter.set_params(models, [named[f"param_{i}"] for i in range(n_params)])
     if rep is not None:
@@ -249,13 +256,12 @@ def cmd_eval(resolved) -> int:
         f"max constraint violation {result.max_violation:.2e}"
     )
     log.line(f"wrote {path}")
-    log.close()
     return 0
 
 
-def cmd_run(resolved) -> int:
-    out, log = _prepare_out(resolved)
+def cmd_run(resolved, out, log) -> int:
     config = config_from_dict(resolved)
+    _checked(get_adapter, config)  # an unknown domain fails every job: reject it once
     log.line(
         f"running domain={config.domain} methods={','.join(config.methods)} "
         f"seeds={config.n_seeds}"
@@ -274,14 +280,11 @@ def cmd_run(resolved) -> int:
     if failures:
         for r in failures:
             log.line(f"FAILED {r.method} seed {r.seed}: {r.status}")
-        log.close()
         return 1
-    log.close()
     return 0
 
 
-def cmd_theory_check(resolved) -> int:
-    out, log = _prepare_out(resolved)
+def cmd_theory_check(resolved, out, log) -> int:
     rows = theory.run_theory_checks()
     theory.write_theory_csv(rows, os.path.join(out, "theory_report.csv"))
     all_pass = True
@@ -290,7 +293,6 @@ def cmd_theory_check(resolved) -> int:
         all_pass &= r["passed"]
         log.line(f"{status}  {r['check']} (expected {r['expected']})")
     log.line(f"wrote {os.path.join(out, 'theory_report.csv')}")
-    log.close()
     return 0 if all_pass else 1
 
 
@@ -337,17 +339,17 @@ def main(argv=None) -> int:
         overrides.append(f"checkpoint={args.checkpoint}")
     try:
         resolved = parse_config(args.config, overrides)
-        handler = {
-            "gen-data": cmd_gen_data,
-            "train": cmd_train,
-            "run": cmd_run,
-            "eval": cmd_eval,
-            "theory-check": cmd_theory_check,
-        }[args.subcommand]
-        return handler(resolved)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    handler = {
+        "gen-data": cmd_gen_data,
+        "train": cmd_train,
+        "run": cmd_run,
+        "eval": cmd_eval,
+        "theory-check": cmd_theory_check,
+    }[args.subcommand]
+    return _run_logged(handler, resolved)
 
 
 if __name__ == "__main__":

@@ -3,12 +3,12 @@
 solve_qp is a primal active-set method: exact active sets at the optimum are
 what make the downstream KKT Jacobians well defined.  Feasibility comes from
 a phase-one pass that minimizes the worst constraint violation as a
-regularized QP.  Jacobians of the optimizer w.r.t. problem parameters are
-obtained by linearizing the KKT system with the active set frozen.  Loss
-gradients go through the adjoint of that system instead (kkt_adjoint): one
-solve with the loss gradient as right-hand side serves every parameter, and
-kkt_jacobian_P turns it into dL/dP for a reparameterized QP with two outer
-products (the backward pass of OptNet, Amos & Kolter 2017, sec. 3).
+regularized QP.  The optimum is differentiated through its KKT system
+linearized with the active set frozen, and only by vector-Jacobian products:
+kkt_adjoint solves the adjoint of that system once, with the loss gradient
+as right-hand side, and the solution serves every parameter; kkt_jacobian_P
+turns it into dL/dP for a reparameterized QP with two outer products (the
+backward pass of OptNet, Amos & Kolter 2017, sec. 3).
 
 Simple-bound rows (one nonzero, s x_j <= h) stay out of every factorization.
 A bound in the working set or the frozen active set fixes its coordinate;
@@ -416,23 +416,6 @@ def find_feasible_point(Aeq, beq, Gineq, hineq, n, max_iter: int = 0) -> np.ndar
     return _phase_one(Aeq, beq, G, h, n, max_iter)
 
 
-@dataclass
-class QpDelta:
-    """Derivative of the QP data w.r.t. one scalar parameter (None = zero block)."""
-
-    dH: np.ndarray = None
-    dc: np.ndarray = None
-    dAeq: np.ndarray = None
-    dbeq: np.ndarray = None
-    dG: np.ndarray = None
-    dh: np.ndarray = None
-
-
-def strongly_active(sol: PrimalDualSolution, tol: float = STRICT_COMPLEMENTARITY_TOL):
-    """Inequality indices frozen during differentiation: tight with lam > tol."""
-    return np.nonzero(sol.lam > tol)[0]
-
-
 def _independent_row_filter(Aeq, rows):
     """Positions of `rows` that stay linearly independent given Aeq.
 
@@ -469,94 +452,47 @@ def _independent_row_filter(Aeq, rows):
 
 
 def _frozen_active(qp: QuadraticProgram, sol: PrimalDualSolution):
-    """Strongly active rows, in index order, kept by _independent_row_filter."""
-    act = strongly_active(sol)
+    """Strongly active rows (lam > STRICT_COMPLEMENTARITY_TOL), in index
+    order, kept by _independent_row_filter."""
+    act = np.nonzero(sol.lam > STRICT_COMPLEMENTARITY_TOL)[0]
     if len(act):
         act = act[_independent_row_filter(qp.Aeq, qp.Gineq[act])]
     return act
 
 
-def _frozen_solve(qp: QuadraticProgram, act, rhs):
-    """Solve the frozen KKT system [[H, Aeq^T, Ga^T], [Aeq, 0, 0], [Ga, 0, 0]] X = rhs
-    with Ga = G[act]; returns X split into its y, Aeq and act blocks.
+def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
+    """Adjoint of the KKT system frozen at sol's active set act: solves
+    [[H, Aeq^T, Ga^T], [Aeq, 0, 0], [Ga, 0, 0]] [z_y; z_nu; z_lam] = [dL_dy; 0; 0]
+    with Ga = G[act], and returns (z_y, z_nu, z_lam, act).
 
-    The simple-bound rows of Ga are eliminated (_solve_fixing_bounds); without
-    any this is one symmetric solve of the full matrix.  Raises SingularKKT.
+    For any perturbation (dH, dc, dAeq, dbeq, dG, dh) of the QP data, the
+    loss moves by dL = z_y . (-dH y - dc - dAeq^T nu - dG_a^T lam_a)
+    + z_nu . (dbeq - dAeq y) + z_lam . (dh_a - dG_a y), with (y, nu, lam)
+    from sol and _a the rows act.  With c = -theta, z_y for dL_dy = e_j is
+    row j of dy*/dtheta.  The structured chain rules of the training
+    pipelines consume z_y, and kkt_jacobian_P the whole output.  The
+    simple-bound rows of Ga are eliminated (_solve_fixing_bounds); without
+    any this is one symmetric solve of the full matrix.  Raises SingularKKT
+    when the frozen system is singular.
     """
+    act = _frozen_active(qp, sol)
     n, me = qp.n, qp.Aeq.shape[0]
     Ga = qp.Gineq[act]
+    rhs = np.zeros(n + me + len(act))
+    rhs[:n] = dL_dy
     is_bound = np.count_nonzero(Ga, axis=1) == 1
     if is_bound.any():
         general = np.concatenate([np.ones(me, dtype=bool), ~is_bound])
         Gb = Ga[is_bound]
         cols = np.argmax(Gb != 0, axis=1)
-        b = rhs[n:]
-        X = np.empty_like(rhs)
-        X[:n], X[n:][general], X[n + me :][is_bound] = _solve_fixing_bounds(
+        z = np.empty_like(rhs)
+        z[:n], z[n:][general], z[n + me :][is_bound] = _solve_fixing_bounds(
             qp.H, np.vstack([qp.Aeq, Ga[~is_bound]]), cols, Gb[np.arange(len(cols)), cols],
-            rhs[:n], b[general], b[me:][is_bound], _symmetric_kkt_solve,
+            rhs[:n], rhs[n:][general], rhs[n + me :][is_bound], _symmetric_kkt_solve,
         )
     else:
-        X = _symmetric_kkt_solve(qp.H, np.vstack([qp.Aeq, Ga]), rhs)
-    return X[:n], X[n : n + me], X[n + me :]
-
-
-def kkt_jacobian_theta(qp: QuadraticProgram, sol: PrimalDualSolution, dqp_dtheta) -> np.ndarray:
-    """Jacobian dy*/dtheta (n x K) with the active set frozen.
-
-    dqp_dtheta is a sequence of QpDelta, one per theta component; column k of
-    the result solves the KKT system linearized along delta k.  Raises
-    SingularKKT when the frozen system is singular (degenerate solution; the
-    caller may perturb H by 1e-8 I and retry).
-    """
-    act = _frozen_active(qp, sol)
-    n, me, ma = qp.n, qp.Aeq.shape[0], len(act)
-    y, nu = sol.y, sol.nu
-    lam_act = sol.lam[act]
-    K = len(dqp_dtheta)
-    rhs = np.zeros((n + me + ma, K))
-    for k, d in enumerate(dqp_dtheta):
-        top = np.zeros(n)
-        if d.dH is not None:
-            top -= d.dH @ y
-        if d.dc is not None:
-            top -= d.dc
-        if d.dAeq is not None and me:
-            top -= d.dAeq.T @ nu
-        if d.dG is not None and ma:
-            top -= d.dG[act].T @ lam_act
-        rhs[:n, k] = top
-        if me:
-            mid = np.zeros(me)
-            if d.dbeq is not None:
-                mid += d.dbeq
-            if d.dAeq is not None:
-                mid -= d.dAeq @ y
-            rhs[n : n + me, k] = mid
-        if ma:
-            bot = np.zeros(ma)
-            if d.dh is not None:
-                bot += d.dh[act]
-            if d.dG is not None:
-                bot -= d.dG[act] @ y
-            rhs[n + me :, k] = bot
-    return _frozen_solve(qp, act, rhs)[0]
-
-
-def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
-    """Adjoint solve of the frozen KKT system: z with M z = [dL_dy; 0; 0].
-
-    For any QpDelta d, the loss derivative along that parameter equals
-    z . rhs(d), with rhs as in kkt_jacobian_theta; z_y (the first block) is
-    what the structured chain rules in the training pipelines consume, and
-    kkt_jacobian_P takes the whole output.
-    """
-    act = _frozen_active(qp, sol)
-    n = qp.n
-    rhs = np.zeros(n + qp.Aeq.shape[0] + len(act))
-    rhs[:n] = dL_dy
-    z_y, z_nu, z_lam = _frozen_solve(qp, act, rhs)
-    return z_y, z_nu, z_lam, act
+        z = _symmetric_kkt_solve(qp.H, np.vstack([qp.Aeq, Ga]), rhs)
+    return z[:n], z[n : n + me], z[n + me :], act
 
 
 def kkt_jacobian_P(qp_of_P, sol: PrimalDualSolution, adjoint) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisViolated, InvalidInputs
+from .errors import HypothesisViolated, InvalidInputs, SurrogateDflError
 from .numerics import as_matrix
 from .optlayer import solve_qp
 from .surrogate import BaseProblem, SurrogateQp, simplex_base, transform_problem
@@ -107,8 +107,9 @@ def coordinate_quasiconvexity_probe(
 
     Each trial replaces column `column_index` with two nonnegative draws a, b
     and a point on the segment between them: quasiconvexity demands
-    OPT(s a + (1-s) b) <= max(OPT(a), OPT(b)) + tol.  Solver errors are
-    recorded per trial, not fatal.
+    OPT(s a + (1-s) b) <= max(OPT(a), OPT(b)) + tol.  A package error
+    (SurrogateDflError) is counted per trial, not fatal; any other exception
+    propagates.
     """
     H = as_matrix(H)
     P = as_matrix(P)
@@ -130,7 +131,7 @@ def coordinate_quasiconvexity_probe(
             worst = max(worst, gap)
             if gap > tol:
                 violations += 1
-        except Exception:
+        except SurrogateDflError:
             errors += 1
     return ProbeReport(trials=trials, violations=violations, errors=errors, worst_gap=worst)
 

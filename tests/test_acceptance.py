@@ -9,7 +9,7 @@ import numpy as np
 from surrogate_dfl import surrogate, theory
 from surrogate_dfl.cli import main, parse_config
 from surrogate_dfl.diff import finite_diff_grad
-from surrogate_dfl.optlayer import QpDelta, QuadraticProgram, kkt_jacobian_theta, solve_qp
+from surrogate_dfl.optlayer import QuadraticProgram, kkt_adjoint, solve_qp
 from surrogate_dfl.pipelines import (
     TrainConfig,
     evaluate,
@@ -34,7 +34,7 @@ def _run(cfg, method, seed, tag):
 
 def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(100)
-    # (a) kkt_jacobian_theta vs finite differences on 100 strictly convex QPs
+    # (a) the adjoint's dy*/dtheta vs finite differences on 100 strictly convex QPs
     skipped = total = 0
     worst_jac = 0.0
     for _ in range(100):
@@ -52,7 +52,8 @@ def test_criterion_1_gradient_correctness():
         theta = rng.normal(size=n)
         qp = make_qp(theta)
         sol = solve_qp(qp)
-        J = kkt_jacobian_theta(qp, sol, [QpDelta(dc=-np.eye(n)[i]) for i in range(n)])
+        # c = -theta: row j of dy*/dtheta is the adjoint z_y for dL/dy = e_j
+        J = np.array([kkt_adjoint(qp, sol, e_j)[0] for e_j in np.eye(n)])
         strong = frozenset(np.nonzero(sol.lam > 1e-8)[0])
         h = 1e-5
         for i in range(n):

@@ -1,4 +1,6 @@
+import gc
 import os
+import warnings
 
 import pytest
 
@@ -242,3 +244,46 @@ def test_eval_rejects_checkpoint_of_another_model(tmp_path):
         assert main(["eval", "--out", str(ev), *tiny, *map(str, args)]) == 2
         assert reason in (ev / "run.log").read_text()
         assert not (ev / "eval.csv").exists()
+
+
+def test_eval_rejects_checkpoint_that_does_not_parse(tmp_path):
+    out = tmp_path / "t"
+    assert main(["train", "--domain", "portfolio", "--out", str(out), *TINY,
+                 "--method", "two-stage"]) == 0
+    rows = (out / "checkpoint.csv").read_text().splitlines()
+    name, shape, first, *rest = rows[0].split(",")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([",".join([name, shape, "x" + first, *rest]), *rows[1:]]) + "\n")
+    ev = tmp_path / "e"
+    assert main(["eval", "--domain", "portfolio", "--out", str(ev), *TINY,
+                 "--method", "two-stage", "--checkpoint", str(bad)]) == 2
+    assert f"checkpoint {bad} does not parse" in (ev / "run.log").read_text()
+    assert not (ev / "eval.csv").exists()
+
+
+def test_unknown_domain_rejected(tmp_path):
+    ckpt = tmp_path / "checkpoint.csv"
+    ckpt.write_text("")
+    outputs = {
+        "gen-data": ("portfolio_prices.csv", "movierec_ratings.csv"),
+        "train": ("checkpoint.csv",),
+        "eval": ("eval.csv",),
+        "run": ("report.csv", "aggregate.csv"),
+    }
+    for sub, files in outputs.items():
+        out = tmp_path / sub
+        extra = ["--checkpoint", str(ckpt)] if sub == "eval" else []
+        assert main([sub, "--out", str(out), *TINY, "--set", "domain=foo", *extra]) == 2
+        assert "unknown domain 'foo'" in (out / "run.log").read_text()
+        assert not any((out / f).exists() for f in files)
+
+
+def test_run_log_closed_when_eval_is_rejected(tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["eval", "--out", str(tmp_path), *TINY,
+                   "--checkpoint", str(tmp_path / "missing.csv")])
+        gc.collect()
+    assert rc == 2
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert "checkpoint not found" in (tmp_path / "run.log").read_text()

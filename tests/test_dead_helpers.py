@@ -1,8 +1,10 @@
-"""Every private helper in the package has a caller.
+"""Every helper and every public name in the package has a caller.
 
 An `ast` pass over src/surrogate_dfl: each `_`-prefixed module-level function
 and method (dunder methods aside) must be referenced, by name or as an
-attribute, somewhere in the package outside its own definition.
+attribute, somewhere in the package outside its own definition.  So must
+each public module-level function and class, with references from
+`__init__.py` (re-exports) not counted.
 """
 
 import ast
@@ -10,6 +12,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "surrogate_dfl").glob("*.py"))
+# public names only the tests call: gradient and reparameterization oracles
+TEST_UTILITIES = {"finite_diff_grad", "identity_reparam"}
 
 
 def _private_defs(tree):
@@ -36,17 +40,41 @@ def _references(node):
     return refs
 
 
-def dead_helpers(sources) -> list:
-    """'file:line: name' of each private helper in sources ({filename: text})
-    that nothing outside its own definition references."""
-    trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
+def _public_defs(tree):
+    """Module-level functions and classes whose names do not start with `_`."""
+    return [
+        d for d in tree.body
+        if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not d.name.startswith("_")
+    ]
+
+
+def _unreferenced(trees, defs_of) -> list:
+    """'file:line: name' of each definition defs_of(tree) finds in trees
+    ({filename: ast}) that nothing outside its own definition references."""
     refs = [r for tree in trees.values() for r in _references(tree)]
-    dead = []
-    for name, tree in trees.items():
-        for d in _private_defs(tree):
-            if refs.count(d.name) == _references(d).count(d.name):
-                dead.append(f"{name}:{d.lineno}: {d.name}")
-    return dead
+    return [
+        f"{name}:{d.lineno}: {d.name}"
+        for name, tree in trees.items()
+        for d in defs_of(tree)
+        if refs.count(d.name) == _references(d).count(d.name)
+    ]
+
+
+def dead_helpers(sources) -> list:
+    """The private helpers in sources ({filename: text}) without a caller."""
+    trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
+    return _unreferenced(trees, _private_defs)
+
+
+def dead_public(sources) -> list:
+    """The public functions and classes in sources ({filename: text}) that
+    nothing references outside their own definition and `__init__.py`."""
+    trees = {
+        name: ast.parse(text, filename=name)
+        for name, text in sources.items() if name != "__init__.py"
+    }
+    return _unreferenced(trees, _public_defs)
 
 
 def test_package_found():
@@ -78,4 +106,31 @@ def test_planted_unused_helper_is_reported():
     )
     assert dead_helpers({"planted.py": planted}) == [
         "planted.py:1: _helper", "planted.py:14: _unused_method"
+    ]
+
+
+def test_every_public_name_has_a_package_caller():
+    dead = dead_public({p.name: p.read_text() for p in PACKAGE})
+    dead = [d for d in dead if d.rsplit(" ", 1)[1] not in TEST_UTILITIES]
+    assert not dead, f"public names nothing in the package calls: {dead}"
+
+
+def test_planted_unused_public_name_is_reported():
+    planted = (
+        "def unused():\n"
+        "    return unused()\n"  # a call from inside its own definition does not count
+        "\n"
+        "class Used:\n"
+        "    def method(self):\n"
+        "        return Used()\n"
+        "\n"
+        "class Reexported:\n"
+        "    pass\n"
+        "\n"
+        "def caller():\n"
+        "    return Used().method()\n"
+    )
+    init = "from .planted import Reexported\n__all__ = [Reexported, caller]\n"
+    assert dead_public({"planted.py": planted, "__init__.py": init}) == [
+        "planted.py:1: unused", "planted.py:8: Reexported", "planted.py:11: caller"
     ]

@@ -4,12 +4,11 @@ import pytest
 from surrogate_dfl import domains, surrogate
 from surrogate_dfl.errors import Infeasible, MaxIterations
 from surrogate_dfl.optlayer import (
-    QpDelta,
     QuadraticProgram,
     audit_kkt,
     box_budget_qp,
     kkt_adjoint,
-    kkt_jacobian_theta,
+    kkt_jacobian_P,
     solve_box_budget_qp,
     solve_qp,
 )
@@ -121,12 +120,17 @@ def test_max_iterations_raises():
         solve_qp(qp, max_iter=1)
 
 
+def jacobian_theta(qp, sol):
+    """dy*/dtheta for c = -theta from the adjoint: row j is z_y for dL/dy = e_j."""
+    return np.array([kkt_adjoint(qp, sol, e_j)[0] for e_j in np.eye(qp.n)])
+
+
 def test_markowitz_jacobian_closed_form():
     # differentiate x = (p - nu 1)/4 with nu = (sum p - 4)/2
     p = np.array([0.1, 0.2])
     qp = simplex_qp(4 * np.eye(2), -p, 2)
     sol = solve_qp(qp)
-    J = kkt_jacobian_theta(qp, sol, [QpDelta(dc=-np.eye(2)[i]) for i in range(2)])
+    J = jacobian_theta(qp, sol)
     expected = (np.eye(2) - 0.5 * np.ones((2, 2))) / 4.0
     assert np.allclose(J, expected, atol=1e-12)
     assert abs(J[0, 0] - 0.125) <= 1e-12 and abs(J[0, 1] + 0.125) <= 1e-12
@@ -142,7 +146,7 @@ def test_equality_only_jacobian_matches_block_inverse():
     theta0 = rng.normal(size=n)
     qp = QuadraticProgram(H=H, c=-theta0, Aeq=A, beq=b)
     sol = solve_qp(qp)
-    J = kkt_jacobian_theta(qp, sol, [QpDelta(dc=-np.eye(n)[i]) for i in range(n)])
+    J = jacobian_theta(qp, sol)
     # oracle: top-left block of the explicit KKT inverse
     K = np.block([[H, A.T], [A, np.zeros((me, me))]])
     expected = np.linalg.inv(K)[:n, :n]
@@ -181,7 +185,7 @@ def test_jacobian_theta_fd_property():
         theta = rng.normal(size=n)
         qp = make_qp(theta)
         sol = solve_qp(qp)
-        J = kkt_jacobian_theta(qp, sol, [QpDelta(dc=-np.eye(n)[i]) for i in range(n)])
+        J = jacobian_theta(qp, sol)
         base_set = strong_set(sol)
         for i in range(n):
             total += 1
@@ -192,21 +196,6 @@ def test_jacobian_theta_fd_property():
             worst = max(worst, float(np.max(np.abs(fd - J[:, i]) / np.maximum(1.0, np.abs(J[:, i])))))
     assert skipped / total < 0.20, f"skip rate {skipped/total:.2%}"
     assert worst <= 1e-4, f"worst fd error {worst:.2e}"
-
-
-def test_adjoint_consistent_with_jacobian():
-    rng = np.random.default_rng(4)
-    n = 6
-    M = rng.normal(size=(n, n))
-    H = M @ M.T + np.eye(n)
-    theta = rng.normal(size=n)
-    qp = simplex_qp(H, -theta, n)
-    sol = solve_qp(qp)
-    J = kkt_jacobian_theta(qp, sol, [QpDelta(dc=-np.eye(n)[i]) for i in range(n)])
-    w = rng.normal(size=n)
-    z_y, _, _, _ = kkt_adjoint(qp, sol, w)
-    # dL/dtheta_i = w . J[:, i]; with dc = -e_i the adjoint gives z_y_i
-    assert np.allclose(w @ J, z_y, atol=1e-9)
 
 
 def test_jacobian_h_dependence_fd():
@@ -225,7 +214,8 @@ def test_jacobian_h_dependence_fd():
 
     qp = make_qp(np.zeros(1))
     sol = solve_qp(qp)
-    J = kkt_jacobian_theta(qp, sol, [QpDelta(dH=S)])
+    # along dH = S, dL = -z_y . (S y*): row j of the column is that for dL/dy = e_j
+    J = np.array([[-kkt_adjoint(qp, sol, e_j)[0] @ (S @ sol.y)] for e_j in np.eye(n)])
     fd, _, _ = fd_jacobian_column(make_qp, np.zeros(1), 0)
     assert np.max(np.abs(fd - J[:, 0]) / np.maximum(1.0, np.abs(J[:, 0]))) <= 1e-4
 
@@ -240,8 +230,6 @@ def test_jacobian_P_zero_objective():
                                 H_extra=1e-8 * np.eye(m))
     qp = sqp.qp()
     sol = solve_qp(qp)
-    from surrogate_dfl.optlayer import kkt_jacobian_P
-
     # row j of dy*/dP is the vector-Jacobian product with dL/dy = e_j
     for e_j in np.eye(m):
         J_j = kkt_jacobian_P(sqp, sol, kkt_adjoint(qp, sol, e_j))

@@ -6,7 +6,7 @@ import pytest
 from surrogate_dfl import domains, surrogate
 from surrogate_dfl.diff import finite_diff_grad
 from surrogate_dfl.errors import EmptySplit, MaxIterations
-from surrogate_dfl.optlayer import strongly_active
+from surrogate_dfl.optlayer import STRICT_COMPLEMENTARITY_TOL
 from surrogate_dfl.pipelines import (
     REPORT_HEADER,
     EarlyStopper,
@@ -221,7 +221,7 @@ def _weight_grads(adapter, models, inst, rep, h):
         else:
             _, x, sol, _, ctx = adapter.decision_surrogate(theta, sp)
         sel = ctx[1].tobytes() if len(ctx) > 1 else None
-        branches.add((sel, strongly_active(sol).tobytes()))
+        branches.add((sel, np.nonzero(sol.lam > STRICT_COMPLEMENTARITY_TOL)[0].tobytes()))
         return adapter.loss_grad_x(x, inst)[0]
 
     loss_of(flat0)

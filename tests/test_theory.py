@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from surrogate_dfl.errors import HypothesisViolated, InvalidInputs
+from surrogate_dfl import theory
+from surrogate_dfl.errors import HypothesisViolated, Infeasible, InvalidInputs
 from surrogate_dfl.surrogate import simplex_base
 from surrogate_dfl.theory import (
     BoundInputs,
@@ -114,6 +115,33 @@ def test_quasiconvexity_probe_no_violations():
     assert report.errors == 0
 
 
+def _small_probe():
+    rng = np.random.default_rng(6)
+    n = 4
+    return coordinate_quasiconvexity_probe(
+        H=np.eye(n), c=rng.uniform(-0.1, 0.1, n), base=simplex_base(n),
+        P=rng.uniform(0.05, 1.0, (n, 2)), column_index=0, trials=5,
+    )
+
+
+def test_quasiconvexity_probe_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a solver failure")
+
+    monkeypatch.setattr(theory, "solve_qp", broken)
+    with pytest.raises(TypeError):
+        _small_probe()
+
+
+def test_quasiconvexity_probe_counts_solver_errors(monkeypatch):
+    def infeasible(*args, **kwargs):
+        raise Infeasible("no feasible point")
+
+    monkeypatch.setattr(theory, "solve_qp", infeasible)
+    report = _small_probe()
+    assert (report.errors, report.violations, report.passed) == (5, 0, False)
+
+
 def test_quasiconvexity_probe_degenerate_segment():
     # a = b makes every segment point identical: zero gap by construction
     rng = np.random.default_rng(8)
@@ -203,3 +231,5 @@ def test_rademacher_invalid_inputs():
 def test_run_theory_checks_all_pass():
     rows = run_theory_checks()
     assert all(r["passed"] for r in rows), [r["check"] for r in rows if not r["passed"]]
+    probe = next(r for r in rows if r["check"] == "column_quasiconvexity_probe")
+    assert probe["value"]["errors"] == 0
