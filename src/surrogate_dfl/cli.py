@@ -15,12 +15,15 @@ import numpy as np
 
 from . import domains, theory
 from .diff import load_params_csv, save_params_csv
-from .errors import ConfigError, MissingFile, TypeMismatch, UnknownKey
+from .errors import BadDimensions, ConfigError, MissingFile, TypeMismatch, UnknownKey
 from .pipelines import (
+    ADAPTERS,
+    METHODS,
     TrainConfig,
     evaluate,
     get_adapter,
     init_method,
+    load_dataset,
     run_experiment,
     subseed,
     train_method,
@@ -64,6 +67,17 @@ def _parse_value(key: str, raw: str, kind):
         raise TypeMismatch(f"key '{key}' expects {kind.__name__}, got {raw!r}") from exc
 
 
+def _assign(resolved, types, item, where, malformed):
+    """Parse one 'key = value' item into resolved; where prefixes the
+    unknown-key message, malformed is the message of an item without '='."""
+    if "=" not in item:
+        raise TypeMismatch(malformed)
+    key, raw = (part.strip() for part in item.split("=", 1))
+    if key not in types:
+        raise UnknownKey(f"{where}unknown key '{key}'")
+    resolved[key] = _parse_value(key, raw, types[key])
+
+
 def parse_config(path=None, overrides=()):
     """Resolve a config dict: defaults <- file <- environment <- overrides.
 
@@ -79,30 +93,27 @@ def parse_config(path=None, overrides=()):
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise TypeMismatch(f"{path}:{lineno}: expected 'key = value'")
-                key, raw = (part.strip() for part in line.split("=", 1))
-                if key not in types:
-                    raise UnknownKey(f"{path}:{lineno}: unknown key '{key}'")
-                resolved[key] = _parse_value(key, raw, types[key])
+                if line:
+                    where = f"{path}:{lineno}: "
+                    _assign(resolved, types, line, where, f"{where}expected 'key = value'")
     env_out = os.environ.get("SURROGATE_DFL_OUT")
     if env_out:
         resolved["out_dir"] = env_out
     for item in overrides:
-        if "=" not in item:
-            raise TypeMismatch(f"--set expects key=value, got {item!r}")
-        key, raw = (part.strip() for part in item.split("=", 1))
-        if key not in types:
-            raise UnknownKey(f"unknown key '{key}'")
-        resolved[key] = _parse_value(key, raw, types[key])
+        _assign(resolved, types, item, "", f"--set expects key=value, got {item!r}")
     return resolved
 
 
 def config_from_dict(resolved) -> TrainConfig:
-    kwargs = {f.name: resolved[f.name] for f in fields(TrainConfig)}
-    return TrainConfig(**kwargs)
+    """The TrainConfig of resolved.  An unknown domain, method or surrogate
+    mode raises TypeMismatch, a data_in that does not exist MissingFile."""
+    try:
+        config = TrainConfig(**{f.name: resolved[f.name] for f in fields(TrainConfig)})
+    except ValueError as exc:
+        raise TypeMismatch(str(exc)) from exc
+    if config.data_in and not os.path.exists(config.data_in):
+        raise MissingFile(f"data_in not found: {config.data_in}")
+    return config
 
 
 def echo_config(resolved, path) -> None:
@@ -129,10 +140,11 @@ class RunLog:
 def _run_logged(handler, resolved) -> int:
     """Echo the config and run handler(resolved, out, log) with run.log open.
 
-    A ConfigError the handler raises (a missing checkpoint, an unknown
-    domain, method or surrogate mode, a checkpoint that does not parse or fit
-    the model) is written to run.log and returns exit code 2; handlers raise
-    them before writing any output file.
+    A ConfigError the handler raises (a missing checkpoint or data_in, an
+    unknown domain, method or surrogate mode, a checkpoint that does not
+    parse or fit the model) or a BadDimensions (a size out of range, a data
+    file that disagrees with the configured sizes) is written to run.log and
+    returns exit code 2; handlers raise them before writing any output file.
     """
     out = resolved["out_dir"]
     os.makedirs(out, exist_ok=True)
@@ -141,24 +153,14 @@ def _run_logged(handler, resolved) -> int:
         log = RunLog(fh)
         try:
             return handler(resolved, out, log)
-        except ConfigError as exc:
+        except (ConfigError, BadDimensions) as exc:
             log.line(f"config error: {exc}")
             return 2
 
 
-def _checked(make, *args):
-    """make(*args), its ValueError (an unknown domain, method or surrogate
-    mode) raised as TypeMismatch."""
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise TypeMismatch(str(exc)) from exc
-
-
 def cmd_gen_data(resolved, out, log) -> int:
     config = config_from_dict(resolved)
-    adapter = _checked(get_adapter, config)
-    dataset = adapter.generate(subseed(resolved["train_seed"], 0))
+    dataset = get_adapter(config).generate(subseed(resolved["train_seed"], 0))
     if config.domain == "portfolio":
         path = os.path.join(out, "portfolio_prices.csv")
         domains.export_portfolio_csv(dataset, path)
@@ -167,25 +169,6 @@ def cmd_gen_data(resolved, out, log) -> int:
         domains.export_movierec_csv(dataset, path)
     log.line(f"wrote {path} ({len(dataset.instances)} instances)")
     return 0
-
-
-def _load_dataset(config: TrainConfig, resolved):
-    adapter = _checked(get_adapter, config)
-    if config.data_in:
-        if not os.path.exists(config.data_in):
-            raise MissingFile(f"data_in not found: {config.data_in}")
-        if config.domain == "portfolio":
-            return adapter, domains.ingest_portfolio_csv(
-                config.data_in, risk_aversion=config.risk_aversion
-            )
-        return adapter, domains.ingest_movierec_csv(
-            config.data_in,
-            config.n_movies,
-            config.users_per_group,
-            budget_k=config.budget_k,
-            picks_per_user=config.picks_per_user,
-        )
-    return adapter, adapter.generate(subseed(resolved["train_seed"], 0))
 
 
 def _checkpoint_entries(adapter, models, rep) -> dict:
@@ -210,8 +193,9 @@ def cmd_train(resolved, out, log) -> int:
     config = config_from_dict(resolved)
     method = config.methods[0]
     seed = resolved["train_seed"]
-    adapter, dataset = _load_dataset(config, resolved)
-    models, rep = _checked(init_method, config, adapter, method, seed)
+    adapter = get_adapter(config)
+    dataset = load_dataset(config, adapter, seed)
+    models, rep = init_method(config, adapter, method, seed)
     log.line(f"training method={method} domain={config.domain} seed={seed}")
     result = train_method(models, rep, dataset, config, adapter, method)
     if rep is not None and config.export_p:
@@ -230,9 +214,9 @@ def cmd_eval(resolved, out, log) -> int:
     ckpt = resolved["checkpoint"] or os.path.join(out, "checkpoint.csv")
     if not os.path.exists(ckpt):
         raise MissingFile(f"checkpoint not found: {ckpt}")
-    adapter, dataset = _load_dataset(config, resolved)
-    models, rep = _checked(init_method, config, adapter, config.methods[0],
-                           resolved["train_seed"])
+    adapter = get_adapter(config)
+    dataset = load_dataset(config, adapter, resolved["train_seed"])
+    models, rep = init_method(config, adapter, config.methods[0], resolved["train_seed"])
     try:
         named = load_params_csv(ckpt)
     except ValueError as exc:  # a name, shape or value that does not parse
@@ -261,7 +245,6 @@ def cmd_eval(resolved, out, log) -> int:
 
 def cmd_run(resolved, out, log) -> int:
     config = config_from_dict(resolved)
-    _checked(get_adapter, config)  # an unknown domain fails every job: reject it once
     log.line(
         f"running domain={config.domain} methods={','.join(config.methods)} "
         f"seeds={config.n_seeds}"
@@ -314,10 +297,9 @@ def build_parser():
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
-        p.add_argument("--domain", default=None, choices=["portfolio", "movierec"])
+        p.add_argument("--domain", default=None, choices=list(ADAPTERS))
         if name in ("train", "eval"):
-            p.add_argument("--method", default=None,
-                           choices=["two-stage", "decision-focused", "surrogate"])
+            p.add_argument("--method", default=None, choices=METHODS)
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--checkpoint", default=None)
     return parser

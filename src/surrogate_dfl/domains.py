@@ -34,15 +34,12 @@ class PortfolioInstance:
     features: np.ndarray  # (n_securities, N_FEATURES)
     true_returns: np.ndarray
     true_covariance: np.ndarray
-    risk_aversion: float = 2.0
 
 
 @dataclass
 class MovieRecInstance:
     preferences: np.ndarray  # (n_movies, n_users), entries in [0, 1]
     user_features: np.ndarray  # (n_users, n_feature_movies)
-    budget_k: int = 10
-    picks_per_user: int = 3
 
 
 @dataclass
@@ -79,7 +76,7 @@ def cosine_similarity_matrix(rows) -> np.ndarray:
 # portfolio
 
 
-def _portfolio_dataset(prices: np.ndarray, risk_aversion: float) -> Dataset:
+def _portfolio_dataset(prices: np.ndarray) -> Dataset:
     """Featurize a price matrix (n_securities x n_price_days) and split the
     instances chronologically 70/10/20.
 
@@ -105,12 +102,7 @@ def _portfolio_dataset(prices: np.ndarray, risk_aversion: float) -> Dataset:
         fwd = np.stack([r(t + 1 + i) for i in range(FORWARD_WINDOW)], axis=1)
         Q = cosine_similarity_matrix(fwd) + COV_RIDGE * np.eye(n)
         instances.append(
-            PortfolioInstance(
-                features=feats,
-                true_returns=r(t + 1).copy(),
-                true_covariance=Q,
-                risk_aversion=risk_aversion,
-            )
+            PortfolioInstance(features=feats, true_returns=r(t + 1).copy(), true_covariance=Q)
         )
     train, val, test = split_indices(len(instances))
     return Dataset(
@@ -119,7 +111,7 @@ def _portfolio_dataset(prices: np.ndarray, risk_aversion: float) -> Dataset:
         train_idx=train,
         val_idx=val,
         test_idx=test,
-        meta={"prices": prices, "risk_aversion": risk_aversion},
+        meta={"prices": prices},
     )
 
 
@@ -127,7 +119,6 @@ def gen_portfolio_data(
     n_securities: int,
     n_days: int,
     seed: int,
-    risk_aversion: float = 2.0,
     n_factors: int = 3,
 ) -> Dataset:
     """Synthetic daily prices from a mean-reverting multiplicative process
@@ -149,7 +140,7 @@ def gen_portfolio_data(
         shock = loadings @ rng.normal(size=n_factors) + idio * rng.normal(size=n_securities)
         s = s + kappa * (mu - s) + shock
         log_prices.append(s.copy())
-    return _portfolio_dataset(np.exp(np.array(log_prices).T), risk_aversion)
+    return _portfolio_dataset(np.exp(np.array(log_prices).T))
 
 
 def export_portfolio_csv(dataset: Dataset, path) -> None:
@@ -163,7 +154,7 @@ def export_portfolio_csv(dataset: Dataset, path) -> None:
                 w.writerow([day, sec, format(prices[sec, day], ".12g")])
 
 
-def ingest_portfolio_csv(path, risk_aversion: float = 2.0) -> Dataset:
+def ingest_portfolio_csv(path) -> Dataset:
     """Rebuild a portfolio Dataset from `day,security,price` rows through the
     same featurization as the generator."""
     days, secs, vals = [], [], []
@@ -182,7 +173,7 @@ def ingest_portfolio_csv(path, risk_aversion: float = 2.0) -> Dataset:
         prices[sec_pos[s], day_pos[d]] = v
     if np.any(np.isnan(prices)):
         raise BadDimensions("price table has missing (day, security) cells")
-    return _portfolio_dataset(prices, risk_aversion)
+    return _portfolio_dataset(prices)
 
 
 def portfolio_objective(x, p, Q, risk_aversion: float) -> float:
@@ -256,8 +247,6 @@ def gen_movierec_data(
     n_groups: int,
     n_feature_movies: int,
     seed: int,
-    budget_k: int = 10,
-    picks_per_user: int = 3,
     latent_dim: int = 6,
     latent_scale: float = 1.0,
     noise_scale: float = 0.1,
@@ -282,8 +271,6 @@ def gen_movierec_data(
     ]:
         if v < 1:
             raise BadDimensions(f"{name} must be >= 1")
-    if picks_per_user > n_movies or budget_k > n_movies:
-        raise BadDimensions("picks_per_user and budget_k cannot exceed n_movies")
     rng = np.random.default_rng(seed)
     n_users = users_per_group * n_groups
     U = latent_scale * rng.normal(size=(n_users, latent_dim))
@@ -301,11 +288,10 @@ def gen_movierec_data(
     features = _sigmoid(U @ V_feat.T) + feature_noise * rng.normal(
         size=(n_users, n_feature_movies)
     )
-    return _movierec_dataset(theta, features, users_per_group, budget_k, picks_per_user)
+    return _movierec_dataset(theta, features, users_per_group)
 
 
-def _movierec_dataset(theta, features, users_per_group: int, budget_k: int,
-                      picks_per_user: int) -> Dataset:
+def _movierec_dataset(theta, features, users_per_group: int) -> Dataset:
     """One instance per group of users_per_group consecutive users (columns of
     theta, rows of features); groups split 70/10/20."""
     n_movies, n_users = theta.shape
@@ -314,12 +300,7 @@ def _movierec_dataset(theta, features, users_per_group: int, budget_k: int,
     for g in range(n_groups):
         cols = slice(g * users_per_group, (g + 1) * users_per_group)
         instances.append(
-            MovieRecInstance(
-                preferences=theta[:, cols].copy(),
-                user_features=features[cols].copy(),
-                budget_k=budget_k,
-                picks_per_user=picks_per_user,
-            )
+            MovieRecInstance(preferences=theta[:, cols].copy(), user_features=features[cols].copy())
         )
     train, val, test = split_indices(n_groups)
     return Dataset(
@@ -328,7 +309,7 @@ def _movierec_dataset(theta, features, users_per_group: int, budget_k: int,
         train_idx=train,
         val_idx=val,
         test_idx=test,
-        meta={"n_movies": n_movies, "budget_k": budget_k, "picks_per_user": picks_per_user},
+        meta={"n_movies": n_movies},
     )
 
 
@@ -357,13 +338,7 @@ def export_movierec_csv(dataset: Dataset, path) -> None:
             user_base += n_users
 
 
-def ingest_movierec_csv(
-    path,
-    n_movies: int,
-    users_per_group: int,
-    budget_k: int = 10,
-    picks_per_user: int = 3,
-) -> Dataset:
+def ingest_movierec_csv(path, n_movies: int, users_per_group: int) -> Dataset:
     """Rebuild a movie-rec Dataset from `user,movie,rating` rows; users are
     grouped in consecutive blocks of users_per_group."""
     entries = []
@@ -385,7 +360,7 @@ def ingest_movierec_csv(
             theta[m, user_pos[u]] = np.clip(r, 0.0, 1.0)
         else:
             features[user_pos[u], m - n_movies] = r
-    return _movierec_dataset(theta, features, users_per_group, budget_k, picks_per_user)
+    return _movierec_dataset(theta, features, users_per_group)
 
 
 def movierec_objective(x, theta, picks: int) -> float:

@@ -39,6 +39,7 @@ from .diff import (
     mlp_forward_batch,
 )
 from .errors import (
+    BadDimensions,
     EmptySplit,
     Infeasible,
     MaxIterations,
@@ -48,6 +49,7 @@ from .errors import (
 )
 from .optlayer import box_budget_qp, kkt_adjoint, kkt_jacobian_P, solve_qp
 from .surrogate import (
+    MODES,
     Reparameterization,
     SurrogateQp,
     default_m,
@@ -110,6 +112,18 @@ class TrainConfig:
     data_in: str = ""
     verbose: bool = False
     export_p: bool = False
+
+    def __post_init__(self):
+        """Rejects an unknown domain, method or surrogate mode (ValueError)."""
+        if self.domain not in ADAPTERS:
+            raise ValueError(f"unknown domain {self.domain!r}")
+        if not self.methods:
+            raise ValueError("methods is empty")
+        for method in self.methods:
+            if method not in METHODS:
+                raise ValueError(f"unknown method {method}")
+        if self.surrogate_mode != "auto" and self.surrogate_mode not in MODES:
+            raise ValueError(f"unknown mode {self.surrogate_mode!r}")
 
     def seeds(self):
         return list(range(self.n_seeds))
@@ -192,9 +206,14 @@ class PortfolioAdapter:
         self._oracle_cache = {}
 
     def generate(self, seed):
-        return domains.gen_portfolio_data(
-            self.n, self.config.n_days, seed, risk_aversion=self.lam
-        )
+        return domains.gen_portfolio_data(self.n, self.config.n_days, seed)
+
+    def ingest(self, path):
+        dataset = domains.ingest_portfolio_csv(path)
+        n = dataset.meta["prices"].shape[0]
+        if n != self.n:
+            raise BadDimensions(f"{path} has {n} securities, but n_securities is {self.n}")
+        return dataset
 
     def init_models(self, seed):
         h = self.config.hidden_size
@@ -287,6 +306,8 @@ class MovieRecAdapter:
         self.k = config.budget_k
         self.picks = config.picks_per_user
         self.gamma = config.gamma
+        if self.picks > self.n or self.k > self.n:
+            raise BadDimensions("picks_per_user and budget_k cannot exceed n_movies")
         self.base = domains.movierec_base(self.n, self.k)
         self._oracle_cache = {}
 
@@ -297,8 +318,6 @@ class MovieRecAdapter:
             self.config.n_groups,
             self.config.n_feature_movies,
             seed,
-            budget_k=self.k,
-            picks_per_user=self.picks,
             latent_dim=self.config.movie_latent_dim,
             latent_scale=self.config.movie_latent_scale,
             noise_scale=self.config.movie_noise,
@@ -306,6 +325,14 @@ class MovieRecAdapter:
             popularity_scale=self.config.movie_popularity,
             spread_max=self.config.movie_spread,
         )
+
+    def ingest(self, path):
+        dataset = domains.ingest_movierec_csv(path, self.n, self.config.users_per_group)
+        n_feat = dataset.instances[0].user_features.shape[1] if dataset.instances else 0
+        if n_feat != self.config.n_feature_movies:
+            raise BadDimensions(f"{path} has {n_feat} feature movies, "
+                                f"but n_feature_movies is {self.config.n_feature_movies}")
+        return dataset
 
     def init_models(self, seed):
         h = self.config.hidden_size
@@ -386,12 +413,18 @@ def _solve_surrogate(sp, H_x, c_x, max_iter, H_extra=None):
     return lift(sp.P, sol.y), (sqp, qp, sol)
 
 
+ADAPTERS = {"portfolio": PortfolioAdapter, "movierec": MovieRecAdapter}
+
+
 def get_adapter(config: TrainConfig):
-    if config.domain == "portfolio":
-        return PortfolioAdapter(config)
-    if config.domain == "movierec":
-        return MovieRecAdapter(config)
-    raise ValueError(f"unknown domain {config.domain!r}")
+    return ADAPTERS[config.domain](config)
+
+
+def load_dataset(config: TrainConfig, adapter, seed):
+    """The dataset in config.data_in, or without one the synthetic dataset of seed."""
+    if config.data_in:
+        return adapter.ingest(config.data_in)
+    return adapter.generate(subseed(seed, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +443,7 @@ def _split(dataset, idx):
     return [dataset.instances[i] for i in idx]
 
 
-def _prediction_step(adapter, models, rep, sp, inst, train_P, idx, x0=None):
+def _prediction_step(adapter, models, rep, sp, inst, idx, x0=None):
     """The two-stage step in _decision_and_grads' signature: (loss, caches,
     dtheta, None, None) of the squared prediction error."""
     theta, caches = adapter.predict(models, inst)
@@ -424,7 +457,7 @@ def _prediction_error_on(adapter, models, sp, instances):
     return float(np.mean(losses))
 
 
-def _decision_and_grads(adapter, models, rep, sp, inst, train_P, idx, x0=None):
+def _decision_and_grads(adapter, models, rep, sp, inst, idx, x0=None):
     """One end-to-end forward/backward from start x0: (loss, caches, dtheta, dP_raw, x)."""
     theta, caches = adapter.predict(models, inst)
     dP_raw = None
@@ -438,9 +471,8 @@ def _decision_and_grads(adapter, models, rep, sp, inst, train_P, idx, x0=None):
             loss, dL_dx = adapter.loss_grad_x(x, inst)
             adjoint = kkt_adjoint(ctx[0], sol, sp.P.T @ dL_dx)
             z_x = sp.P @ adjoint[0]  # x = P y, so the x-space adjoint is P z_y
-            if train_P:
-                dL_dP = kkt_jacobian_P(sqp, sol, adjoint)
-                dP_raw = grad_wrt_P(dL_dx, y_star, dL_dP, rep)
+            dL_dP = kkt_jacobian_P(sqp, sol, adjoint)
+            dP_raw = grad_wrt_P(dL_dx, y_star, dL_dP, rep)
         dtheta = adapter.theta_grads(ctx, z_x, x)
     except (Infeasible, MaxIterations, NumericalBreakdown, SingularKKT, SingularMatrix) as exc:
         raise type(exc)(f"instance {idx}: {exc}") from exc
@@ -464,9 +496,10 @@ def _regret_on(adapter, models, sp, instances):
     return float(np.mean(regrets))
 
 
-def _train(models, rep, dataset, config, adapter, step, score, train_P):
+def _train(models, rep, dataset, config, adapter, step, score):
     """Full-batch Adam on step's mean loss with early stopping on score over
-    the validation split; returns the best checkpoint.  step's x is its next x0."""
+    the validation split; returns the best checkpoint.  P trains when rep is
+    given.  step's x is its next x0."""
     adapter = adapter or get_adapter(config)
     train_set = _split(dataset, dataset.train_idx)
     val_set = _split(dataset, dataset.val_idx)
@@ -474,7 +507,7 @@ def _train(models, rep, dataset, config, adapter, step, score, train_P):
         raise EmptySplit("training needs nonempty train and validation splits")
     params = adapter.params(models)
     state = init_adam(params, config.learning_rate)
-    p_state = init_adam([rep.P_raw], config.p_learning_rate) if train_P else None
+    p_state = init_adam([rep.P_raw], config.p_learning_rate) if rep is not None else None
     stopper = EarlyStopper(config.patience)
     best_params = [p.copy() for p in params]
     best_raw = rep.P_raw.copy() if rep is not None else None
@@ -486,21 +519,21 @@ def _train(models, rep, dataset, config, adapter, step, score, train_P):
         t0 = time.perf_counter()
         sp = _surrogate_problem(adapter, rep, check_feasible=(epoch == 1))
         grads = [np.zeros_like(p) for p in params]
-        p_grad = np.zeros_like(rep.P_raw) if train_P else None
+        p_grad = np.zeros_like(rep.P_raw) if rep is not None else None
         epoch_loss = 0.0
         for idx, inst in zip(dataset.train_idx, train_set):
             loss, caches, dtheta, dP_raw, starts[idx] = step(
-                adapter, models, rep, sp, inst, train_P, idx, x0=starts.get(idx)
+                adapter, models, rep, sp, inst, idx, x0=starts.get(idx)
             )
             epoch_loss += loss
             scaled = _scale_theta(dtheta, 1.0 / len(train_set))
             for g_acc, g in zip(grads, adapter.backprop_models(models, caches, scaled)):
                 g_acc += g
-            if train_P and dP_raw is not None:
+            if dP_raw is not None:
                 p_grad += dP_raw / len(train_set)
         params, state = adam_step(params, grads, state)
         adapter.set_params(models, params)
-        if train_P:
+        if rep is not None:
             new_raw, p_state = adam_step([rep.P_raw], [p_grad], p_state)
             rep.P_raw = new_raw[0]
         train_time += time.perf_counter() - t0
@@ -541,21 +574,20 @@ def _scale_theta(dtheta, scale):
 def train_two_stage(models, dataset, config: TrainConfig, adapter=None) -> TrainResult:
     """Training on the squared prediction error, validated on the same error."""
     return _train(models, None, dataset, config, adapter,
-                  _prediction_step, _prediction_error_on, train_P=False)
+                  _prediction_step, _prediction_error_on)
 
 
 def train_decision_focused(models, dataset, config: TrainConfig, adapter=None) -> TrainResult:
     """End-to-end training through the full optimization layer (x-space)."""
     return _train(models, None, dataset, config, adapter,
-                  _decision_and_grads, _regret_on, train_P=False)
+                  _decision_and_grads, _regret_on)
 
 
-def train_surrogate(models, rep, dataset, config: TrainConfig, adapter=None,
-                    train_P: bool = True) -> TrainResult:
+def train_surrogate(models, rep, dataset, config: TrainConfig, adapter=None) -> TrainResult:
     """Joint training of the predictive model and the reparameterization by
     solving only the m-dimensional surrogate problem."""
     return _train(models, rep, dataset, config, adapter,
-                  _decision_and_grads, _regret_on, train_P=train_P)
+                  _decision_and_grads, _regret_on)
 
 
 def make_reparam(config: TrainConfig, adapter, seed) -> Reparameterization:
@@ -578,22 +610,20 @@ class EvalResult:
     max_violation: float
 
 
-def evaluate(models, rep, dataset, config: TrainConfig, adapter=None,
-             timing_repeats: int = None) -> EvalResult:
+def evaluate(models, rep, dataset, config: TrainConfig, adapter=None) -> EvalResult:
     """Timed decisions plus regret for every test instance.
 
     The surrogate path (rep given) solves only the m-dimensional problem and
     lifts; the other paths solve the full problem.  Inference seconds are the
-    median over timing repeats of the whole test pass.
+    median over config.timing_repeats runs of the whole test pass.
     """
     adapter = adapter or get_adapter(config)
     test_set = _split(dataset, dataset.test_idx)
     if not test_set:
         raise EmptySplit("test split is empty")
-    repeats = max(1, timing_repeats or config.timing_repeats)
     sp = _surrogate_problem(adapter, rep)
     times = []
-    for _ in range(repeats):
+    for _ in range(max(1, config.timing_repeats)):
         t0 = time.perf_counter()
         decisions = [_decide(adapter, adapter.predict(models, inst)[0], sp) for inst in test_set]
         times.append(time.perf_counter() - t0)
@@ -616,8 +646,6 @@ def evaluate(models, rep, dataset, config: TrainConfig, adapter=None,
 
 def init_method(config: TrainConfig, adapter, method: str, seed):
     """Initial (models, rep) of one method on one seed; rep is None but for the surrogate."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method}")
     models = adapter.init_models(subseed(seed, 1))
     rep = make_reparam(config, adapter, subseed(seed, 2)) if method == "surrogate" else None
     return models, rep
@@ -636,7 +664,7 @@ def run_single(config: TrainConfig, method: str, seed: int):
     """Train one method on one seed and evaluate it; returns (row, extras),
     extras holding the test split's max_violation and min_regret."""
     adapter = get_adapter(config)
-    dataset = adapter.generate(subseed(seed, 0))
+    dataset = load_dataset(config, adapter, seed)
     models, rep = init_method(config, adapter, method, seed)
     result = train_method(models, rep, dataset, config, adapter, method)
     ev = evaluate(result.models, rep, dataset, config, adapter)

@@ -4,6 +4,8 @@ Criterion 4 (feasibility of every emitted decision) audits every experiment
 the other criteria run, so it is declared last in this module.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from surrogate_dfl import surrogate, theory
@@ -102,7 +104,7 @@ def test_criterion_1_gradient_correctness():
         return adapter.loss_grad_x(x, inst)[0]
 
     adapter.set_params(models, unflatten(flat0))
-    _, caches, dtheta, dP_raw, _ = _decision_and_grads(adapter, models, rep, sp, inst, True, 0)
+    _, caches, dtheta, dP_raw, _ = _decision_and_grads(adapter, models, rep, sp, inst, 0)
     grads = adapter.backprop_models(models, caches, dtheta)
     an_w = np.concatenate([g.ravel() for g in grads])
     fd_w = finite_diff_grad(loss_w, flat0, h=1e-5)
@@ -158,7 +160,7 @@ def test_criterion_3_identity_neutrality():
         m_b = adapter_b.init_models(subseed(seed, 1))
         train_decision_focused(m_a, ds_a, cfg, adapter_a)
         rep = surrogate.identity_reparam(cfg.n_securities)
-        train_surrogate(m_b, rep, ds_b, cfg, adapter_b, train_P=False)
+        train_surrogate(m_b, rep, ds_b, replace(cfg, p_learning_rate=0.0), adapter_b)
         ev_a = evaluate(m_a, None, ds_a, cfg, adapter_a)
         ev_b = evaluate(m_b, rep, ds_b, cfg, adapter_b)
         AUDIT.append((f"c3/df/s{seed}", ev_a.max_violation, float(np.min(ev_a.regrets))))
@@ -186,8 +188,8 @@ def test_criterion_5_scalability():
         t_sur = train_surrogate(m_sur, rep, dataset, cfg, adapter).train_sec_per_epoch
         train_ratios.append(t_sur / t_df)
     for _ in range(5):
-        ev_df = evaluate(m_df, None, dataset, cfg, adapter, timing_repeats=1)
-        ev_sur = evaluate(m_sur, rep, dataset, cfg, adapter, timing_repeats=1)
+        ev_df = evaluate(m_df, None, dataset, cfg, adapter)
+        ev_sur = evaluate(m_sur, rep, dataset, cfg, adapter)
         inf_ratios.append(ev_sur.inference_sec / ev_df.inference_sec)
     AUDIT.append(("c5/df", ev_df.max_violation, float(np.min(ev_df.regrets))))
     AUDIT.append(("c5/sur", ev_sur.max_violation, float(np.min(ev_sur.regrets))))

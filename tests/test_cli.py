@@ -287,3 +287,68 @@ def test_run_log_closed_when_eval_is_rejected(tmp_path):
     assert rc == 2
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert "checkpoint not found" in (tmp_path / "run.log").read_text()
+
+
+def test_run_rejects_bad_names_and_missing_data(tmp_path):
+    cases = [
+        ("methods=bogus", "unknown method bogus"),
+        ("methods=", "methods is empty"),
+        ("surrogate_mode=bogus", "unknown mode 'bogus'"),
+        (f"data_in={tmp_path / 'missing.csv'}", "data_in not found"),
+    ]
+    for i, (item, reason) in enumerate(cases):
+        out = tmp_path / f"r{i}"
+        assert main(["run", "--domain", "portfolio", "--out", str(out), *TINY,
+                     "--set", item]) == 2
+        assert reason in (out / "run.log").read_text()
+        assert not (out / "report.csv").exists() and not (out / "aggregate.csv").exists()
+    out = tmp_path / "t"
+    assert main(["train", "--domain", "portfolio", "--out", str(out), *TINY,
+                 "--set", "methods="]) == 2
+    assert "methods is empty" in (out / "run.log").read_text()
+
+
+def _seed_0_regret(report_path):
+    rows = [line.split(",") for line in report_path.read_text().splitlines()[2:]]
+    return next(float(r[2]) for r in rows if r[1] == "0")
+
+
+def test_run_trains_on_data_in(tmp_path):
+    data = tmp_path / "data"
+    assert main(["gen-data", "--domain", "portfolio", "--out", str(data), *TINY,
+                 "--set", "train_seed=7"]) == 0
+    args = ["run", "--domain", "portfolio", *TINY, "--set", "methods=two-stage"]
+    assert main([*args, "--out", str(tmp_path / "synthetic")]) == 0
+    assert main([*args, "--out", str(tmp_path / "file"),
+                 "--set", f"data_in={data / 'portfolio_prices.csv'}"]) == 0
+    assert (_seed_0_regret(tmp_path / "synthetic" / "report.csv")
+            != _seed_0_regret(tmp_path / "file" / "report.csv"))
+
+
+def test_size_errors_exit_2(tmp_path):
+    out = tmp_path / "k"
+    assert main(["train", "--domain", "movierec", "--out", str(out),
+                 "--set", "budget_k=200", "--set", "max_epochs=1"]) == 2
+    assert "budget_k cannot exceed n_movies" in (out / "run.log").read_text()
+    assert not (out / "checkpoint.csv").exists()
+    data = tmp_path / "data"
+    assert main(["gen-data", "--domain", "portfolio", "--out", str(data), *TINY]) == 0
+    csv_path = data / "portfolio_prices.csv"
+    out = tmp_path / "n"
+    assert main(["train", "--domain", "portfolio", "--out", str(out), *TINY,
+                 "--set", "n_securities=8", "--set", f"data_in={csv_path}"]) == 2
+    assert "has 6 securities, but n_securities is 8" in (out / "run.log").read_text()
+    assert not (out / "checkpoint.csv").exists()
+    movie = ["--domain", "movierec", "--set", "n_movies=10", "--set", "users_per_group=4",
+             "--set", "n_groups=10", "--set", "budget_k=3", "--set", "picks_per_user=2"]
+    assert main(["gen-data", "--out", str(data), *movie, "--set", "n_feature_movies=5"]) == 0
+    out = tmp_path / "f"
+    assert main(["train", "--out", str(out), *movie, "--set", "n_feature_movies=4",
+                 "--set", f"data_in={data / 'movierec_ratings.csv'}"]) == 2
+    assert "has 5 feature movies, but n_feature_movies is 4" in (out / "run.log").read_text()
+    # run reports the securities mismatch per seed
+    out = tmp_path / "r"
+    assert main(["run", "--domain", "portfolio", "--out", str(out), *TINY,
+                 "--set", "n_securities=8", "--set", f"data_in={csv_path}"]) == 1
+    report = (out / "report.csv").read_text()
+    assert report.count("error: BadDimensions: ") == 6

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from surrogate_dfl import domains, optlayer
 from surrogate_dfl.errors import BadDimensions, DimensionMismatch
 from surrogate_dfl.optlayer import QuadraticProgram, solve_qp
+from surrogate_dfl.pipelines import TrainConfig, get_adapter
 
 
 def test_portfolio_objective_values():
@@ -121,7 +122,7 @@ def test_gen_movierec_deterministic_and_split():
 
 def test_gen_movierec_zero_factors():
     ds = domains.gen_movierec_data(
-        6, 4, 2, 3, seed=6, budget_k=3, picks_per_user=2,
+        6, 4, 2, 3, seed=6,
         latent_scale=0.0, noise_scale=0.0, popularity_scale=0.0, spread_max=0.0,
     )
     for inst in ds.instances:
@@ -136,15 +137,15 @@ def test_gen_movierec_theta_in_unit_interval():
 
 def test_gen_movierec_bad_dimensions():
     with pytest.raises(BadDimensions):
-        domains.gen_movierec_data(5, 3, 2, 4, seed=0, budget_k=9)
+        get_adapter(TrainConfig(domain="movierec", n_movies=5, budget_k=9))
 
 
 def test_movierec_csv_roundtrip(tmp_path):
-    ds = domains.gen_movierec_data(8, 4, 3, 5, seed=8, budget_k=3, picks_per_user=2)
+    ds = domains.gen_movierec_data(8, 4, 3, 5, seed=8)
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
     domains.export_movierec_csv(ds, p1)
-    back = domains.ingest_movierec_csv(p1, n_movies=8, users_per_group=4, budget_k=3, picks_per_user=2)
+    back = domains.ingest_movierec_csv(p1, n_movies=8, users_per_group=4)
     domains.export_movierec_csv(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
     for ia, ib in zip(ds.instances, back.instances):
@@ -261,10 +262,10 @@ def test_regret_zero_for_oracle_decision():
     ds = domains.gen_portfolio_data(5, 25, seed=13)
     inst = ds.instances[0]
     oracle = lambda theta: domains.portfolio_oracle_decision(
-        theta["p"], theta["Q"], inst.risk_aversion
+        theta["p"], theta["Q"], 2.0
     )
     objective = lambda x, theta: domains.portfolio_objective(
-        x, theta["p"], theta["Q"], inst.risk_aversion
+        x, theta["p"], theta["Q"], 2.0
     )
     theta = {"p": inst.true_returns, "Q": inst.true_covariance}
     x = oracle(theta)  # the decision under test is the oracle's own

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ def test_decision_focused_gradient_matches_fd():
         return adapter.loss_grad_x(x, inst)[0]
 
     adapter.set_params(models, unflatten(flat0))
-    _, caches, dtheta, _, _ = _decision_and_grads(adapter, models, None, None, inst, False, 0)
+    _, caches, dtheta, _, _ = _decision_and_grads(adapter, models, None, None, inst, 0)
     grads = adapter.backprop_models(models, caches, dtheta)
     an = np.concatenate([g.ravel() for g in grads])
     fd = finite_diff_grad(loss_of, flat0, h=1e-5)
@@ -175,7 +176,7 @@ def test_surrogate_joint_gradient_matches_fd():
         return adapter.loss_grad_x(x, inst)[0]
 
     adapter.set_params(models, unflatten(flat0))
-    _, caches, dtheta, dP_raw, _ = _decision_and_grads(adapter, models, rep, sp, inst, True, 0)
+    _, caches, dtheta, dP_raw, _ = _decision_and_grads(adapter, models, rep, sp, inst, 0)
     grads = adapter.backprop_models(models, caches, dtheta)
     an_w = np.concatenate([g.ravel() for g in grads])
     fd_w = finite_diff_grad(loss_of_w, flat0, h=1e-5)
@@ -227,7 +228,7 @@ def _weight_grads(adapter, models, inst, rep, h):
     loss_of(flat0)
     fd = finite_diff_grad(loss_of, flat0, h=h)
     adapter.set_params(models, params0)
-    _, caches, dtheta, _, _ = _decision_and_grads(adapter, models, rep, sp, inst, False, 0)
+    _, caches, dtheta, _, _ = _decision_and_grads(adapter, models, rep, sp, inst, 0)
     an = np.concatenate([g.ravel() for g in adapter.backprop_models(models, caches, dtheta)])
     return fd, an, branches
 
@@ -280,7 +281,7 @@ def test_identity_neutrality():
     m_b = adapter_b.init_models(subseed(1, 1))
     r_df = train_decision_focused(m_a, ds_a, cfg, adapter_a)
     rep = surrogate.identity_reparam(cfg.n_securities)
-    r_sur = train_surrogate(m_b, rep, ds_b, cfg, adapter_b, train_P=False)
+    r_sur = train_surrogate(m_b, rep, ds_b, replace(cfg, p_learning_rate=0.0), adapter_b)
     assert len(r_df.history) == len(r_sur.history)
     for (e1, l1, v1), (e2, l2, v2) in zip(r_df.history, r_sur.history):
         assert abs(l1 - l2) <= 1e-8
@@ -469,7 +470,7 @@ def test_decision_and_grads_names_the_instance():
     models = adapter.init_models(subseed(0, 1))
     inst = dataset.instances[0]
     with pytest.raises(MaxIterations, match=r"^instance 7: active-set pivot cap 1"):
-        _decision_and_grads(adapter, models, None, None, inst, False, 7)
+        _decision_and_grads(adapter, models, None, None, inst, 7)
 
 
 def test_run_experiment_parallel_matches_serial():
