@@ -15,7 +15,14 @@ import numpy as np
 
 from . import domains, theory
 from .diff import load_params_csv, save_params_csv
-from .errors import BadDimensions, ConfigError, MissingFile, TypeMismatch, UnknownKey
+from .errors import (
+    BadDimensions,
+    ConfigError,
+    EmptySplit,
+    MissingFile,
+    TypeMismatch,
+    UnknownKey,
+)
 from .pipelines import (
     ADAPTERS,
     METHODS,
@@ -142,9 +149,11 @@ def _run_logged(handler, resolved) -> int:
 
     A ConfigError the handler raises (a missing checkpoint or data_in, an
     unknown domain, method or surrogate mode, a checkpoint that does not
-    parse or fit the model) or a BadDimensions (a size out of range, a data
-    file that disagrees with the configured sizes) is written to run.log and
-    returns exit code 2; handlers raise them before writing any output file.
+    parse or fit the model), a BadDimensions (a size out of range, a data
+    file that disagrees with the configured sizes) or an EmptySplit (sizes
+    that leave a train, validation or test split empty) is written to
+    run.log and returns exit code 2; handlers raise them before writing any
+    output file.
     """
     out = resolved["out_dir"]
     os.makedirs(out, exist_ok=True)
@@ -153,7 +162,7 @@ def _run_logged(handler, resolved) -> int:
         log = RunLog(fh)
         try:
             return handler(resolved, out, log)
-        except (ConfigError, BadDimensions) as exc:
+        except (ConfigError, BadDimensions, EmptySplit) as exc:
             log.line(f"config error: {exc}")
             return 2
 

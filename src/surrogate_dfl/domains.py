@@ -9,8 +9,9 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .errors import BadDimensions, DimensionMismatch
+from .errors import BadDimensions, DimensionMismatch, SingularMatrix
 from .optlayer import QuadraticProgram, _kkt_matrix, solve_box_budget_qp, solve_qp
 from .surrogate import simplex_base, box_budget_base
 
@@ -21,7 +22,7 @@ FORWARD_WINDOW = 10
 N_FEATURES = RETURN_LAGS + 2
 COSINE_NORM_FLOOR = 1e-12
 COV_RIDGE = 1e-6
-# simplex_start's ridge, relative to the mean eigenvalue of H.  Of 0.003-0.1,
+# SimplexStart's ridge, relative to the mean eigenvalue of H.  Of 0.003-0.1,
 # 0.01 took the fewest pivots on true-covariance QPs, and 29-40% fewer than
 # no ridge on predicted ones (39.0 against 54.8 per solve at n=100, 20.9
 # against 34.8 at n=50); larger values cost pivots on true-covariance QPs
@@ -206,26 +207,46 @@ def portfolio_qp(p, Q, risk_aversion: float):
     )
 
 
-def simplex_start(qp):
-    """Crash start (x0, working) for solve_qp on a QP built by portfolio_qp.
+class SimplexStart:
+    """Crash starts (x0, working) for solve_qp on QPs built by portfolio_qp
+    with Hessian H, such as every decision of one prediction pass, which
+    share the pass's predicted Q.
 
     u minimizes the objective with H + delta I, delta = START_RIDGE tr(H) / n,
-    over the equality row alone (one KKT solve).  The ridge keeps u near the
-    simplex: a predicted H is a rank-32 cosine matrix plus COV_RIDGE, whose
+    over the equality row alone.  The ridge keeps u near the simplex: a
+    predicted H is a rank-32 cosine matrix plus COV_RIDGE, whose
     unregularized minimizer reaches |u| ~ 6e3 and projects to a one-asset
-    vertex.  x0 is u projected onto the simplex by the sort rule:
-    x0 = max(u - tau, 0) with tau set so that x0 sums to 1.  The working rows
-    are the bounds -x_j <= 0 of x0's zero coordinates.
+    vertex.  The ridge KKT matrix depends on H alone, so it is LU-factored
+    (LAPACK dgetrf) at the first call and each call solves against it.  x0
+    is u projected onto the simplex by the sort rule: x0 = max(u - tau, 0)
+    with tau set so that x0 sums to 1.  The working rows are the bounds
+    -x_j <= 0 of x0's zero coordinates.
     """
-    n = qp.n
-    K = _kkt_matrix(qp.H, qp.Aeq)
-    K[np.arange(n), np.arange(n)] += START_RIDGE * np.trace(qp.H) / n
-    u = np.linalg.solve(K, np.concatenate([-qp.c, qp.beq]))[:n]
-    v = np.sort(u)[::-1]
-    excess = np.cumsum(v) - 1.0
-    rho = np.count_nonzero(v * np.arange(1, n + 1) > excess)  # coordinates left positive
-    x0 = np.maximum(u - excess[rho - 1] / rho, 0.0)
-    return x0, x0 == 0.0
+
+    def __init__(self, H):
+        self.H = H
+        self._lu = None
+
+    def __call__(self, qp):
+        n = qp.n
+        if self._lu is None:
+            K = _kkt_matrix(self.H, np.ones((1, n)))
+            K[np.arange(n), np.arange(n)] += START_RIDGE * np.trace(self.H) / n
+            lu, piv, info = lapack.dgetrf(K, overwrite_a=True)
+            if info > 0:
+                raise SingularMatrix(f"dgetrf: U[{info - 1}, {info - 1}] is exactly zero")
+            self._lu = lu, piv
+        u = lapack.dgetrs(*self._lu, np.concatenate([-qp.c, qp.beq]))[0][:n]
+        v = np.sort(u)[::-1]
+        excess = np.cumsum(v) - 1.0
+        rho = np.count_nonzero(v * np.arange(1, n + 1) > excess)  # coordinates left positive
+        x0 = np.maximum(u - excess[rho - 1] / rho, 0.0)
+        return x0, x0 == 0.0
+
+
+def simplex_start(qp):
+    """SimplexStart of one QP built by portfolio_qp: factors its ridge KKT matrix."""
+    return SimplexStart(qp.H)(qp)
 
 
 def portfolio_oracle_decision(p, Q, risk_aversion: float, max_iter: int = 0) -> np.ndarray:

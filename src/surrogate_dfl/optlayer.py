@@ -245,9 +245,15 @@ def _active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter, working=None):
         elif in_system[j]:
             x_fixed[j] = 0.0
 
-    if working is not None:
-        for r in working.nonzero()[0]:
-            set_working(r, True)
+    if working is not None:  # set_working(r, True) for every seeded row, at once
+        rows = working.nonzero()[0]
+        work[rows] = True
+        in_system[slot[rows[~bound[rows]]]] = True
+        fixes = rows[bound[rows]]
+        n_fixing += np.bincount(col[fixes], minlength=n)
+        in_system[:n] = n_fixing == 0
+        # independent rows fix distinct coordinates
+        x_fixed[col[fixes]] = h[fixes] / s[fixes]
     x = x0.copy()
     stalled = False  # the last step had zero length
     full_step = False  # the last step had alpha = 1 and no blocking row

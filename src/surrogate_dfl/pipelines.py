@@ -6,6 +6,14 @@ validation score.  Two-stage steps on and scores the squared prediction
 error; the end-to-end methods step through the optimization layer and score
 the regret they optimize, as evaluate scores the test split.
 
+A pass (a training epoch, a validation score or one timed test pass of
+evaluate) predicts once: one adapter.predict call over all of its
+instances.  A training epoch then steps per instance and backpropagates
+once, through backprop_models on the pass's theta-gradients summed.  In
+portfolio every theta of a pass holds the same predicted Q and the same
+domains.SimplexStart, so the pass's cold decisions share one factorization
+of the crash start's KKT matrix.
+
 Decision-focused training solves the full problem per instance and chains
 df/dw = df/dx . dx*/dtheta . dtheta/dw through the frozen KKT system.  The
 surrogate regime is that regime composed with x = P y: it solves only the
@@ -230,11 +238,19 @@ class PortfolioAdapter:
         models["mlp"].set_parameters(params[:k])
         models["emb"].set_parameters(params[k:])
 
-    def predict(self, models, inst):
-        p_hat, mlp_cache = mlp_forward_batch(models["mlp"], inst.features)
+    def predict(self, models, instances):
+        """(thetas, cache) of one pass: one MLP forward over every instance's
+        feature rows and one cosine matrix, so every theta holds the same Q
+        and the same SimplexStart, whose factorization its cold decisions share."""
+        p_hat, mlp_cache = mlp_forward_batch(
+            models["mlp"], np.vstack([inst.features for inst in instances])
+        )
         Q_cos, emb_cache = embedding_cosine_matrix(models["emb"])
         Q_hat = Q_cos + domains.COV_RIDGE * np.eye(self.n)
-        return {"p": p_hat[:, 0], "Q": Q_hat}, (mlp_cache, emb_cache)
+        start = domains.SimplexStart(2.0 * self.lam * Q_hat)
+        thetas = [{"p": p, "Q": Q_hat, "start": start}
+                  for p in p_hat[:, 0].reshape(len(instances), self.n)]
+        return thetas, (mlp_cache, emb_cache)
 
     def prediction_loss(self, theta, inst):
         """Squared prediction error of theta and its theta-gradient."""
@@ -244,11 +260,11 @@ class PortfolioAdapter:
 
     def decision_full(self, theta, x0=None):
         """(x, sol, ctx) of the full QP, started at x0 with the bounds of its
-        zero coordinates working, or at domains.simplex_start without x0.
+        zero coordinates working, or at theta's SimplexStart without x0.
         x0, the instance's previous decision, stays feasible: the constraints
         do not depend on theta."""
         qp = domains.portfolio_qp(theta["p"], theta["Q"], self.lam)
-        start = domains.simplex_start(qp) if x0 is None else (x0, x0 == 0.0)
+        start = theta["start"](qp) if x0 is None else (x0, x0 == 0.0)
         sol = solve_qp(qp, max_iter=self.config.qp_max_iter, start=start)
         return sol.y, sol, (qp,)
 
@@ -274,11 +290,15 @@ class PortfolioAdapter:
         H = 2 lam Q give dL/dp = z_x, dL/dQ = -2 lam z_x x^T."""
         return {"p": z_x, "Q": -2.0 * self.lam * np.outer(z_x, x)}
 
-    def backprop_models(self, models, caches, dtheta):
-        """Parameter gradients, in params order, of theta-gradient dtheta."""
-        mlp_cache, emb_cache = caches
-        mlp_grads = mlp_backward_batch(models["mlp"], mlp_cache, dtheta["p"][:, None])
-        return mlp_grads + [embedding_cosine_backward(emb_cache, dtheta["Q"])]
+    def backprop_models(self, models, cache, dthetas):
+        """Parameter gradients, in params order, of the sum over a pass of
+        its instances' theta-gradients dthetas: one backward through the
+        stacked MLP rows and one through the shared Q, of the summed dL/dQ."""
+        mlp_cache, emb_cache = cache
+        dp = np.concatenate([d["p"] for d in dthetas])[:, None]
+        mlp_grads = mlp_backward_batch(models["mlp"], mlp_cache, dp)
+        dQ = sum(d["Q"] for d in dthetas)
+        return mlp_grads + [embedding_cosine_backward(emb_cache, dQ)]
 
     def oracle(self, inst):
         """Objective value of the oracle decision under the true parameters."""
@@ -344,9 +364,13 @@ class MovieRecAdapter:
     def set_params(self, models, params):
         models["mlp"].set_parameters(params)
 
-    def predict(self, models, inst):
-        scores, cache = mlp_forward_batch(models["mlp"], inst.user_features)
-        return scores.T, cache  # (n_movies, n_users)
+    def predict(self, models, instances):
+        """(thetas, cache) of one pass: one MLP forward over every instance's
+        user rows; each theta is (n_movies, n_users)."""
+        scores, cache = mlp_forward_batch(
+            models["mlp"], np.vstack([inst.user_features for inst in instances])
+        )
+        return np.split(scores.T, len(instances), axis=1), cache
 
     def prediction_loss(self, theta, inst):
         """Squared prediction error of theta and its theta-gradient."""
@@ -386,9 +410,10 @@ class MovieRecAdapter:
         _, sel = ctx
         return z_x[:, None] * sel
 
-    def backprop_models(self, models, cache, dtheta):
-        """Parameter gradients, in params order, of theta-gradient dtheta."""
-        return mlp_backward_batch(models["mlp"], cache, dtheta.T)
+    def backprop_models(self, models, cache, dthetas):
+        """Parameter gradients, in params order, of the sum over a pass of
+        its instances' theta-gradients dthetas (one backward)."""
+        return mlp_backward_batch(models["mlp"], cache, np.hstack(dthetas).T)
 
     def oracle(self, inst):
         """Objective value of the rounded oracle decision under the true parameters."""
@@ -443,23 +468,23 @@ def _split(dataset, idx):
     return [dataset.instances[i] for i in idx]
 
 
-def _prediction_step(adapter, models, rep, sp, inst, idx, x0=None):
-    """The two-stage step in _decision_and_grads' signature: (loss, caches,
-    dtheta, None, None) of the squared prediction error."""
-    theta, caches = adapter.predict(models, inst)
+def _prediction_step(adapter, theta, rep, sp, inst, idx, x0=None):
+    """The two-stage step in _decision_and_grads' signature: (loss, dtheta,
+    None, None) of the squared prediction error."""
     loss, dtheta = adapter.prediction_loss(theta, inst)
-    return loss, caches, dtheta, None, None
+    return loss, dtheta, None, None
 
 
 def _prediction_error_on(adapter, models, sp, instances):
-    """Mean squared prediction error on instances; sp is unused."""
-    losses = [adapter.prediction_loss(adapter.predict(models, i)[0], i)[0] for i in instances]
-    return float(np.mean(losses))
+    """Mean squared prediction error on instances, predicted in one pass; sp is unused."""
+    thetas, _ = adapter.predict(models, instances)
+    return float(np.mean([adapter.prediction_loss(theta, inst)[0]
+                          for theta, inst in zip(thetas, instances)]))
 
 
-def _decision_and_grads(adapter, models, rep, sp, inst, idx, x0=None):
-    """One end-to-end forward/backward from start x0: (loss, caches, dtheta, dP_raw, x)."""
-    theta, caches = adapter.predict(models, inst)
+def _decision_and_grads(adapter, theta, rep, sp, inst, idx, x0=None):
+    """One end-to-end decision and its backward pass down to theta, from
+    start x0: (loss, dtheta, dP_raw, x)."""
     dP_raw = None
     try:
         if sp is None:
@@ -476,30 +501,33 @@ def _decision_and_grads(adapter, models, rep, sp, inst, idx, x0=None):
         dtheta = adapter.theta_grads(ctx, z_x, x)
     except (Infeasible, MaxIterations, NumericalBreakdown, SingularKKT, SingularMatrix) as exc:
         raise type(exc)(f"instance {idx}: {exc}") from exc
-    return loss, caches, dtheta, dP_raw, x
+    return loss, dtheta, dP_raw, x
 
 
-def _decide(adapter, theta, sp):
-    """The full decision for theta, or, given sp, the surrogate's lifted x = P y."""
+def _decide_pass(adapter, models, sp, instances):
+    """The decisions of instances, predicted in one pass: full, or given sp
+    the surrogate's lifted x = P y."""
+    thetas, _ = adapter.predict(models, instances)
     if sp is None:
-        return adapter.decision_full(theta)[0]
-    return adapter.decision_surrogate(theta, sp)[1]
+        return [adapter.decision_full(theta)[0] for theta in thetas]
+    return [adapter.decision_surrogate(theta, sp)[1] for theta in thetas]
 
 
 def _regret_on(adapter, models, sp, instances):
     """Mean regret on instances, decided and scored as evaluate does."""
     regrets = []
-    for inst in instances:
-        theta, _ = adapter.predict(models, inst)
-        x = adapter.test_decision(_decide(adapter, theta, sp))
+    for inst, x in zip(instances, _decide_pass(adapter, models, sp, instances)):
+        x = adapter.test_decision(x)
         regrets.append(adapter.oracle(inst) - adapter.objective(x, inst))
     return float(np.mean(regrets))
 
 
 def _train(models, rep, dataset, config, adapter, step, score):
     """Full-batch Adam on step's mean loss with early stopping on score over
-    the validation split; returns the best checkpoint.  P trains when rep is
-    given.  step's x is its next x0."""
+    the validation split; returns the best checkpoint.  Each epoch predicts
+    the training split in one pass, steps once per instance and backpropagates
+    the summed theta-gradients once.  P trains when rep is given.  step's x
+    is its next x0."""
     adapter = adapter or get_adapter(config)
     train_set = _split(dataset, dataset.train_idx)
     val_set = _split(dataset, dataset.val_idx)
@@ -518,19 +546,19 @@ def _train(models, rep, dataset, config, adapter, step, score):
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
         sp = _surrogate_problem(adapter, rep, check_feasible=(epoch == 1))
-        grads = [np.zeros_like(p) for p in params]
+        thetas, cache = adapter.predict(models, train_set)
+        dthetas = []
         p_grad = np.zeros_like(rep.P_raw) if rep is not None else None
         epoch_loss = 0.0
-        for idx, inst in zip(dataset.train_idx, train_set):
-            loss, caches, dtheta, dP_raw, starts[idx] = step(
-                adapter, models, rep, sp, inst, idx, x0=starts.get(idx)
+        for idx, inst, theta in zip(dataset.train_idx, train_set, thetas):
+            loss, dtheta, dP_raw, starts[idx] = step(
+                adapter, theta, rep, sp, inst, idx, x0=starts.get(idx)
             )
             epoch_loss += loss
-            scaled = _scale_theta(dtheta, 1.0 / len(train_set))
-            for g_acc, g in zip(grads, adapter.backprop_models(models, caches, scaled)):
-                g_acc += g
+            dthetas.append(dtheta)
             if dP_raw is not None:
                 p_grad += dP_raw / len(train_set)
+        grads = [g / len(train_set) for g in adapter.backprop_models(models, cache, dthetas)]
         params, state = adam_step(params, grads, state)
         adapter.set_params(models, params)
         if rep is not None:
@@ -563,12 +591,6 @@ def _surrogate_problem(adapter, rep, check_feasible=False):
     if rep is None:
         return None
     return transform_problem(adapter.base, materialize(rep), check_feasible=check_feasible)
-
-
-def _scale_theta(dtheta, scale):
-    if isinstance(dtheta, dict):
-        return {k: v * scale for k, v in dtheta.items()}
-    return dtheta * scale
 
 
 def train_two_stage(models, dataset, config: TrainConfig, adapter=None) -> TrainResult:
@@ -615,7 +637,8 @@ def evaluate(models, rep, dataset, config: TrainConfig, adapter=None) -> EvalRes
 
     The surrogate path (rep given) solves only the m-dimensional problem and
     lifts; the other paths solve the full problem.  Inference seconds are the
-    median over config.timing_repeats runs of the whole test pass.
+    median over config.timing_repeats runs of the whole test pass, each of
+    which predicts the test split in one pass of its own.
     """
     adapter = adapter or get_adapter(config)
     test_set = _split(dataset, dataset.test_idx)
@@ -625,7 +648,7 @@ def evaluate(models, rep, dataset, config: TrainConfig, adapter=None) -> EvalRes
     times = []
     for _ in range(max(1, config.timing_repeats)):
         t0 = time.perf_counter()
-        decisions = [_decide(adapter, adapter.predict(models, inst)[0], sp) for inst in test_set]
+        decisions = _decide_pass(adapter, models, sp, test_set)
         times.append(time.perf_counter() - t0)
     regrets = []
     max_violation = 0.0

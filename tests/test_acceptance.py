@@ -99,13 +99,14 @@ def test_criterion_1_gradient_correctness():
 
     def loss_w(flat):
         adapter.set_params(models, unflatten(flat))
-        theta, _ = adapter.predict(models, inst)
+        theta = adapter.predict(models, [inst])[0][0]
         _, x, _, _, _ = adapter.decision_surrogate(theta, sp)
         return adapter.loss_grad_x(x, inst)[0]
 
     adapter.set_params(models, unflatten(flat0))
-    _, caches, dtheta, dP_raw, _ = _decision_and_grads(adapter, models, rep, sp, inst, 0)
-    grads = adapter.backprop_models(models, caches, dtheta)
+    thetas, cache = adapter.predict(models, [inst])
+    _, dtheta, dP_raw, _ = _decision_and_grads(adapter, thetas[0], rep, sp, inst, 0)
+    grads = adapter.backprop_models(models, cache, [dtheta])
     an_w = np.concatenate([g.ravel() for g in grads])
     fd_w = finite_diff_grad(loss_w, flat0, h=1e-5)
     err_w = float(np.max(np.abs(fd_w - an_w) / np.maximum(1.0, np.abs(an_w))))
@@ -117,7 +118,7 @@ def test_criterion_1_gradient_correctness():
         rep2 = surrogate.Reparameterization(P_raw=flat.reshape(4, 2), mode="free", n=4, m=2)
         sp2 = surrogate.transform_problem(
             adapter.base, surrogate.materialize(rep2), check_feasible=False)
-        theta, _ = adapter.predict(models, inst)
+        theta = adapter.predict(models, [inst])[0][0]
         _, x, _, _, _ = adapter.decision_surrogate(theta, sp2)
         return adapter.loss_grad_x(x, inst)[0]
 

@@ -352,3 +352,15 @@ def test_size_errors_exit_2(tmp_path):
                  "--set", "n_securities=8", "--set", f"data_in={csv_path}"]) == 1
     report = (out / "report.csv").read_text()
     assert report.count("error: BadDimensions: ") == 6
+
+
+def test_empty_split_exits_2(tmp_path):
+    # one group of users splits 70/10/20 into no training or validation
+    # instance: exit 2 with the reason in run.log, not a traceback
+    out = tmp_path / "e"
+    assert main(["train", "--domain", "movierec", "--out", str(out),
+                 "--set", "n_groups=1", "--set", "n_movies=10",
+                 "--set", "users_per_group=3"]) == 2
+    assert "training needs nonempty train and validation splits" in (
+        out / "run.log").read_text()
+    assert not (out / "checkpoint.csv").exists()

@@ -341,6 +341,26 @@ def test_simplex_start_is_the_projected_equality_minimizer(qp):
     assert np.max(np.abs(x0 - solve_qp(projection).y)) <= 1e-12 * (1.0 + np.abs(u).max())
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), dim=st.integers(1, 32), count=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_shared_simplex_start_matches_simplex_start(n, dim, count, seed):
+    # the QPs of one prediction pass share H = 2 lam Q, Q a cosine matrix of
+    # random embeddings plus COV_RIDGE as PortfolioAdapter.predict builds it;
+    # one SimplexStart, factored once, serves each as simplex_start does
+    rng = np.random.default_rng(seed)
+    Q = domains.cosine_similarity_matrix(rng.normal(size=(n, dim)))
+    Q += domains.COV_RIDGE * np.eye(n)
+    risk = rng.uniform(0.1, 5.0)
+    shared = domains.SimplexStart(2.0 * risk * Q)
+    for _ in range(count):
+        qp = domains.portfolio_qp(rng.normal(0.0, 0.05, n), Q, risk)
+        x0, working = shared(qp)
+        x0_alone, working_alone = domains.simplex_start(qp)
+        assert np.max(np.abs(x0 - x0_alone)) <= 1e-12
+        assert np.array_equal(working, working_alone)
+
+
 def unregularized_simplex_start(qp):
     """simplex_start as first written: the projection of the minimizer of
     the objective itself over the equality row."""

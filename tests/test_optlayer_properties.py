@@ -123,17 +123,23 @@ def gram_schmidt_filter(Aeq, rows):
     return np.array(keep, dtype=int)
 
 
-def reference_active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter, solve):
+def reference_active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter, solve, working=None):
     """The pivot loop as it was before the gathered systems, with the same
     pivot rules (the most negative multiplier leaves the working set, the
     lowest-index negative one after a zero-length step): rows are classified
-    as they enter the working set, and every pivot builds its system anew,
-    fixing the bound rows' coordinates through _solve_fixing_bounds.
-    solve(H, A, rhs) solves [[H, A^T], [A, 0]] z = rhs.  Starts from an empty
-    working set.  Returns (x, nu, lam) with lam zero off the working set."""
+    as they enter the working set, one at a time, and every pivot builds its
+    system anew, fixing the bound rows' coordinates through
+    _solve_fixing_bounds.  solve(H, A, rhs) solves [[H, A^T], [A, 0]] z = rhs.
+    Starts from the working rows of the boolean mask working (none when None).
+    Returns (x, nu, lam) with lam zero off the working set."""
     x = x0.copy()
     work = []
     bound = {}
+    for r in [] if working is None else np.flatnonzero(working):
+        work.append(int(r))
+        nonzero = np.flatnonzero(G[r])
+        if nonzero.size == 1:
+            bound[int(r)] = int(nonzero[0])
     stalled = False
     n, me, mi = x.shape[0], Aeq.shape[0], G.shape[0]
     for _ in range(max_iter):
@@ -225,9 +231,10 @@ def simplex_portfolio_qp(seed, n, n_bounds, n_general, degenerate):
     return domains.portfolio_qp(rng.normal(0.0, 0.5, n), Q, rng.uniform(0.1, 5.0)), None
 
 
-def assert_pivots_match_reference(qp):
-    """solve_qp, phase one included, once with the production loop and once
-    with the reference loop: the same pivots and the same primal-dual answer.
+def assert_pivots_match_reference(qp, start=None):
+    """solve_qp from start (phase one without one), once with the production
+    loop and once with the reference loop: the same pivots and the same
+    primal-dual answer.
 
     The reference solves one working-set system per iteration.  After a full
     step (alpha = 1, no blocking row) its working set is unchanged, so its
@@ -254,7 +261,7 @@ def assert_pivots_match_reference(qp):
 
     def reference_loop(*args):
         first = len(ref_systems)
-        out = reference_active_set_loop(*args[:8], reference_solve)
+        out = reference_active_set_loop(*args[:8], reference_solve, *args[8:])
         ref_iterations.append(len(ref_systems) - first)
         return out
 
@@ -263,10 +270,10 @@ def assert_pivots_match_reference(qp):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optlayer, "_equality_solve", recorded)
-        sol = solve_qp(qp)
+        sol = solve_qp(qp, start=start)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optlayer, "_active_set_loop", reference_loop)
-        ref = solve_qp(qp)
+        ref = solve_qp(qp, start=start)
 
     assert not any(same(a, b) for a, b in zip(systems, systems[1:]))
     ref_systems = ref_systems[:1] + [
@@ -282,8 +289,8 @@ def assert_pivots_match_reference(qp):
     k = max(ref_iterations)
     if k > 1:  # max_iter = 0 means the default cap
         with pytest.raises(MaxIterations):
-            solve_qp(qp, max_iter=k - 1)
-    assert np.array_equal(solve_qp(qp, max_iter=k).y, sol.y)
+            solve_qp(qp, max_iter=k - 1, start=start)
+    assert np.array_equal(solve_qp(qp, max_iter=k, start=start).y, sol.y)
 
 
 @settings(SETTINGS, max_examples=300)  # a pivot rule slip shows in ~5% of draws
@@ -298,6 +305,29 @@ def test_gathered_pivots_match_reference_loop(
     if build is simplex_portfolio_qp:
         n = n_portfolio
     assert_pivots_match_reference(build(seed, n, n_bounds, n_general, degenerate)[0])
+
+
+@settings(SETTINGS, max_examples=150)
+@given(
+    **qp_args,
+    build=st.sampled_from([mixed_qp, twin_bound_qp, simplex_portfolio_qp]),
+    n_portfolio=st.integers(2, 30),
+    t=st.floats(0.05, 0.95),
+)
+def test_seeded_pivots_match_reference_loop(
+    seed, n, n_bounds, n_general, degenerate, build, n_portfolio, t
+):
+    # the working set a start seeds all at once gives the systems the
+    # reference builds by adding its rows one at a time
+    if build is simplex_portfolio_qp:
+        n = n_portfolio
+    qp, x_feas = build(seed, n, n_bounds, n_general, degenerate)
+    _, starts = started_solves(qp, x_feas, t, seed)
+    if build is simplex_portfolio_qp:
+        starts.append(("simplex", domains.simplex_start(qp), False))
+    for _, start, runs_phase_one in starts:
+        if not runs_phase_one:
+            assert_pivots_match_reference(qp, start)
 
 
 def started_solves(qp, x_feas, t, seed):

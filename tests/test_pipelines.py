@@ -1,10 +1,11 @@
 import csv
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from surrogate_dfl import domains, surrogate
+from surrogate_dfl import domains, pipelines, surrogate
 from surrogate_dfl.diff import finite_diff_grad
 from surrogate_dfl.errors import EmptySplit, MaxIterations
 from surrogate_dfl.optlayer import STRICT_COMPLEMENTARITY_TOL
@@ -107,8 +108,10 @@ def test_perfect_predictor_regret_near_zero():
     dataset = adapter.generate(2)
     models = adapter.init_models(3)
 
-    def truth(models, inst):
-        return {"p": inst.true_returns, "Q": inst.true_covariance}, None
+    def truth(models, instances):
+        return [{"p": inst.true_returns, "Q": inst.true_covariance,
+                 "start": domains.SimplexStart(2.0 * adapter.lam * inst.true_covariance)}
+                for inst in instances], None
 
     adapter.predict = truth
     result = evaluate(models, None, dataset, cfg, adapter)
@@ -134,13 +137,14 @@ def test_decision_focused_gradient_matches_fd():
 
     def loss_of(flat):
         adapter.set_params(models, unflatten(flat))
-        theta, _ = adapter.predict(models, inst)
+        theta = adapter.predict(models, [inst])[0][0]
         x, _, _ = adapter.decision_full(theta)
         return adapter.loss_grad_x(x, inst)[0]
 
     adapter.set_params(models, unflatten(flat0))
-    _, caches, dtheta, _, _ = _decision_and_grads(adapter, models, None, None, inst, 0)
-    grads = adapter.backprop_models(models, caches, dtheta)
+    thetas, cache = adapter.predict(models, [inst])
+    _, dtheta, _, _ = _decision_and_grads(adapter, thetas[0], None, None, inst, 0)
+    grads = adapter.backprop_models(models, cache, [dtheta])
     an = np.concatenate([g.ravel() for g in grads])
     fd = finite_diff_grad(loss_of, flat0, h=1e-5)
     assert np.max(np.abs(fd - an) / np.maximum(1.0, np.abs(an))) <= 1e-3
@@ -171,13 +175,14 @@ def test_surrogate_joint_gradient_matches_fd():
 
     def loss_of_w(flat):
         adapter.set_params(models, unflatten(flat))
-        theta, _ = adapter.predict(models, inst)
+        theta = adapter.predict(models, [inst])[0][0]
         _, x, _, _, _ = adapter.decision_surrogate(theta, sp)
         return adapter.loss_grad_x(x, inst)[0]
 
     adapter.set_params(models, unflatten(flat0))
-    _, caches, dtheta, dP_raw, _ = _decision_and_grads(adapter, models, rep, sp, inst, 0)
-    grads = adapter.backprop_models(models, caches, dtheta)
+    thetas, cache = adapter.predict(models, [inst])
+    _, dtheta, dP_raw, _ = _decision_and_grads(adapter, thetas[0], rep, sp, inst, 0)
+    grads = adapter.backprop_models(models, cache, [dtheta])
     an_w = np.concatenate([g.ravel() for g in grads])
     fd_w = finite_diff_grad(loss_of_w, flat0, h=1e-5)
     assert np.max(np.abs(fd_w - an_w) / np.maximum(1.0, np.abs(an_w))) <= 1e-3
@@ -190,7 +195,7 @@ def test_surrogate_joint_gradient_matches_fd():
         )
         P2 = surrogate.materialize(rep2)
         sp2 = surrogate.transform_problem(adapter.base, P2, check_feasible=False)
-        theta, _ = adapter.predict(models, inst)
+        theta = adapter.predict(models, [inst])[0][0]
         _, x, _, _, _ = adapter.decision_surrogate(theta, sp2)
         return adapter.loss_grad_x(x, inst)[0]
 
@@ -216,7 +221,7 @@ def _weight_grads(adapter, models, inst, rep, h):
             out.append(flat[off : off + p.size].reshape(p.shape))
             off += p.size
         adapter.set_params(models, out)
-        theta, _ = adapter.predict(models, inst)
+        theta = adapter.predict(models, [inst])[0][0]
         if sp is None:
             x, sol, ctx = adapter.decision_full(theta)
         else:
@@ -228,8 +233,9 @@ def _weight_grads(adapter, models, inst, rep, h):
     loss_of(flat0)
     fd = finite_diff_grad(loss_of, flat0, h=h)
     adapter.set_params(models, params0)
-    _, caches, dtheta, _, _ = _decision_and_grads(adapter, models, rep, sp, inst, 0)
-    an = np.concatenate([g.ravel() for g in adapter.backprop_models(models, caches, dtheta)])
+    thetas, cache = adapter.predict(models, [inst])
+    _, dtheta, _, _ = _decision_and_grads(adapter, thetas[0], rep, sp, inst, 0)
+    an = np.concatenate([g.ravel() for g in adapter.backprop_models(models, cache, [dtheta])])
     return fd, an, branches
 
 
@@ -377,7 +383,121 @@ def test_two_stage_validation_runs_no_backward_pass():
     adapter.backprop_models = counted
     result = train_two_stage(models, dataset, cfg, adapter)
     assert result.epochs_run > 0 and len(dataset.val_idx) > 0
-    assert len(calls) == result.epochs_run * len(dataset.train_idx)
+    assert len(calls) == result.epochs_run  # one per epoch, none in validation
+
+
+def _pass_cases():
+    """(adapter, models, instances) of one training split per domain."""
+    for base_cfg in (SMALL_PORTFOLIO, SMALL_MOVIE):
+        cfg = TrainConfig(**base_cfg)
+        adapter = get_adapter(cfg)
+        dataset = adapter.generate(subseed(4, 0))
+        models = adapter.init_models(subseed(4, 1))
+        yield adapter, models, [dataset.instances[i] for i in dataset.train_idx]
+
+
+def _theta_arrays(theta):
+    return [theta["p"], theta["Q"]] if isinstance(theta, dict) else [theta]
+
+
+def test_batched_predict_matches_predicting_alone():
+    for adapter, models, instances in _pass_cases():
+        thetas, _ = adapter.predict(models, instances)
+        assert len(thetas) == len(instances)
+        for inst, theta in zip(instances, thetas):
+            alone = adapter.predict(models, [inst])[0][0]
+            for got, want in zip(_theta_arrays(theta), _theta_arrays(alone)):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_one_backprop_of_a_pass_sums_the_instance_backprops():
+    rng = np.random.default_rng(5)
+    for adapter, models, instances in _pass_cases():
+        thetas, cache = adapter.predict(models, instances)
+        dthetas = []
+        for theta in thetas:
+            if isinstance(theta, dict):
+                dthetas.append({k: rng.normal(size=theta[k].shape) for k in ("p", "Q")})
+            else:
+                dthetas.append(rng.normal(size=theta.shape))
+        batched = adapter.backprop_models(models, cache, dthetas)
+        summed = [np.zeros_like(p) for p in adapter.params(models)]
+        for inst, dtheta in zip(instances, dthetas):
+            _, alone = adapter.predict(models, [inst])
+            for acc, g in zip(summed, adapter.backprop_models(models, alone, [dtheta])):
+                acc += g
+        for got, want in zip(batched, summed):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def _counting(monkeypatch, owner, name, counts):
+    """Rebinds owner.name to a wrapper that appends its arguments to counts[name]."""
+    original = getattr(owner, name)
+    counts[name] = []
+
+    def counted(*args, **kwargs):
+        counts[name].append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_passes_predict_once_and_step_per_instance(monkeypatch):
+    # the call pattern the benchmark samples machine speed by: one step per
+    # training instance and epoch, one _regret_on per validation pass, one
+    # decision per test instance in each of evaluate's timed passes, and one
+    # batched predict per pass
+    cfg = TrainConfig(**SMALL_PORTFOLIO, timing_repeats=3)
+    counts = {}
+    _counting(monkeypatch, pipelines, "_decision_and_grads", counts)
+    _counting(monkeypatch, pipelines, "_regret_on", counts)
+    _counting(monkeypatch, pipelines.PortfolioAdapter, "predict", counts)
+    _counting(monkeypatch, pipelines.PortfolioAdapter, "decision_full", counts)
+    _counting(monkeypatch, pipelines.PortfolioAdapter, "decision_surrogate", counts)
+    for method in ("decision-focused", "surrogate"):
+        adapter = get_adapter(cfg)
+        dataset = adapter.generate(subseed(0, 0))
+        models, rep = init_method(cfg, adapter, method, 0)
+        result = train_method(models, rep, dataset, cfg, adapter, method)
+        epochs = result.epochs_run
+        assert epochs > 1
+        assert len(counts["_decision_and_grads"]) == epochs * len(dataset.train_idx)
+        assert len(counts["_regret_on"]) == epochs
+        assert len(counts["predict"]) == 2 * epochs  # one training, one validation pass
+        for name in counts:
+            counts[name].clear()
+        ev = evaluate(models, rep, dataset, cfg, adapter)
+        decide = "decision_full" if rep is None else "decision_surrogate"
+        assert len(counts[decide]) == 3 * len(ev.regrets)
+        assert len(counts["predict"]) == 3
+        assert all(len(args[2]) == len(dataset.test_idx) for args in counts["predict"])
+        for name in counts:
+            counts[name].clear()
+
+
+def test_cold_decisions_of_a_pass_share_one_crash_factorization(monkeypatch):
+    # decision-focused portfolio: the first epoch's decisions, each
+    # validation pass's and each timed test pass's are cold and factor the
+    # crash start's KKT matrix once per pass; later epochs start warm
+    cfg = TrainConfig(**SMALL_PORTFOLIO, timing_repeats=3)
+    adapter = get_adapter(cfg)
+    dataset = adapter.generate(subseed(0, 0))
+    models = adapter.init_models(subseed(0, 1))
+    for inst in dataset.instances:  # the oracle's own starts factor per call
+        adapter.oracle(inst)
+    factorizations = []
+    lapack = domains.lapack
+    monkeypatch.setattr(domains, "lapack", SimpleNamespace(
+        dgetrf=lambda *a, **k: factorizations.append(1) or lapack.dgetrf(*a, **k),
+        dgetrs=lapack.dgetrs,
+    ))
+    result = train_decision_focused(models, dataset, cfg, adapter)
+    assert result.epochs_run > 1
+    assert len(factorizations) == 1 + result.epochs_run
+    factorizations.clear()
+    evaluate(models, None, dataset, cfg, adapter)
+    assert len(factorizations) == 3
 
 
 def test_evaluate_feasibility_and_regret_floor():
@@ -470,7 +590,7 @@ def test_decision_and_grads_names_the_instance():
     models = adapter.init_models(subseed(0, 1))
     inst = dataset.instances[0]
     with pytest.raises(MaxIterations, match=r"^instance 7: active-set pivot cap 1"):
-        _decision_and_grads(adapter, models, None, None, inst, 7)
+        _decision_and_grads(adapter, adapter.predict(models, [inst])[0][0], None, None, inst, 7)
 
 
 def test_run_experiment_parallel_matches_serial():
