@@ -64,8 +64,13 @@ def mlp_forward_batch(model: MlpModel, features):
     activations = [X]
     L = len(model.weights)
     for l, (W, b) in enumerate(zip(model.weights, model.biases)):
-        Z = activations[-1] @ W.T + b
-        activations.append(np.tanh(Z) if l < L - 1 else Z)
+        # in place: a pass stacks thousands of rows, and every temporary is
+        # a multi-megabyte allocation
+        Z = activations[-1] @ W.T
+        Z += b
+        if l < L - 1:
+            np.tanh(Z, out=Z)
+        activations.append(Z)
     return activations[-1], activations
 
 
@@ -86,8 +91,12 @@ def mlp_backward_batch(model: MlpModel, cache, dL_doutput):
         dW[l] = delta.T @ cache[l]
         db[l] = delta.sum(axis=0)
         if l > 0:
-            # cache[l] = tanh(z_l) on hidden layers, so tanh' = 1 - a^2
-            delta = (delta @ model.weights[l]) * (1.0 - cache[l] ** 2)
+            # cache[l] = tanh(z_l) on hidden layers, so tanh' = 1 - a^2,
+            # formed in place as in mlp_forward_batch
+            d = cache[l] * cache[l]
+            np.subtract(1.0, d, out=d)
+            delta = delta @ model.weights[l]
+            delta *= d
     grads = []
     for l in range(L):
         grads.append(dW[l])

@@ -8,7 +8,8 @@ linearized with the active set frozen, and only by vector-Jacobian products:
 kkt_adjoint solves the adjoint of that system once, with the loss gradient
 as right-hand side, and the solution serves every parameter; kkt_jacobian_P
 turns it into dL/dP for a reparameterized QP with two outer products (the
-backward pass of OptNet, Amos & Kolter 2017, sec. 3).
+backward pass of OptNet, Amos & Kolter 2017, sec. 3).  The frozen set is the
+solvers' own strongly active rows, unfiltered (see kkt_adjoint's contract).
 
 Simple-bound rows (one nonzero, s x_j <= h) stay out of every factorization.
 A bound in the working set or the frozen active set fixes its coordinate;
@@ -174,11 +175,14 @@ def _solve_fixing_bounds(H, A, cols, s, r, b, f, solve):
     The bound rows fix x[cols] = f / s.  solve(H_FF, A_F, [r'; b']) returns
     [x_F; mu] for what is left over the free coordinates F, and lam_i is read
     back from the stationarity row of coordinate cols_i.  Right-hand sides
-    are vectors or matrices of stacked columns.
+    are vectors or matrices of stacked columns.  Independent bound rows fix
+    distinct coordinates (kkt_adjoint's contract); two on one raise SingularKKT.
     """
     free = np.ones(H.shape[0], dtype=bool)
     free[cols] = False
     free = np.flatnonzero(free)
+    if free.size + len(cols) > H.shape[0]:
+        raise SingularKKT("two bound rows fix one coordinate")
     x = np.zeros((H.shape[0],) + r.shape[1:])
     x[cols] = (f.T / s).T
     # x is still zero off the bounds, so H x and A x carry only their terms
@@ -422,83 +426,40 @@ def find_feasible_point(Aeq, beq, Gineq, hineq, n, max_iter: int = 0) -> np.ndar
     return _phase_one(Aeq, beq, G, h, n, max_iter)
 
 
-def _independent_row_filter(Aeq, rows):
-    """Positions of `rows` that stay linearly independent given Aeq.
-
-    Degenerate optima (e.g. a budget row implied by tight bounds) would make
-    the frozen KKT matrix singular; keeping a maximal independent prefix
-    picks one differentiability branch.  In order, a row of Aeq is kept when
-    its residual against the rows kept before it exceeds 1e-12, a row of
-    `rows` when it exceeds 1e-10 max(1, |row|).  Householder QR gives those
-    residuals as |R_kk| only up to the first dependent column (its reflector
-    is built from round-off and would hide later columns), so the columns
-    after a dependent one are projected off the kept basis and re-factored.
-    """
-    me = Aeq.shape[0]
-    cols = np.vstack([Aeq, rows]).T
-    tol = np.full(cols.shape[1], 1e-12)
-    tol[me:] = 1e-10 * np.maximum(1.0, np.linalg.norm(rows, axis=1))
-    kept = []
-    start = 0  # columns before start are settled
-    while start < cols.shape[1]:
-        qr, tau, _, _ = lapack.dgeqrf(cols[:, start:])
-        independent = np.abs(qr.diagonal()) > tol[start : start + min(qr.shape)]
-        stop = int(independent.argmin())  # the first dependent column, if any
-        if independent[stop]:
-            # any columns left are past the diagonal: the kept ones span the space
-            kept.extend(range(start, start + independent.size))
-            break
-        kept.extend(range(start, start + stop))
-        start += stop + 1
-        if stop and start < cols.shape[1]:
-            basis = lapack.dorgqr(qr[:, :stop], tau[:stop])[0]
-            for _ in range(2):  # two passes for stability
-                cols[:, start:] -= basis @ (basis.T @ cols[:, start:])
-    return np.array([k - me for k in kept if k >= me], dtype=int)
-
-
-def _frozen_active(qp: QuadraticProgram, sol: PrimalDualSolution):
-    """Strongly active rows (lam > STRICT_COMPLEMENTARITY_TOL), in index
-    order, kept by _independent_row_filter."""
-    act = np.nonzero(sol.lam > STRICT_COMPLEMENTARITY_TOL)[0]
-    if len(act):
-        act = act[_independent_row_filter(qp.Aeq, qp.Gineq[act])]
-    return act
-
-
 def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
     """Adjoint of the KKT system frozen at sol's active set act: solves
     [[H, Aeq^T, Ga^T], [Aeq, 0, 0], [Ga, 0, 0]] [z_y; z_nu; z_lam] = [dL_dy; 0; 0]
-    with Ga = G[act], and returns (z_y, z_nu, z_lam, act).
+    with Ga = G[act], and returns (z_y, z_nu, z_lam, act); act is the
+    strongly active rows, lam > STRICT_COMPLEMENTARITY_TOL, in index order.
 
     For any perturbation (dH, dc, dAeq, dbeq, dG, dh) of the QP data, the
     loss moves by dL = z_y . (-dH y - dc - dAeq^T nu - dG_a^T lam_a)
     + z_nu . (dbeq - dAeq y) + z_lam . (dh_a - dG_a y), with (y, nu, lam)
     from sol and _a the rows act.  With c = -theta, z_y for dL_dy = e_j is
     row j of dy*/dtheta.  The structured chain rules of the training
-    pipelines consume z_y, and kkt_jacobian_P the whole output.  The
-    simple-bound rows of Ga are eliminated (_solve_fixing_bounds); without
-    any this is one symmetric solve of the full matrix.  Raises SingularKKT
-    when the frozen system is singular.
+    pipelines consume z_y, and kkt_jacobian_P the whole output.
+
+    sol must come from solve_qp or solve_box_budget_qp, whose strongly active
+    rows are linearly independent of each other and of Aeq: solve_qp's
+    multipliers vanish off its working set, which the pivots keep
+    independent, and the closed form never has the budget row beside a bound
+    on every coordinate (mu then sits on a breakpoint whose lam is 0).  The
+    bound rows of Ga are eliminated (_solve_fixing_bounds) and the rest takes
+    one solve_symmetric call; a dependent set raises SingularKKT there.
     """
-    act = _frozen_active(qp, sol)
-    n, me = qp.n, qp.Aeq.shape[0]
+    act = np.nonzero(sol.lam > STRICT_COMPLEMENTARITY_TOL)[0]
     Ga = qp.Gineq[act]
-    rhs = np.zeros(n + me + len(act))
-    rhs[:n] = dL_dy
     is_bound = np.count_nonzero(Ga, axis=1) == 1
-    if is_bound.any():
-        general = np.concatenate([np.ones(me, dtype=bool), ~is_bound])
-        Gb = Ga[is_bound]
-        cols = np.argmax(Gb != 0, axis=1)
-        z = np.empty_like(rhs)
-        z[:n], z[n:][general], z[n + me :][is_bound] = _solve_fixing_bounds(
-            qp.H, np.vstack([qp.Aeq, Ga[~is_bound]]), cols, Gb[np.arange(len(cols)), cols],
-            rhs[:n], rhs[n:][general], rhs[n + me :][is_bound], _symmetric_kkt_solve,
-        )
-    else:
-        z = _symmetric_kkt_solve(qp.H, np.vstack([qp.Aeq, Ga]), rhs)
-    return z[:n], z[n : n + me], z[n + me :], act
+    A, Gb = np.vstack([qp.Aeq, Ga[~is_bound]]), Ga[is_bound]
+    cols = np.argmax(Gb != 0, axis=1)
+    z_y, z_eq, z_b = _solve_fixing_bounds(
+        qp.H, A, cols, Gb[np.arange(len(cols)), cols], dL_dy, np.zeros(len(A)),
+        np.zeros(len(cols)), _symmetric_kkt_solve,
+    )
+    me = qp.Aeq.shape[0]
+    z_lam = np.empty(len(act))
+    z_lam[~is_bound], z_lam[is_bound] = z_eq[me:], z_b
+    return z_y, z_eq[:me], z_lam, act
 
 
 def kkt_jacobian_P(qp_of_P, sol: PrimalDualSolution, adjoint) -> np.ndarray:
@@ -535,7 +496,6 @@ def solve_box_budget_qp(c_lin, gamma: float, k: float) -> PrimalDualSolution:
     c = as_vector(c_lin)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    n = c.shape[0]
     two_g = 2.0 * gamma
 
     def total(mu):

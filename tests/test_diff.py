@@ -59,6 +59,36 @@ def test_mlp_matches_independent_evaluation():
         assert np.allclose(row, expected, atol=1e-14)
 
 
+def test_mlp_in_place_passes_match_plain_formulas():
+    # the passes form their temporaries in place; the plain expressions are
+    # the reference, bitwise, and the inputs, cotangent and cache stay as given
+    rng = np.random.default_rng(5)
+    for widths, rows in (((7, 100, 100, 1), 420), ((4, 16, 3), 9)):
+        model = init_mlp(widths, seed=1)
+        model.biases = [rng.normal(size=b.shape) for b in model.biases]
+        X = rng.normal(size=(rows, widths[0]))
+        G = rng.normal(size=(rows, widths[-1]))
+        acts = [X]
+        for l, (W, b) in enumerate(zip(model.weights, model.biases)):
+            Z = acts[-1] @ W.T + b
+            acts.append(np.tanh(Z) if l < len(widths) - 2 else Z)
+        want, delta = [], G
+        for l in range(len(widths) - 2, -1, -1):
+            want[:0] = [delta.T @ acts[l], delta.sum(axis=0)]
+            if l > 0:
+                delta = (delta @ model.weights[l]) * (1.0 - acts[l] ** 2)
+
+        X0, G0 = X.copy(), G.copy()
+        out, cache = mlp_forward_batch(model, X)
+        cache0 = [a.copy() for a in cache]
+        got = mlp_backward_batch(model, cache, G)
+        assert np.array_equal(out, acts[-1])
+        assert all(np.array_equal(a, b) for a, b in zip(cache, acts))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert np.array_equal(X, X0) and np.array_equal(G, G0)
+        assert all(np.array_equal(a, b) for a, b in zip(cache, cache0))
+
+
 def test_mlp_dimension_mismatch():
     model = init_mlp([2, 3, 1], seed=0)
     with pytest.raises(DimensionMismatch):

@@ -2,9 +2,11 @@
 
 Each dense reference below is the plain formulation the solver used before
 simple-bound rows were taken out of its linear algebra: full working-set KKT
-solves in the pivot loop, a Gram-Schmidt row filter, and one dense solve of
-the whole frozen KKT matrix.  reference_active_set_loop is the pivot loop
-before it gathered its systems from one assembled matrix.
+solves in the pivot loop and one dense solve of the whole frozen KKT matrix.
+reference_active_set_loop is the pivot loop before it gathered its systems
+from one assembled matrix.  gram_schmidt_filter is the reference for linear
+independence: kkt_adjoint freezes the strongly active rows unfiltered, so
+the solvers must return them independent, and a dependent set must raise.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surrogate_dfl import domains, optlayer
-from surrogate_dfl.errors import MaxIterations, NumericalBreakdown
+from surrogate_dfl.errors import MaxIterations, NumericalBreakdown, SingularKKT
 from surrogate_dfl.optlayer import (
     PrimalDualSolution,
     QuadraticProgram,
@@ -390,7 +392,7 @@ def test_started_solve_matches_cold(seed, n, n_bounds, n_general, degenerate, bu
     if build is simplex_portfolio_qp:
         starts.append(("simplex", domains.simplex_start(qp), False))
     active = cold.active_set
-    unique = len(optlayer._independent_row_filter(qp.Aeq, qp.Gineq[active])) == len(active)
+    unique = len(gram_schmidt_filter(qp.Aeq, qp.Gineq[active])) == len(active)
     fields = ("y", "nu", "lam") if unique else ("y",)
     phase_one, equality_solve = optlayer._phase_one, optlayer._equality_solve
     for name, start, runs_phase_one in starts:
@@ -443,19 +445,21 @@ def test_degenerate_draws_solve_under_the_drop_rule():
 @SETTINGS
 @given(**qp_args, drop=st.integers(0, 5))
 def test_adjoint_matches_dense_frozen_kkt(seed, n, n_bounds, n_general, degenerate, drop):
-    # multipliers are drawn, not solved for: every row with lam > 0 is frozen,
-    # so dependent rows reach the filter wherever they sit in index order
+    # multipliers are drawn, not solved for, on the rows gram_schmidt_filter
+    # keeps (every other row gets 0): kkt_adjoint freezes every row with
+    # lam > 0, so the dependent rows of degenerate draws must not reach it
     qp, _ = mixed_qp(seed, n, n_bounds, n_general, degenerate)
     rng = np.random.default_rng(seed + 1)
     lam = rng.uniform(0.1, 1.0, qp.Gineq.shape[0])
     lam[rng.permutation(len(lam))[:drop]] = 0.0
+    strong = np.nonzero(lam > optlayer.STRICT_COMPLEMENTARITY_TOL)[0]
+    act_ref = strong[gram_schmidt_filter(qp.Aeq, qp.Gineq[strong])]
+    lam[np.setdiff1d(strong, act_ref)] = 0.0
     sol = PrimalDualSolution(y=rng.normal(size=n), nu=rng.normal(size=1), lam=lam,
                              active_set=np.nonzero(lam)[0], kkt_residual=0.0)
     w = rng.normal(size=n)
     z_y, z_nu, z_lam, act = kkt_adjoint(qp, sol, w)
 
-    strong = np.nonzero(lam > optlayer.STRICT_COMPLEMENTARITY_TOL)[0]
-    act_ref = strong[gram_schmidt_filter(qp.Aeq, qp.Gineq[strong])]
     assert np.array_equal(act, act_ref)
     A = np.vstack([qp.Aeq, qp.Gineq[act_ref]])
     k = A.shape[0]
@@ -467,38 +471,76 @@ def test_adjoint_matches_dense_frozen_kkt(seed, n, n_bounds, n_general, degenera
     assert np.max(np.abs(z_lam - z[n + 1 :]), initial=0.0) <= 1e-9 * scale
 
 
-@SETTINGS
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(2, 8),
-    n_rows=st.integers(1, 12),
-    n_dependent=st.integers(0, 4),
-    with_eq=st.booleans(),
-)
-def test_row_filter_matches_gram_schmidt(seed, n, n_rows, n_dependent, with_eq):
-    # unit rows, random rows and combinations of earlier rows, in mixed order
+def box_budget_draw(seed, n, k_over, half_k, ties):
+    """(c, gamma, k) for solve_box_budget_qp: k runs past n, and ties put
+    several coordinates on one breakpoint."""
     rng = np.random.default_rng(seed)
-    Aeq = rng.normal(size=(1, n)) if with_eq else np.zeros((0, n))
-    rows = []
-    for _ in range(n_rows):
-        if rng.uniform() < 0.5:
-            rows.append(np.eye(n)[rng.integers(n)] * rng.choice([-1.0, 1.0]))
-        else:
-            rows.append(rng.normal(size=n))
-    for _ in range(n_dependent):
-        pool = np.vstack([Aeq] + rows)
-        combo = rng.normal(size=len(pool)) * (rng.uniform(size=len(pool)) < 0.5)
-        rows.insert(int(rng.integers(len(rows) + 1)), combo @ pool)
-    rows = np.vstack(rows)
-    assert np.array_equal(
-        optlayer._independent_row_filter(Aeq, rows), gram_schmidt_filter(Aeq, rows)
-    )
+    gamma = rng.choice([0.125, 0.25, 0.5]) if ties else rng.uniform(0.05, 2.0)
+    if ties:
+        c = 0.25 * rng.integers(-4, 9, n)
+    else:
+        c = rng.normal(rng.uniform(-1.0, 2.0), rng.uniform(0.3, 3.0), n)
+    return c, gamma, max(1, n + k_over) - 0.5 * half_k
 
 
-def test_row_filter_keeps_rows_after_a_dependent_one():
-    # unpivoted QR alone reports R_33 = 0 for columns e1, e1, e2
-    rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert optlayer._independent_row_filter(np.zeros((0, 2)), rows).tolist() == [0, 2]
+box_budget_args = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    k_over=st.integers(-11, 3),
+    half_k=st.booleans(),
+    ties=st.booleans(),
+)
+
+
+def assert_strongly_active_rows_independent(qp, sol):
+    strong = np.nonzero(sol.lam > optlayer.STRICT_COMPLEMENTARITY_TOL)[0]
+    kept = gram_schmidt_filter(qp.Aeq, qp.Gineq[strong])
+    assert len(kept) == len(strong), strong[np.setdiff1d(np.arange(len(strong)), kept)]
+
+
+@settings(SETTINGS, max_examples=200)
+@given(
+    **qp_args,
+    build=st.sampled_from([mixed_qp, twin_bound_qp, simplex_portfolio_qp]),
+    n_portfolio=st.integers(1, 30),
+)
+def test_solve_qp_strongly_active_rows_are_independent(seed, n, n_bounds, n_general,
+                                                       degenerate, build, n_portfolio):
+    # kkt_adjoint freezes these rows unfiltered; degenerate draws and twin
+    # bounds put dependent rows among the tight ones
+    if build is simplex_portfolio_qp:
+        n = n_portfolio
+    qp, _ = build(seed, n, n_bounds, n_general, degenerate)
+    assert_strongly_active_rows_independent(qp, solve_qp(qp))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(**box_budget_args)
+def test_box_budget_strongly_active_rows_are_independent(seed, n, k_over, half_k, ties):
+    # the closed form never freezes the budget row beside a bound on every
+    # coordinate, ties and k past n included
+    c, gamma, k = box_budget_draw(seed, n, k_over, half_k, ties)
+    assert_strongly_active_rows_independent(box_budget_qp(c, gamma, k),
+                                            solve_box_budget_qp(c, gamma, k))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dependent_frozen_set_raises_singular_kkt(seed):
+    # multipliers by hand on a degenerate draw's dependent triple (bound row
+    # b, general row b + Aeq, and Aeq) or on twin bounds x_j <= u, -x_j <= -u:
+    # the frozen system is singular and kkt_adjoint raises, it filters nothing
+    n = 3 + seed % 4
+    qp, x_feas = (twin_bound_qp if seed % 2 else mixed_qp)(seed, n, 2, 2, True)
+    lam = np.zeros(qp.Gineq.shape[0])
+    if seed % 2:
+        lam[-2:] = 1.0
+    else:
+        lam[[1, 3]] = 1.0  # bounds[0] and bounds[0] + Aeq, after general[:1]
+    assert len(gram_schmidt_filter(qp.Aeq, qp.Gineq[lam > 0])) < 2
+    sol = PrimalDualSolution(y=x_feas, nu=np.ones(1), lam=lam,
+                             active_set=np.nonzero(lam)[0], kkt_residual=0.0)
+    with pytest.raises(SingularKKT):
+        kkt_adjoint(qp, sol, np.random.default_rng(seed).normal(size=n))
 
 
 def test_solve_qp_raises_on_uncertified_result(monkeypatch):
@@ -515,23 +557,10 @@ def test_solve_qp_raises_on_uncertified_result(monkeypatch):
 
 
 @SETTINGS
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 12),
-    k_over=st.integers(-11, 3),
-    half_k=st.booleans(),
-    ties=st.booleans(),
-)
+@given(**box_budget_args)
 def test_box_budget_matches_solve_qp(seed, n, k_over, half_k, ties):
-    # the water-filling solve against the active-set solver on the same QP;
-    # k runs past n, and ties put several coordinates on one breakpoint
-    rng = np.random.default_rng(seed)
-    gamma = rng.choice([0.125, 0.25, 0.5]) if ties else rng.uniform(0.05, 2.0)
-    if ties:
-        c = 0.25 * rng.integers(-4, 9, n)
-    else:
-        c = rng.normal(rng.uniform(-1.0, 2.0), rng.uniform(0.3, 3.0), n)
-    k = max(1, n + k_over) - 0.5 * half_k
+    # the water-filling solve against the active-set solver on the same QP
+    c, gamma, k = box_budget_draw(seed, n, k_over, half_k, ties)
     fast = solve_box_budget_qp(c, gamma, k)
     slow = solve_qp(box_budget_qp(c, gamma, k))
     assert np.max(np.abs(fast.y - slow.y)) <= 1e-9

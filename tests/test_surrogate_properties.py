@@ -31,7 +31,7 @@ def dense_jacobian_P(sqp, sol):
     """dy*/dP with columns row-major over P entries (column i m + j is d/dP[i, j])."""
     P, qp = sqp.P, sqp.qp()
     n, m = P.shape
-    act = optlayer._frozen_active(qp, sol)
+    act = np.nonzero(sol.lam > optlayer.STRICT_COMPLEMENTARITY_TOL)[0]
     me, ma = qp.Aeq.shape[0], len(act)
     y, H_x = sol.y, sqp.H_x
     is_base = act < sqp.base_G.shape[0]
