@@ -196,21 +196,17 @@ def portfolio_grad(x, p, Q, risk_aversion: float) -> np.ndarray:
 def portfolio_qp(p, Q, risk_aversion: float):
     """The simplex-constrained minimization QP whose solution maximizes the
     penalized return under (p, Q)."""
-    n = len(p)
-    return QuadraticProgram(
-        H=2.0 * risk_aversion * np.asarray(Q, dtype=float),
-        c=-np.asarray(p, dtype=float),
-        Aeq=np.ones((1, n)),
-        beq=np.array([1.0]),
-        Gineq=-np.eye(n),
-        hineq=np.zeros(n),
-    )
+    return SimplexStart(2.0 * risk_aversion * np.asarray(Q, dtype=float)).qp(p)
 
 
 class SimplexStart:
-    """Crash starts (x0, working) for solve_qp on QPs built by portfolio_qp
-    with Hessian H, such as every decision of one prediction pass, which
-    share the pass's predicted Q.
+    """The portfolio QPs with Hessian H, such as every decision of one
+    prediction pass, which share the pass's predicted Q, and crash starts
+    (x0, working) for solve_qp on them.
+
+    qp(p) is the QP of returns p.  Each is a sibling (QuadraticProgram.with_c)
+    of one pass QP, built at the first call, so a pass checks H and the
+    simplex rows once and classifies and assembles them once.
 
     u minimizes the objective with H + delta I, delta = START_RIDGE tr(H) / n,
     over the equality row alone.  The ridge keeps u near the simplex: a
@@ -226,6 +222,16 @@ class SimplexStart:
     def __init__(self, H):
         self.H = H
         self._lu = None
+        self._qp = None
+
+    def qp(self, p) -> QuadraticProgram:
+        if self._qp is None:
+            n = self.H.shape[0]
+            self._qp = QuadraticProgram(
+                H=self.H, c=np.zeros(n), Aeq=np.ones((1, n)), beq=np.array([1.0]),
+                Gineq=-np.eye(n), hineq=np.zeros(n),
+            )
+        return self._qp.with_c(-np.asarray(p, dtype=float))
 
     def __call__(self, qp):
         n = qp.n

@@ -16,22 +16,26 @@ A bound in the working set or the frozen active set fixes its coordinate;
 the KKT system is solved over the free coordinates with the equality and
 general rows only, and the bound's multiplier is read back from the
 stationarity row of its coordinate (the null-space treatment of bounds,
-Nocedal & Wright, Numerical Optimization, ch. 16).  The pivot loop classifies
-the rows once per solve and assembles the KKT matrix of H, the equality rows
-and the general rows once; each pivot gathers its working-set system from
-that matrix and solves it by LU (LAPACK dgesv), except after a full step,
-which leaves the working set and so the solution unchanged.  When every row
-is a bound, the ratio test reads G p and G x off the bounds' coordinates.
-It drops the working row with the most negative multiplier, or the
-lowest-index negative one after a zero-length step (Bland's rule, against
-cycling).  A caller may pass a start (x0, working): a feasible x0 tight on
-its working rows replaces phase one (a crash start, Nocedal & Wright
-ch. 16.5).  The frozen set is classified when it is frozen.  Every solution
-is certified: solve_qp and solve_box_budget_qp raise NumericalBreakdown when
-the KKT residual exceeds 1e-8 (1 + max(|H|, |c|, |h|)).
+Nocedal & Wright, Numerical Optimization, ch. 16).  A QP classifies its rows
+and assembles the KKT matrix of H, the equality rows and the general rows
+once (_Rows); the QPs of a pass differ only in c and share them
+(QuadraticProgram.with_c), and the frozen set reads its rows' classes from
+them.  Each pivot gathers its working-set system from that matrix and
+solves it by LU (LAPACK dgesv), except after a full step, which leaves the
+working set and so the solution unchanged.  When every row is a bound, the
+ratio test reads G p and G x off the bounds' coordinates.  It drops the
+working row with the most negative multiplier, or the lowest-index
+negative one after a zero-length step (Bland's rule, against cycling).  A
+caller may pass a start (x0, working): a feasible x0 tight on its working
+rows replaces phase one (a crash start, Nocedal & Wright ch. 16.5), and
+x0 from phase one with no working row gives the pivots of a solve that
+runs phase one itself.  Every solution is certified: solve_qp and
+solve_box_budget_qp raise NumericalBreakdown when the KKT residual exceeds
+1e-8 (1 + max(|H|, |c|, |h|)).
 """
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
@@ -59,6 +63,11 @@ class QuadraticProgram:
     """min_y 0.5 y^T H y + c^T y  s.t.  Aeq y = beq, Gineq y <= hineq.
 
     H must be symmetric; Aeq/Gineq may be None when a block is absent.
+    with_c(c) is the QP of another c on the same H and constraints, as the
+    QPs of one pass are: it checks c alone and shares the _Rows that
+    solve_qp and kkt_adjoint derive from H and the constraints, so a pass
+    derives them once.  A QP built directly is a pass of one.  The data must
+    not change once a QP has been solved.
     """
 
     H: np.ndarray
@@ -67,6 +76,7 @@ class QuadraticProgram:
     beq: np.ndarray = None
     Gineq: np.ndarray = None
     hineq: np.ndarray = None
+    _derived: "_Rows" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.H = as_matrix(self.H)
@@ -98,6 +108,50 @@ class QuadraticProgram:
     @property
     def n(self):
         return self.c.shape[0]
+
+    def with_c(self, c) -> "QuadraticProgram":
+        """The QP of linear term c on this QP's H and constraints, sharing its _Rows."""
+        c = as_vector(c)
+        if c.shape != self.c.shape:
+            raise DimensionMismatch("c must keep the length n")
+        sibling = copy.copy(self)
+        sibling.c = c
+        sibling._derived = self._rows()
+        return sibling
+
+    def _rows(self) -> "_Rows":
+        if self._derived is None:
+            self._derived = _Rows(self)
+        return self._derived
+
+
+class _Rows:
+    """What the pivots and the adjoint derive from a QP's H and constraints.
+
+    Each inequality row is a simple bound (one nonzero, s x_j <= h), which
+    fixes x_j = h / s while it is working or frozen and stays out of every
+    factorization, or general.  K is the KKT matrix of H, Aeq and the general
+    rows, from which each pivot gathers its working-set system; rhs is its
+    right-hand side less the -c block, and slot[r] the row and column of K of
+    general row r.
+    """
+
+    def __init__(self, qp: QuadraticProgram):
+        G, h = qp.Gineq, qp.hineq
+        n, me, mi = qp.n, qp.Aeq.shape[0], G.shape[0]
+        self.bound = np.count_nonzero(G, axis=1) == 1
+        self.col = np.argmax(G != 0, axis=1)  # the coordinate a bound row fixes
+        self.s = G[np.arange(mi), self.col]
+        self.all_bounds = self.bound.all()
+        self.general = np.flatnonzero(~self.bound)
+        self.K = _kkt_matrix(qp.H, np.vstack([qp.Aeq, G[self.general]]))
+        self.rhs = np.concatenate([np.zeros(n), qp.beq, h[self.general]])
+        self.slot = np.zeros(mi, dtype=int)
+        self.slot[self.general] = n + me + np.arange(self.general.size)
+        # a row blocks when G_r p exceeds its round-off, which grows with |p|
+        # (phase-one steps reach ~1e8): d > 1e-13 (1 + |h|) + 1e-12 max|G_r| max|p|
+        self.d_tol = 1e-13 * (1.0 + np.abs(h))
+        self.d_tol_per_step = 1e-12 * np.max(np.abs(G), axis=1, initial=0.0)
 
 
 @dataclass
@@ -193,48 +247,39 @@ def _solve_fixing_bounds(H, A, cols, s, r, b, f, solve):
     return x, mu, lam
 
 
-def _active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter, working=None):
-    """Primal active-set iterations from a feasible x0, with the working set
-    seeded by the boolean row mask `working` (empty when None); x0 must be
-    tight on those rows, and they must be linearly independent of each other
-    and of Aeq.
+def _active_set_loop(qp: QuadraticProgram, x0, max_iter, working=None):
+    """Primal active-set iterations on qp from a feasible x0, with the working
+    set seeded by the boolean row mask `working` (empty when None); x0 must
+    be tight on those rows, and they must be linearly independent of each
+    other and of Aeq.
 
-    G's rows are classified once: a simple bound (one nonzero, s x_j <= h)
-    fixes x_j = h / s while it is in the working set and stays out of the
-    factorized system; every other row is general.  The KKT matrix of H, Aeq
-    and the general rows is assembled once, and each pivot gathers its
-    working-set system from it: the free coordinates, the equality rows and
-    the general working rows, with the fixed coordinates' terms moved to the
-    right-hand side.  A step of full length with no blocking row leaves the
-    working set unchanged, so the next iteration reuses its solution instead
-    of gathering and solving the same system; it still counts toward
-    max_iter.  When every row of G is a bound, the ratio test forms G p and
-    G x as s p_j and s x_j, which is exact.  A bound's multiplier is read
-    back from the stationarity row of its coordinate.  When multipliers are
-    negative, the row with the most negative one leaves the working set
-    (lowest index on ties); after a zero-length step, the lowest-index
-    negative one does instead.  Returns (x, nu, lam), lam zero off the
-    working set.
+    The rows' classes and the KKT matrix come from qp._rows(), shared by the
+    QPs of a pass.  Each pivot gathers its working-set system from that
+    matrix: the free coordinates, the equality rows and the general working
+    rows, with the fixed coordinates' terms moved to the right-hand side.  A
+    step of full length with no blocking row leaves the working set
+    unchanged, so the next iteration reuses its solution instead of gathering
+    and solving the same system; it still counts toward max_iter.  When every
+    row is a bound, the ratio test forms G p and G x as s p_j and s x_j,
+    which is exact.  A bound's multiplier is read back from the stationarity
+    row of its coordinate.  When multipliers are negative, the row with the
+    most negative one leaves the working set (lowest index on ties); after a
+    zero-length step, the lowest-index negative one does instead.  Returns
+    (x, nu, lam), lam zero off the working set.
     """
-    n, me, mi = x0.shape[0], Aeq.shape[0], G.shape[0]
-    bound = np.count_nonzero(G, axis=1) == 1
-    col = np.argmax(G != 0, axis=1)  # the coordinate a bound row fixes
-    s = G[np.arange(mi), col]
-    all_bounds = bound.all()
-    general = np.flatnonzero(~bound)
-    K = _kkt_matrix(H, np.vstack([Aeq, G[general]]))
-    rhs = np.concatenate([-c, beq, h[general]])
-    slot = np.zeros(mi, dtype=int)  # the row and column of K of a general row
-    slot[general] = n + me + np.arange(general.size)
+    rows = qp._rows()
+    bound, col, s, general, K, slot = (
+        rows.bound, rows.col, rows.s, rows.general, rows.K, rows.slot
+    )
+    G, h = qp.Gineq, qp.hineq
+    n, me, mi = qp.n, qp.Aeq.shape[0], G.shape[0]
+    rhs = rows.rhs.copy()
+    rhs[:n] = -qp.c
     in_system = np.zeros(K.shape[0], dtype=bool)
     in_system[: n + me] = True
     n_fixing = np.zeros(n, dtype=int)  # working bound rows on each coordinate
     x_fixed = np.zeros(n)  # zero off the fixed coordinates
     work = np.zeros(mi, dtype=bool)
-    # a row blocks when G_r p exceeds its round-off, which grows with |p|
-    # (phase-one steps reach ~1e8): d > 1e-13 (1 + |h|) + 1e-12 max|G_r| max|p|
-    d_tol = 1e-13 * (1.0 + np.abs(h))
-    d_tol_per_step = 1e-12 * np.max(np.abs(G), axis=1, initial=0.0)
 
     def set_working(r, on):
         work[r] = on
@@ -250,10 +295,10 @@ def _active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter, working=None):
             x_fixed[j] = 0.0
 
     if working is not None:  # set_working(r, True) for every seeded row, at once
-        rows = working.nonzero()[0]
-        work[rows] = True
-        in_system[slot[rows[~bound[rows]]]] = True
-        fixes = rows[bound[rows]]
+        seeded = working.nonzero()[0]
+        work[seeded] = True
+        in_system[slot[seeded[~bound[seeded]]]] = True
+        fixes = seeded[bound[seeded]]
         n_fixing += np.bincount(col[fixes], minlength=n)
         in_system[:n] = n_fixing == 0
         # independent rows fix distinct coordinates
@@ -280,12 +325,12 @@ def _active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter, working=None):
         if p_max <= step_tol:
             lam = np.zeros(mi)
             lam[general[idx[n_free + me :] - n - me]] = z[n_free + me :]
-            rows = (work & bound).nonzero()[0]
-            if rows.size:
+            fixing = (work & bound).nonzero()[0]
+            if fixing.size:
                 v = np.zeros(K.shape[0])
                 v[:n], v[idx[n_free:]] = x_hat, z[n_free:]
-                cols = col[rows]
-                lam[rows] = (rhs[cols] - K.take(cols, axis=0) @ v) / s[rows]
+                cols = col[fixing]
+                lam[fixing] = (rhs[cols] - K.take(cols, axis=0) @ v) / s[fixing]
             neg = lam < -MULT_TOL
             if not neg.any():
                 return x, z[n_free : n_free + me], lam
@@ -297,13 +342,13 @@ def _active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter, working=None):
             continue
         alpha = 1.0
         blocking = -1
-        if all_bounds:  # G_r p = s_r p_j exactly when row r is s_r x_j <= h_r
+        if rows.all_bounds:  # G_r p = s_r p_j exactly when row r is s_r x_j <= h_r
             d = s * p.take(col)
             room = h - s * x.take(col)
         else:
             d = G @ p
             room = h - G @ x
-        cand = (~work & (d > d_tol + d_tol_per_step * p_max)).nonzero()[0]
+        cand = (~work & (d > rows.d_tol + rows.d_tol_per_step * p_max)).nonzero()[0]
         if cand.size:
             ratios = np.maximum(room[cand], 0.0) / d[cand]
             k = ratios.argmin()  # argmin takes the lowest index on ties
@@ -345,7 +390,7 @@ def _phase_one(Aeq, beq, G, h, n, max_iter):
     )
     h1 = np.concatenate([h, [1.0]])
     start = np.concatenate([x0, [viol + 1.0]])
-    x1, _, _ = _active_set_loop(H1, c1, A1, beq, G1, h1, start, max_iter)
+    x1, _, _ = _active_set_loop(QuadraticProgram(H1, c1, A1, beq, G1, h1), start, max_iter)
     if x1[n] > FEAS_TOL:
         raise Infeasible(f"phase-one optimum leaves violation {x1[n]:.3e}")
     return x1[:n]
@@ -404,9 +449,7 @@ def solve_qp(qp: QuadraticProgram, max_iter: int = 0, start=None) -> PrimalDualS
             working = None
     if working is None:
         x0 = _phase_one(qp.Aeq, qp.beq, qp.Gineq, qp.hineq, n, max_iter)
-    x, nu, lam = _active_set_loop(
-        qp.H, qp.c, qp.Aeq, qp.beq, qp.Gineq, qp.hineq, x0, max_iter, working
-    )
+    x, nu, lam = _active_set_loop(qp, x0, max_iter, working)
     if qp.Gineq.shape[0]:
         slack = qp.Gineq @ x - qp.hineq
         active = np.nonzero(np.abs(slack) <= ACTIVE_TOL)[0]
@@ -448,13 +491,12 @@ def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
     one solve_symmetric call; a dependent set raises SingularKKT there.
     """
     act = np.nonzero(sol.lam > STRICT_COMPLEMENTARITY_TOL)[0]
-    Ga = qp.Gineq[act]
-    is_bound = np.count_nonzero(Ga, axis=1) == 1
-    A, Gb = np.vstack([qp.Aeq, Ga[~is_bound]]), Ga[is_bound]
-    cols = np.argmax(Gb != 0, axis=1)
+    rows = qp._rows()
+    is_bound = rows.bound[act]
+    A, fixing = np.vstack([qp.Aeq, qp.Gineq[act[~is_bound]]]), act[is_bound]
     z_y, z_eq, z_b = _solve_fixing_bounds(
-        qp.H, A, cols, Gb[np.arange(len(cols)), cols], dL_dy, np.zeros(len(A)),
-        np.zeros(len(cols)), _symmetric_kkt_solve,
+        qp.H, A, rows.col[fixing], rows.s[fixing], dL_dy, np.zeros(len(A)),
+        np.zeros(len(fixing)), _symmetric_kkt_solve,
     )
     me = qp.Aeq.shape[0]
     z_lam = np.empty(len(act))

@@ -9,10 +9,15 @@ the regret they optimize, as evaluate scores the test split.
 A pass (a training epoch, a validation score or one timed test pass of
 evaluate) predicts once: one adapter.predict call over all of its
 instances.  A training epoch then steps per instance and backpropagates
-once, through backprop_models on the pass's theta-gradients summed.  In
-portfolio every theta of a pass holds the same predicted Q and the same
-domains.SimplexStart, so the pass's cold decisions share one factorization
-of the crash start's KKT matrix.
+once, through backprop_models on the pass's theta-gradients summed.  What
+depends only on a pass's shared data is built once per pass.  In portfolio
+every theta of a pass holds the same predicted Q and the same
+domains.SimplexStart, so the pass's full QPs are siblings of one pass QP
+(their checks, row classes and KKT matrix are shared) and its cold
+decisions share one factorization of the crash start's KKT matrix.  A
+pass's y-space solves share its constraint set's phase-one point and the
+y-space QP of the pass Hessian (surrogate.SurrogateProblem), and movie-rec's
+frozen QPs share one box-budget QP.
 
 Decision-focused training solves the full problem per instance and chains
 df/dw = df/dx . dx*/dtheta . dtheta/dw through the frozen KKT system.  The
@@ -32,6 +37,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -115,7 +121,7 @@ class TrainConfig:
     gamma: float = 0.1
     # run control
     timing_repeats: int = 1
-    max_workers: int = 0  # 0 -> min(n_seeds, cpu count)
+    max_workers: int = 0  # 0 -> min(n_seeds, usable cpus)
     out_dir: str = "runs"
     data_in: str = ""
     verbose: bool = False
@@ -263,7 +269,7 @@ class PortfolioAdapter:
         zero coordinates working, or at theta's SimplexStart without x0.
         x0, the instance's previous decision, stays feasible: the constraints
         do not depend on theta."""
-        qp = domains.portfolio_qp(theta["p"], theta["Q"], self.lam)
+        qp = theta["start"].qp(theta["p"])
         start = theta["start"](qp) if x0 is None else (x0, x0 == 0.0)
         sol = solve_qp(qp, max_iter=self.config.qp_max_iter, start=start)
         return sol.y, sol, (qp,)
@@ -271,7 +277,7 @@ class PortfolioAdapter:
     def decision_surrogate(self, theta, sp, x0=None):
         """(y*, x = P y*, sol, sqp, ctx) of the y-space QP; x0 is ignored."""
         x, (sqp, qp, sol) = _solve_surrogate(
-            sp, 2.0 * self.lam * theta["Q"], -theta["p"], self.config.qp_max_iter
+            sp, theta["start"].H, -theta["p"], self.config.qp_max_iter
         )
         return sol.y, x, sol, sqp, (qp,)
 
@@ -330,6 +336,15 @@ class MovieRecAdapter:
             raise BadDimensions("picks_per_user and budget_k cannot exceed n_movies")
         self.base = domains.movierec_base(self.n, self.k)
         self._oracle_cache = {}
+        # the same arrays for every decision, so a pass's y-space QPs share
+        # one (SurrogateProblem.qp)
+        self._H_x = np.zeros((self.n, self.n))
+        self._H_extra = {}  # m -> 2 gamma I_m
+
+    @cached_property
+    def _box_qp(self):
+        """The frozen QP with c = 0, whose siblings every decision_full shares."""
+        return box_budget_qp(np.zeros(self.n), self.gamma, self.k)
 
     def generate(self, seed):
         return domains.gen_movierec_data(
@@ -382,17 +397,15 @@ class MovieRecAdapter:
         x, sol, c_frozen, sel = domains.movierec_solve_relaxed(
             theta, self.k, self.picks, gamma=self.gamma, x0=x0
         )
-        qp = box_budget_qp(c_frozen, self.gamma, self.k)
-        return x, sol, (qp, sel)
+        return x, sol, (self._box_qp.with_c(-c_frozen), sel)
 
     def decision_surrogate(self, theta, sp, x0=None):
         """(y*, x = P y*, sol, sqp, ctx): decision_full's alternation with exact
         y-space solves; x0, the previous lifted decision, seeds the first selection."""
-        H_x = np.zeros((self.n, self.n))
-        H_extra = 2.0 * self.gamma * np.eye(sp.m)
+        H_extra = self._H_extra.setdefault(sp.m, 2.0 * self.gamma * np.eye(sp.m))
         x, (sqp, qp, sol), _, sel = domains.movierec_alternate(
             theta, self.k, self.picks,
-            lambda c: _solve_surrogate(sp, H_x, -c, self.config.qp_max_iter, H_extra),
+            lambda c: _solve_surrogate(sp, self._H_x, -c, self.config.qp_max_iter, H_extra),
             x0=x0,
         )
         return sol.y, x, sol, sqp, (qp, sel)
@@ -431,10 +444,11 @@ class MovieRecAdapter:
 
 
 def _solve_surrogate(sp, H_x, c_x, max_iter, H_extra=None):
-    """Solves the y-space QP of x-space objective (H_x, c_x) on sp: (P y*, (sqp, qp, sol))."""
+    """Solves the y-space QP of x-space objective (H_x, c_x) on sp from sp's
+    phase-one point: (P y*, (sqp, qp, sol))."""
     sqp = SurrogateQp(H_x=H_x, c_x=c_x, sp=sp, H_extra=H_extra)
     qp = sqp.qp()
-    sol = solve_qp(qp, max_iter=max_iter)
+    sol = solve_qp(qp, max_iter=max_iter, start=sp.feasible_start(max_iter))
     return lift(sp.P, sol.y), (sqp, qp, sol)
 
 
@@ -723,8 +737,11 @@ def run_experiment(config: TrainConfig) -> RegretReport:
     """
     jobs = [(config, method, seed) for method in config.methods for seed in config.seeds()]
     workers = config.max_workers
-    if workers <= 0:
-        workers = min(len(config.seeds()), os.cpu_count() or 1)
+    if workers <= 0:  # the CPUs this process may run on, where the platform tells
+        if hasattr(os, "sched_getaffinity"):
+            workers = min(len(config.seeds()), len(os.sched_getaffinity(0)))
+        else:
+            workers = min(len(config.seeds()), os.cpu_count() or 1)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_single_safe, jobs))

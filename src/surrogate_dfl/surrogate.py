@@ -8,7 +8,7 @@ simplex feasible sets.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,7 +147,10 @@ def lift(P, y) -> np.ndarray:
 @dataclass
 class SurrogateProblem:
     """y-space constraint data: base constraints composed with P, plus an
-    optional trailing y >= 0 block that does not depend on P."""
+    optional trailing y >= 0 block that does not depend on P.
+
+    It keeps what every y-space QP on it shares: its phase-one point
+    (feasible_start) and the QP of the last Hessian asked for (qp)."""
 
     base: BaseProblem
     P: np.ndarray
@@ -155,10 +158,45 @@ class SurrogateProblem:
     beq: np.ndarray
     G_y: np.ndarray
     h_y: np.ndarray
+    _start: tuple = field(default=None, repr=False, compare=False)
+    _qp: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def m(self):
         return self.P.shape[1]
+
+    def feasible_start(self, max_iter: int = 0):
+        """Start (y0, no working row) for solve_qp: the phase-one point,
+        found once per pivot cap max_iter (0: the default cap).  solve_qp
+        from it takes the pivots of a solve that runs phase one itself.
+        Raises Infeasible when the set is empty."""
+        if self._start is None or self._start[0] != max_iter:
+            y0 = find_feasible_point(self.Aeq_y, self.beq, self.G_y, self.h_y, self.m, max_iter)
+            self._start = max_iter, (y0, np.zeros(self.h_y.shape[0], dtype=bool))
+        return self._start[1]
+
+    def qp(self, H_x, H_extra=None) -> QuadraticProgram:
+        """The y-space QP of Hessian P^T H_x P + H_extra and c = 0, which the
+        SurrogateQps of a pass share through with_c.  It is built once per
+        (H_x, H_extra): the pair last asked for is held and matched by
+        identity, so a pass passes the same arrays, unchanged, to every solve."""
+        held = self._qp
+        if held is None or held[0] is not H_x or held[1] is not H_extra:
+            H_y = self.P.T @ H_x @ self.P
+            if H_extra is not None:
+                H_y = H_y + H_extra
+            H_y = 0.5 * (H_y + H_y.T)  # squash matmul round-off asymmetry
+            me, mi = self.Aeq_y.shape[0], self.G_y.shape[0]
+            qp = QuadraticProgram(
+                H=H_y,
+                c=np.zeros(self.m),
+                Aeq=self.Aeq_y if me else None,
+                beq=self.beq if me else None,
+                Gineq=self.G_y if mi else None,
+                hineq=self.h_y if mi else None,
+            )
+            self._qp = held = H_x, H_extra, qp
+        return held[2]
 
 
 def transform_problem(
@@ -184,7 +222,7 @@ def transform_problem(
     sp = SurrogateProblem(base=base, P=P, Aeq_y=Aeq_y, beq=base.beq.copy(), G_y=G_y, h_y=h_y)
     if check_feasible:
         try:
-            find_feasible_point(sp.Aeq_y, sp.beq, sp.G_y, sp.h_y, m)
+            sp.feasible_start()
         except Infeasible as exc:
             raise EmptyFeasibleSet(f"surrogate feasible set is empty: {exc}") from exc
     return sp
@@ -217,21 +255,8 @@ class SurrogateQp:
         return self.sp.base.G
 
     def qp(self) -> QuadraticProgram:
-        P = self.sp.P
-        H_y = P.T @ self.H_x @ P
-        if self.H_extra is not None:
-            H_y = H_y + self.H_extra
-        H_y = 0.5 * (H_y + H_y.T)  # squash matmul round-off asymmetry
-        me = self.sp.Aeq_y.shape[0]
-        mi = self.sp.G_y.shape[0]
-        return QuadraticProgram(
-            H=H_y,
-            c=P.T @ self.c_x,
-            Aeq=self.sp.Aeq_y if me else None,
-            beq=self.sp.beq if me else None,
-            Gineq=self.sp.G_y if mi else None,
-            hineq=self.sp.h_y if mi else None,
-        )
+        """The y-space QP: sp's QP of (H_x, H_extra) with c = P^T c_x."""
+        return self.sp.qp(self.H_x, self.H_extra).with_c(self.sp.P.T @ self.c_x)
 
 
 def grad_wrt_P(dL_dx, y_star, dL_dP_implicit, rep: Reparameterization) -> np.ndarray:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from surrogate_dfl import diff
 from surrogate_dfl.diff import (
+    ROW_BLOCK,
     EmbeddingModel,
     MlpModel,
     adam_step,
@@ -59,6 +61,26 @@ def test_mlp_matches_independent_evaluation():
         assert np.allclose(row, expected, atol=1e-14)
 
 
+def plain_mlp_passes(model, X, G):
+    """The forward activations and the parameter gradients by the plain
+    formulas, the gradients formed per ROW_BLOCK rows and summed in order."""
+    L = len(model.weights)
+    acts = [X]
+    for l, (W, b) in enumerate(zip(model.weights, model.biases)):
+        Z = acts[-1] @ W.T + b
+        acts.append(np.tanh(Z) if l < L - 1 else Z)
+    want = None
+    for start in range(0, len(X), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        block, delta = [], G[rows]
+        for l in range(L - 1, -1, -1):
+            block[:0] = [delta.T @ acts[l][rows], delta.sum(axis=0)]
+            if l > 0:
+                delta = (delta @ model.weights[l]) * (1.0 - acts[l][rows] ** 2)
+        want = block if want is None else [w + g for w, g in zip(want, block)]
+    return acts, want
+
+
 def test_mlp_in_place_passes_match_plain_formulas():
     # the passes form their temporaries in place; the plain expressions are
     # the reference, bitwise, and the inputs, cotangent and cache stay as given
@@ -68,15 +90,7 @@ def test_mlp_in_place_passes_match_plain_formulas():
         model.biases = [rng.normal(size=b.shape) for b in model.biases]
         X = rng.normal(size=(rows, widths[0]))
         G = rng.normal(size=(rows, widths[-1]))
-        acts = [X]
-        for l, (W, b) in enumerate(zip(model.weights, model.biases)):
-            Z = acts[-1] @ W.T + b
-            acts.append(np.tanh(Z) if l < len(widths) - 2 else Z)
-        want, delta = [], G
-        for l in range(len(widths) - 2, -1, -1):
-            want[:0] = [delta.T @ acts[l], delta.sum(axis=0)]
-            if l > 0:
-                delta = (delta @ model.weights[l]) * (1.0 - acts[l] ** 2)
+        acts, want = plain_mlp_passes(model, X, G)
 
         X0, G0 = X.copy(), G.copy()
         out, cache = mlp_forward_batch(model, X)
@@ -87,6 +101,35 @@ def test_mlp_in_place_passes_match_plain_formulas():
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert np.array_equal(X, X0) and np.array_equal(G, G0)
         assert all(np.array_equal(a, b) for a, b in zip(cache, cache0))
+
+
+def test_row_blocked_passes_match_one_block(monkeypatch):
+    # a pass of several blocks, the last one ragged, on the portfolio and
+    # movie-rec MLP shapes: the forward is bitwise the plain formulas and the
+    # backward, which sums per-block gradients, is within 1e-12 of one block's
+    rng = np.random.default_rng(8)
+    rows = 2 * ROW_BLOCK + 37
+    for widths in ((7, 100, 100, 1), (20, 100, 100, 100)):
+        model = init_mlp(widths, seed=2)
+        model.biases = [rng.normal(size=b.shape) for b in model.biases]
+        X = rng.normal(size=(rows, widths[0]))
+        G = rng.normal(size=(rows, widths[-1]))
+        X0, G0 = X.copy(), G.copy()
+        out, cache = mlp_forward_batch(model, X)
+        cache0 = [a.copy() for a in cache]
+        got = mlp_backward_batch(model, cache, G)
+        acts, _ = plain_mlp_passes(model, X, G)
+        assert np.array_equal(out, acts[-1])
+        assert all(np.array_equal(a, b) for a, b in zip(cache, acts))
+        assert np.array_equal(X, X0) and np.array_equal(G, G0)
+        assert all(np.array_equal(a, b) for a, b in zip(cache, cache0))
+        with monkeypatch.context() as patch:
+            patch.setattr(diff, "ROW_BLOCK", rows)
+            one_out, one_cache = mlp_forward_batch(model, X)
+            one_block = mlp_backward_batch(model, one_cache, G)
+        assert np.array_equal(one_out, out)
+        for g, want in zip(got, one_block):
+            assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_mlp_dimension_mismatch():

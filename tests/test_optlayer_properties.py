@@ -261,9 +261,10 @@ def assert_pivots_match_reference(qp, start=None):
         ref_systems.append((K.copy(), rhs.copy()))
         return equality_solve(K, rhs)
 
-    def reference_loop(*args):
+    def reference_loop(qp, x0, max_iter, working=None):
         first = len(ref_systems)
-        out = reference_active_set_loop(*args[:8], reference_solve, *args[8:])
+        out = reference_active_set_loop(qp.H, qp.c, qp.Aeq, qp.beq, qp.Gineq, qp.hineq,
+                                        x0, max_iter, reference_solve, working)
         ref_iterations.append(len(ref_systems) - first)
         return out
 

@@ -5,10 +5,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from surrogate_dfl import domains, pipelines, surrogate
+from surrogate_dfl import domains, optlayer, pipelines, surrogate
 from surrogate_dfl.diff import finite_diff_grad
 from surrogate_dfl.errors import EmptySplit, MaxIterations
-from surrogate_dfl.optlayer import STRICT_COMPLEMENTARITY_TOL
+from surrogate_dfl.optlayer import (
+    STRICT_COMPLEMENTARITY_TOL,
+    QuadraticProgram,
+    kkt_adjoint,
+    solve_qp,
+)
 from surrogate_dfl.pipelines import (
     REPORT_HEADER,
     EarlyStopper,
@@ -600,3 +605,151 @@ def test_run_experiment_parallel_matches_serial():
     r2 = run_experiment(cfg_par)
     for a, b in zip(r1.rows, r2.rows):
         assert a.mean_regret == b.mean_regret
+
+
+def test_default_workers_follow_the_cpu_affinity(monkeypatch):
+    # one usable CPU on a many-CPU host: the default pool is one worker, so
+    # the jobs run serially and no process starts
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(pipelines.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(pipelines.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(pipelines, "ProcessPoolExecutor", no_pool)
+    cfg = TrainConfig(**{**SMALL_PORTFOLIO, "max_epochs": 1}, methods=("two-stage",),
+                      max_workers=0)
+    report = run_experiment(cfg)
+    assert [row.status for row in report.rows] == ["ok"] * cfg.n_seeds
+
+
+def test_passes_share_their_qp_work(monkeypatch):
+    # a surrogate epoch runs phase one once per y-space constraint set (the
+    # training pass's and the validation pass's) and forms the y-space
+    # Hessian once per pass; a decision-focused epoch classifies the rows and
+    # assembles the KKT matrix once per pass, outside the per-solve adjoint
+    cfg = TrainConfig(**SMALL_PORTFOLIO)
+    phase_one, rows, kkt_matrix = optlayer._phase_one, optlayer._Rows, optlayer._kkt_matrix
+    symmetric_kkt_solve = optlayer._symmetric_kkt_solve
+    calls = {"phase one": 0, "y-space QPs": 0, "row classes": 0, "assemblies": 0}
+    in_adjoint = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def assembly(H, A):
+        calls["assemblies"] += not in_adjoint
+        return kkt_matrix(H, A)
+
+    def adjoint_solve(H, A, rhs):
+        in_adjoint.append(1)
+        try:
+            return symmetric_kkt_solve(H, A, rhs)
+        finally:
+            in_adjoint.pop()
+
+    monkeypatch.setattr(optlayer, "_phase_one", counted("phase one", phase_one))
+    monkeypatch.setattr(optlayer, "_Rows", counted("row classes", rows))
+    monkeypatch.setattr(optlayer, "_kkt_matrix", assembly)
+    monkeypatch.setattr(optlayer, "_symmetric_kkt_solve", adjoint_solve)
+    monkeypatch.setattr(surrogate, "QuadraticProgram",
+                        counted("y-space QPs", surrogate.QuadraticProgram))
+    for method in ("surrogate", "decision-focused"):
+        adapter = get_adapter(cfg)
+        dataset = adapter.generate(subseed(0, 0))
+        models, rep = init_method(cfg, adapter, method, 0)
+        for inst in dataset.instances:  # each oracle decision is a pass of its own
+            adapter.oracle(inst)
+        calls.update(dict.fromkeys(calls, 0))
+        epochs = train_method(models, rep, dataset, cfg, adapter, method).epochs_run
+        assert epochs > 1
+        if method == "surrogate":
+            assert calls["phase one"] == 2 * epochs
+            assert calls["y-space QPs"] == 2 * epochs
+        else:
+            # phase one, where a start does not fit, assembles its own QP's
+            passes = 2 * epochs + calls["phase one"]
+            assert calls["row classes"] == passes
+            assert calls["assemblies"] == passes
+
+
+def _first_pass(cfg):
+    """(adapter, thetas, sp) of the first training pass of seed 0's jobs."""
+    adapter = get_adapter(cfg)
+    dataset = adapter.generate(subseed(0, 0))
+    models = adapter.init_models(subseed(0, 1))
+    rep = make_reparam(cfg, adapter, subseed(0, 2))
+    sp = surrogate.transform_problem(adapter.base, surrogate.materialize(rep))
+    thetas, _ = adapter.predict(models, [dataset.instances[i] for i in dataset.train_idx])
+    return adapter, thetas, sp
+
+
+def _fresh_y_qp(sp, H_x, c_x, H_extra=None):
+    """The y-space QP of (H_x, c_x) on sp, built afresh."""
+    H_y = sp.P.T @ H_x @ sp.P
+    if H_extra is not None:
+        H_y = H_y + H_extra
+    return QuadraticProgram(H=0.5 * (H_y + H_y.T), c=sp.P.T @ c_x, Aeq=sp.Aeq_y, beq=sp.beq,
+                            Gineq=sp.G_y, hineq=sp.h_y)
+
+
+def _assert_same_solve(got, want, rng):
+    """Bitwise equal solutions and kkt_adjoint outputs; got and want are (qp, sol)."""
+    (qp, sol), (qp_ref, ref) = got, want
+    for field in ("y", "nu", "lam", "active_set"):
+        assert np.array_equal(getattr(sol, field), getattr(ref, field)), field
+    w = rng.normal(size=qp.n)
+    for a, b in zip(kkt_adjoint(qp, sol, w), kkt_adjoint(qp_ref, ref, w)):
+        assert np.array_equal(a, b)
+
+
+def test_pass_qp_solves_match_fresh_qps():
+    # the first passes of the portfolio-n100 and criterion-6 configurations:
+    # each decision on the pass's shared QP, x-space from the crash start and
+    # from a warm start or y-space from the constraint set's phase-one point,
+    # is bitwise the solve of a QP built afresh for the instance (y-space:
+    # with phase one run by the solve)
+    rng = np.random.default_rng(0)
+    portfolio_configs = (
+        TrainConfig(domain="portfolio", n_securities=100, n_days=60, surrogate_m=10,
+                    qp_max_iter=2000),
+        TrainConfig(domain="portfolio", n_days=60),
+    )
+    for cfg in portfolio_configs:
+        adapter, thetas, sp = _first_pass(cfg)
+        x_prev = None
+        for theta in thetas:
+            H = 2.0 * adapter.lam * theta["Q"]
+            fresh = QuadraticProgram(H=H, c=-theta["p"], Aeq=np.ones((1, adapter.n)),
+                                     beq=np.ones(1), Gineq=-np.eye(adapter.n),
+                                     hineq=np.zeros(adapter.n))
+            starts = [(None, domains.SimplexStart(H)(fresh))]
+            if x_prev is not None:
+                starts.append((x_prev, (x_prev, x_prev == 0.0)))
+            for x0, start in starts:
+                _, sol, (qp,) = adapter.decision_full(theta, x0=x0)
+                ref = solve_qp(fresh, max_iter=cfg.qp_max_iter, start=start)
+                _assert_same_solve((qp, sol), (fresh, ref), rng)
+            x_prev = sol.y
+            _, _, sol, sqp, (qp,) = adapter.decision_surrogate(theta, sp)
+            fresh = _fresh_y_qp(sp, H, -theta["p"])
+            _assert_same_solve((qp, sol), (fresh, solve_qp(fresh, cfg.qp_max_iter)), rng)
+
+    cfg = TrainConfig(domain="movierec", max_epochs=100, p_learning_rate=0.1)
+    adapter, thetas, sp = _first_pass(cfg)
+    H_extra = 2.0 * adapter.gamma * np.eye(sp.m)
+    for theta in thetas:
+        rounds = []
+
+        def solve_both(c):
+            x, (_, qp, sol) = pipelines._solve_surrogate(
+                sp, adapter._H_x, -c, cfg.qp_max_iter, adapter._H_extra.get(sp.m, H_extra))
+            fresh = _fresh_y_qp(sp, np.zeros((adapter.n, adapter.n)), -c, H_extra)
+            rounds.append(((qp, sol), (fresh, solve_qp(fresh, cfg.qp_max_iter))))
+            return x, None
+
+        domains.movierec_alternate(theta, adapter.k, adapter.picks, solve_both)
+        for got, want in rounds:
+            _assert_same_solve(got, want, rng)
