@@ -19,23 +19,25 @@ stationarity row of its coordinate (the null-space treatment of bounds,
 Nocedal & Wright, Numerical Optimization, ch. 16).  A QP classifies its rows
 and assembles the KKT matrix of H, the equality rows and the general rows
 once (_Rows); the QPs of a pass differ only in c and share them
-(QuadraticProgram.with_c), and the frozen set reads its rows' classes from
-them.  Each pivot gathers its working-set system from that matrix and
-solves it by LU (LAPACK dgesv), except after a full step, which leaves the
-working set and so the solution unchanged.  When every row is a bound, the
-ratio test reads G p and G x off the bounds' coordinates.  It drops the
-working row with the most negative multiplier, or the lowest-index
-negative one after a zero-length step (Bland's rule, against cycling).  A
-caller may pass a start (x0, working): a feasible x0 tight on its working
-rows replaces phase one (a crash start, Nocedal & Wright ch. 16.5), and
-x0 from phase one with no working row gives the pivots of a solve that
-runs phase one itself.  Every solution is certified: solve_qp and
+(QuadraticProgram.with_c).  Each pivot gathers its working-set system from
+that matrix and solves it by LU (LAPACK dgesv), except after a full step,
+which leaves the working set and so the solution unchanged; kkt_adjoint
+gathers its frozen system from it the same way.  When every row is a
+bound, the ratio test reads G p and G x off the bounds' coordinates.  It
+drops the working row with the most negative multiplier, or the
+lowest-index negative one after a zero-length step (Bland's rule, against
+cycling).  A caller may pass a start (x0, working): a feasible x0 tight on
+its working rows replaces phase one (a crash start, Nocedal & Wright ch.
+16.5), and x0 from phase one with no working row gives the pivots of a
+solve that runs phase one itself.  Every solution is certified: solve_qp and
 solve_box_budget_qp raise NumericalBreakdown when the KKT residual exceeds
-1e-8 (1 + max(|H|, |c|, |h|)).
+1e-8 (1 + max(|H|, |c|, |h|)); the box-budget QPs certified are siblings of
+one QP held per (n, gamma, k).
 """
 
 import copy
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -131,9 +133,9 @@ class _Rows:
     Each inequality row is a simple bound (one nonzero, s x_j <= h), which
     fixes x_j = h / s while it is working or frozen and stays out of every
     factorization, or general.  K is the KKT matrix of H, Aeq and the general
-    rows, from which each pivot gathers its working-set system; rhs is its
-    right-hand side less the -c block, and slot[r] the row and column of K of
-    general row r.
+    rows, from which each pivot gathers its working-set system and
+    kkt_adjoint its frozen one; rhs is its right-hand side less the -c block,
+    and slot[r] the row and column of K of general row r.
     """
 
     def __init__(self, qp: QuadraticProgram):
@@ -212,39 +214,6 @@ def _equality_solve(K, rhs):
     if info > 0:
         raise SingularMatrix(f"dgesv: U[{info - 1}, {info - 1}] is exactly zero")
     return z
-
-
-def _symmetric_kkt_solve(H, A, rhs):
-    """Solve [[H, A^T], [A, 0]] z = rhs through solve_symmetric; raises SingularKKT."""
-    try:
-        return solve_symmetric(_kkt_matrix(H, A), rhs)
-    except SingularMatrix as exc:
-        raise SingularKKT(str(exc)) from exc
-
-
-def _solve_fixing_bounds(H, A, cols, s, r, b, f, solve):
-    """Solve [[H, A^T, E^T], [A, 0, 0], [E, 0, 0]] [x; mu; lam] = [r; b; f]
-    where row i of E is s_i e_{cols_i}^T (simple bounds on distinct coordinates).
-
-    The bound rows fix x[cols] = f / s.  solve(H_FF, A_F, [r'; b']) returns
-    [x_F; mu] for what is left over the free coordinates F, and lam_i is read
-    back from the stationarity row of coordinate cols_i.  Right-hand sides
-    are vectors or matrices of stacked columns.  Independent bound rows fix
-    distinct coordinates (kkt_adjoint's contract); two on one raise SingularKKT.
-    """
-    free = np.ones(H.shape[0], dtype=bool)
-    free[cols] = False
-    free = np.flatnonzero(free)
-    if free.size + len(cols) > H.shape[0]:
-        raise SingularKKT("two bound rows fix one coordinate")
-    x = np.zeros((H.shape[0],) + r.shape[1:])
-    x[cols] = (f.T / s).T
-    # x is still zero off the bounds, so H x and A x carry only their terms
-    rhs = np.concatenate([(r - H @ x)[free], b - A @ x])
-    X = solve(H[free[:, None], free], A[:, free], rhs)
-    x[free], mu = X[: free.size], X[free.size :]
-    lam = ((r - H @ x - A.T @ mu)[cols].T / s).T
-    return x, mu, lam
 
 
 def _active_set_loop(qp: QuadraticProgram, x0, max_iter, working=None):
@@ -474,6 +443,7 @@ def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
     [[H, Aeq^T, Ga^T], [Aeq, 0, 0], [Ga, 0, 0]] [z_y; z_nu; z_lam] = [dL_dy; 0; 0]
     with Ga = G[act], and returns (z_y, z_nu, z_lam, act); act is the
     strongly active rows, lam > STRICT_COMPLEMENTARITY_TOL, in index order.
+    Raises DimensionMismatch unless dL_dy is a vector of length n.
 
     For any perturbation (dH, dc, dAeq, dbeq, dG, dh) of the QP data, the
     loss moves by dL = z_y . (-dH y - dc - dAeq^T nu - dG_a^T lam_a)
@@ -487,25 +457,49 @@ def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
     multipliers vanish off its working set, which the pivots keep
     independent, and the closed form never has the budget row beside a bound
     on every coordinate (mu then sits on a breakpoint whose lam is 0).  The
-    bound rows of Ga are eliminated (_solve_fixing_bounds) and the rest takes
-    one solve_symmetric call; a dependent set raises SingularKKT there.
+    system is gathered from qp._rows().K as a pivot's is: the frozen bounds
+    fix their coordinates at z_y = 0, the free coordinates, the equality rows
+    and the frozen general rows take one solve_symmetric call, and each
+    bound's z_lam is read back from the stationarity row of its coordinate.
+    A dependent set raises SingularKKT: two bounds on one coordinate here,
+    any other in solve_symmetric's pivot checks.
     """
+    dL_dy = as_vector(dL_dy)
+    if dL_dy.shape != qp.c.shape:
+        raise DimensionMismatch("dL_dy must have length n")
     act = np.nonzero(sol.lam > STRICT_COMPLEMENTARITY_TOL)[0]
     rows = qp._rows()
+    n, me, K = qp.n, qp.Aeq.shape[0], rows.K
     is_bound = rows.bound[act]
-    A, fixing = np.vstack([qp.Aeq, qp.Gineq[act[~is_bound]]]), act[is_bound]
-    z_y, z_eq, z_b = _solve_fixing_bounds(
-        qp.H, A, rows.col[fixing], rows.s[fixing], dL_dy, np.zeros(len(A)),
-        np.zeros(len(fixing)), _symmetric_kkt_solve,
-    )
-    me = qp.Aeq.shape[0]
-    z_lam = np.empty(len(act))
-    z_lam[~is_bound], z_lam[is_bound] = z_eq[me:], z_b
-    return z_y, z_eq[:me], z_lam, act
+    fixing = act[is_bound]
+    cols = rows.col[fixing]
+    in_system = np.zeros(K.shape[0], dtype=bool)
+    in_system[: n + me] = True
+    in_system[cols] = False
+    in_system[rows.slot[act[~is_bound]]] = True
+    idx = in_system.nonzero()[0]
+    n_free = np.count_nonzero(in_system[:n])
+    if n_free + cols.size > n:
+        raise SingularKKT("two bound rows fix one coordinate")
+    b = np.zeros(idx.size)
+    b[:n_free] = dL_dy.take(idx[:n_free])
+    try:
+        z = solve_symmetric(K.take(idx, axis=0).take(idx, axis=1), b)
+    except SingularMatrix as exc:
+        raise SingularKKT(str(exc)) from exc
+    v = np.zeros(K.shape[0])  # the solution over all of K, zero off the system
+    v[idx] = z
+    z_y = v[:n]
+    z_lam = np.empty(act.size)
+    z_lam[~is_bound] = z[n_free + me :]
+    # each bound's multiplier closes the stationarity row of its coordinate
+    z_lam[is_bound] = (dL_dy - qp.H @ z_y - K[n:, :n].T @ v[n:])[cols] / rows.s[fixing]
+    return z_y, z[n_free : n_free + me], z_lam, act
 
 
-def kkt_jacobian_P(qp_of_P, sol: PrimalDualSolution, adjoint) -> np.ndarray:
-    """Implicit part of dL/dP (n x m) for a P-transformed surrogate QP.
+def kkt_jacobian_P(sqp, sol: PrimalDualSolution, adjoint) -> np.ndarray:
+    """Implicit part of dL/dP (n x m) for the surrogate QP sqp (a
+    surrogate.SurrogateQp) of x-space objective (H_x, c_x) on sqp.sp.
 
     adjoint is kkt_adjoint's output (z_y, z_nu, z_lam, act) for the same
     y-space QP and dL/dy, so the product dL/dy . dy*/dP comes from the
@@ -514,14 +508,13 @@ def kkt_jacobian_P(qp_of_P, sol: PrimalDualSolution, adjoint) -> np.ndarray:
     it is -s_x z_y^T - (H_x P z_y + A_eq^T z_nu + G_ab^T z_lam_b) y*^T, where
     G_ab holds the frozen rows of the x-space constraints (act < n_base) and
     z_lam_b their adjoint entries; trailing y-space rows do not depend on P.
-    qp_of_P must expose H_x, c_x, base_Aeq, base_G and P.
     """
     z_y, z_nu, z_lam, act = adjoint
-    P, H_x, Aeq = qp_of_P.P, qp_of_P.H_x, qp_of_P.base_Aeq
-    is_base = act < qp_of_P.base_G.shape[0]
-    G_ab = qp_of_P.base_G[act[is_base]]
-    s_x = H_x @ (P @ sol.y) + qp_of_P.c_x + Aeq.T @ sol.nu + G_ab.T @ sol.lam[act[is_base]]
-    w = H_x @ (P @ z_y) + Aeq.T @ z_nu + G_ab.T @ z_lam[is_base]
+    P, base, H_x = sqp.sp.P, sqp.sp.base, sqp.H_x
+    is_base = act < base.G.shape[0]
+    G_ab = base.G[act[is_base]]
+    s_x = H_x @ (P @ sol.y) + sqp.c_x + base.Aeq.T @ sol.nu + G_ab.T @ sol.lam[act[is_base]]
+    w = H_x @ (P @ z_y) + base.Aeq.T @ z_nu + G_ab.T @ z_lam[is_base]
     return -np.outer(s_x, z_y) - np.outer(w, sol.y)
 
 
@@ -576,9 +569,15 @@ def solve_box_budget_qp(c_lin, gamma: float, k: float) -> PrimalDualSolution:
 
 
 def box_budget_qp(c_lin, gamma: float, k: float) -> QuadraticProgram:
-    """The QuadraticProgram solved by solve_box_budget_qp, in minimization form."""
+    """The QuadraticProgram solved by solve_box_budget_qp, in minimization
+    form: the with_c sibling of the one c = 0 QP held per (n, gamma, k)."""
     c = as_vector(c_lin)
-    n = c.shape[0]
+    return _box_budget_qp0(c.shape[0], gamma, k).with_c(-c)
+
+
+@lru_cache(maxsize=8)
+def _box_budget_qp0(n, gamma, k):
+    """The box-budget QP of c = 0, built once per (n, gamma, k)."""
     G = np.vstack([-np.eye(n), np.eye(n), np.ones((1, n))])
     h = np.concatenate([np.zeros(n), np.ones(n), [float(k)]])
-    return QuadraticProgram(H=2.0 * gamma * np.eye(n), c=-c, Gineq=G, hineq=h)
+    return QuadraticProgram(H=2.0 * gamma * np.eye(n), c=np.zeros(n), Gineq=G, hineq=h)

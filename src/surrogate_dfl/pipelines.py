@@ -17,7 +17,8 @@ domains.SimplexStart, so the pass's full QPs are siblings of one pass QP
 decisions share one factorization of the crash start's KKT matrix.  A
 pass's y-space solves share its constraint set's phase-one point and the
 y-space QP of the pass Hessian (surrogate.SurrogateProblem), and movie-rec's
-frozen QPs share one box-budget QP.
+frozen QPs are siblings of the one box-budget QP that optlayer holds per
+(n, gamma, k).
 
 Decision-focused training solves the full problem per instance and chains
 df/dw = df/dx . dx*/dtheta . dtheta/dw through the frozen KKT system.  The
@@ -37,7 +38,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -341,11 +341,6 @@ class MovieRecAdapter:
         self._H_x = np.zeros((self.n, self.n))
         self._H_extra = {}  # m -> 2 gamma I_m
 
-    @cached_property
-    def _box_qp(self):
-        """The frozen QP with c = 0, whose siblings every decision_full shares."""
-        return box_budget_qp(np.zeros(self.n), self.gamma, self.k)
-
     def generate(self, seed):
         return domains.gen_movierec_data(
             self.n,
@@ -397,7 +392,7 @@ class MovieRecAdapter:
         x, sol, c_frozen, sel = domains.movierec_solve_relaxed(
             theta, self.k, self.picks, gamma=self.gamma, x0=x0
         )
-        return x, sol, (self._box_qp.with_c(-c_frozen), sel)
+        return x, sol, (box_budget_qp(c_frozen, self.gamma, self.k), sel)
 
     def decision_surrogate(self, theta, sp, x0=None):
         """(y*, x = P y*, sol, sqp, ctx): decision_full's alternation with exact

@@ -186,15 +186,8 @@ class SurrogateProblem:
             if H_extra is not None:
                 H_y = H_y + H_extra
             H_y = 0.5 * (H_y + H_y.T)  # squash matmul round-off asymmetry
-            me, mi = self.Aeq_y.shape[0], self.G_y.shape[0]
-            qp = QuadraticProgram(
-                H=H_y,
-                c=np.zeros(self.m),
-                Aeq=self.Aeq_y if me else None,
-                beq=self.beq if me else None,
-                Gineq=self.G_y if mi else None,
-                hineq=self.h_y if mi else None,
-            )
+            qp = QuadraticProgram(H=H_y, c=np.zeros(self.m), Aeq=self.Aeq_y, beq=self.beq,
+                                  Gineq=self.G_y, hineq=self.h_y)
             self._qp = held = H_x, H_extra, qp
         return held[2]
 
@@ -241,18 +234,6 @@ class SurrogateQp:
     c_x: np.ndarray
     sp: SurrogateProblem
     H_extra: np.ndarray = None
-
-    @property
-    def P(self):
-        return self.sp.P
-
-    @property
-    def base_Aeq(self):
-        return self.sp.base.Aeq
-
-    @property
-    def base_G(self):
-        return self.sp.base.G
 
     def qp(self) -> QuadraticProgram:
         """The y-space QP: sp's QP of (H_x, H_extra) with c = P^T c_x."""

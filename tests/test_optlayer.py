@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from surrogate_dfl import domains, surrogate
-from surrogate_dfl.errors import Infeasible, MaxIterations
+from surrogate_dfl.errors import DimensionMismatch, Infeasible, MaxIterations
 from surrogate_dfl.optlayer import (
     QuadraticProgram,
     audit_kkt,
@@ -248,6 +248,29 @@ def test_box_budget_matches_general_solver():
         assert np.max(np.abs(fast.y - slow.y)) <= 1e-9
         assert fast.kkt_residual <= 1e-8
         independent_kkt_audit(box_budget_qp(c, gamma, k), fast)
+
+
+def test_box_budget_solves_share_one_qp(monkeypatch):
+    # each solve certifies against a sibling of the one c = 0 QP held for its
+    # (n, gamma, k), so twenty solves build at most one QuadraticProgram
+    built = []
+    post_init = QuadraticProgram.__post_init__
+    monkeypatch.setattr(QuadraticProgram, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        assert solve_box_budget_qp(rng.normal(size=7), 0.3, 2).kkt_residual <= 1e-8
+    assert len(built) <= 1
+
+
+def test_kkt_adjoint_rejects_dL_dy_of_another_length():
+    # one entry too many or too few; the third coordinate's bound is frozen
+    qp = simplex_qp(2 * np.eye(3), np.array([0.1, -0.2, 3.0]), 3)
+    sol = solve_qp(qp)
+    assert sol.lam[2] > 0
+    for size in (4, 2):
+        with pytest.raises(DimensionMismatch):
+            kkt_adjoint(qp, sol, np.ones(size))
 
 
 def test_audit_kkt_flags_bad_solution():

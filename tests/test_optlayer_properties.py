@@ -125,13 +125,38 @@ def gram_schmidt_filter(Aeq, rows):
     return np.array(keep, dtype=int)
 
 
+def solve_fixing_bounds(H, A, cols, s, r, b, f, solve):
+    """Solve [[H, A^T, E^T], [A, 0, 0], [E, 0, 0]] [x; mu; lam] = [r; b; f]
+    where row i of E is s_i e_{cols_i}^T (simple bounds on distinct coordinates).
+
+    The bound rows fix x[cols] = f / s.  solve(H_FF, A_F, [r'; b']) returns
+    [x_F; mu] for what is left over the free coordinates F, and lam_i is read
+    back from the stationarity row of coordinate cols_i; two bound rows on
+    one coordinate raise SingularKKT.  This is the bound elimination as the
+    solver did it before it gathered its systems from one assembled KKT
+    matrix."""
+    free = np.ones(H.shape[0], dtype=bool)
+    free[cols] = False
+    free = np.flatnonzero(free)
+    if free.size + len(cols) > H.shape[0]:
+        raise SingularKKT("two bound rows fix one coordinate")
+    x = np.zeros(H.shape[0])
+    x[cols] = f / s
+    # x is still zero off the bounds, so H x and A x carry only their terms
+    rhs = np.concatenate([(r - H @ x)[free], b - A @ x])
+    X = solve(H[free[:, None], free], A[:, free], rhs)
+    x[free], mu = X[: free.size], X[free.size :]
+    lam = (r - H @ x - A.T @ mu)[cols] / s
+    return x, mu, lam
+
+
 def reference_active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter, solve, working=None):
     """The pivot loop as it was before the gathered systems, with the same
     pivot rules (the most negative multiplier leaves the working set, the
     lowest-index negative one after a zero-length step): rows are classified
     as they enter the working set, one at a time, and every pivot builds its
     system anew, fixing the bound rows' coordinates through
-    _solve_fixing_bounds.  solve(H, A, rhs) solves [[H, A^T], [A, 0]] z = rhs.
+    solve_fixing_bounds.  solve(H, A, rhs) solves [[H, A^T], [A, 0]] z = rhs.
     Starts from the working rows of the boolean mask working (none when None).
     Returns (x, nu, lam) with lam zero off the working set."""
     x = x0.copy()
@@ -150,7 +175,7 @@ def reference_active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter, solve, working
         b_work = np.concatenate([beq, h[general]]) if general else beq
         if bound:
             rows, cols = list(bound), list(bound.values())
-            x_hat, mult, lam_fixed = optlayer._solve_fixing_bounds(
+            x_hat, mult, lam_fixed = solve_fixing_bounds(
                 H, A_work, cols, G[rows, cols], -c, b_work, h[rows], solve
             )
         else:

@@ -626,12 +626,11 @@ def test_passes_share_their_qp_work(monkeypatch):
     # a surrogate epoch runs phase one once per y-space constraint set (the
     # training pass's and the validation pass's) and forms the y-space
     # Hessian once per pass; a decision-focused epoch classifies the rows and
-    # assembles the KKT matrix once per pass, outside the per-solve adjoint
+    # assembles the KKT matrix once per pass, and its adjoints gather their
+    # systems from that matrix
     cfg = TrainConfig(**SMALL_PORTFOLIO)
     phase_one, rows, kkt_matrix = optlayer._phase_one, optlayer._Rows, optlayer._kkt_matrix
-    symmetric_kkt_solve = optlayer._symmetric_kkt_solve
     calls = {"phase one": 0, "y-space QPs": 0, "row classes": 0, "assemblies": 0}
-    in_adjoint = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -639,21 +638,9 @@ def test_passes_share_their_qp_work(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def assembly(H, A):
-        calls["assemblies"] += not in_adjoint
-        return kkt_matrix(H, A)
-
-    def adjoint_solve(H, A, rhs):
-        in_adjoint.append(1)
-        try:
-            return symmetric_kkt_solve(H, A, rhs)
-        finally:
-            in_adjoint.pop()
-
     monkeypatch.setattr(optlayer, "_phase_one", counted("phase one", phase_one))
     monkeypatch.setattr(optlayer, "_Rows", counted("row classes", rows))
-    monkeypatch.setattr(optlayer, "_kkt_matrix", assembly)
-    monkeypatch.setattr(optlayer, "_symmetric_kkt_solve", adjoint_solve)
+    monkeypatch.setattr(optlayer, "_kkt_matrix", counted("assemblies", kkt_matrix))
     monkeypatch.setattr(surrogate, "QuadraticProgram",
                         counted("y-space QPs", surrogate.QuadraticProgram))
     for method in ("surrogate", "decision-focused"):

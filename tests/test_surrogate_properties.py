@@ -29,23 +29,23 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 def dense_jacobian_P(sqp, sol):
     """dy*/dP with columns row-major over P entries (column i m + j is d/dP[i, j])."""
-    P, qp = sqp.P, sqp.qp()
+    P, base, qp = sqp.sp.P, sqp.sp.base, sqp.qp()
     n, m = P.shape
     act = np.nonzero(sol.lam > optlayer.STRICT_COMPLEMENTARITY_TOL)[0]
     me, ma = qp.Aeq.shape[0], len(act)
     y, H_x = sol.y, sqp.H_x
-    is_base = act < sqp.base_G.shape[0]
-    G_ab = sqp.base_G[act[is_base]]
+    is_base = act < base.G.shape[0]
+    G_ab = base.G[act[is_base]]
     s_x = H_x @ (P @ y) + sqp.c_x + G_ab.T @ sol.lam[act[is_base]]
     if me:
-        s_x = s_x + sqp.base_Aeq.T @ sol.nu
+        s_x = s_x + base.Aeq.T @ sol.nu
     PtHx = P.T @ H_x
     rhs = np.zeros((m + me + ma, n * m))
     for i in range(n):
         cols = np.s_[i * m : (i + 1) * m]
         rhs[:m, cols] = -s_x[i] * np.eye(m) - np.outer(PtHx[:, i], y)
         if me:
-            rhs[m : m + me, cols] = -np.outer(sqp.base_Aeq[:, i], y)
+            rhs[m : m + me, cols] = -np.outer(base.Aeq[:, i], y)
         bot = np.zeros((ma, m))
         bot[is_base] = -np.outer(G_ab[:, i], y)
         rhs[m + me :, cols] = bot
