@@ -215,17 +215,6 @@ def adam_step(params, grads, state: AdamState):
     return out, state
 
 
-def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient oracle: (f(x + h e_i) - f(x - h e_i)) / 2h."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e.flat[i] = h
-        g.flat[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
-
-
 def save_params_csv(named_params, path) -> None:
     """Checkpoint a dict of name -> array as flat CSV rows (name, shape, values)."""
     with open(path, "w") as fh:

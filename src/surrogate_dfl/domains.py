@@ -13,7 +13,6 @@ from scipy.linalg import lapack
 
 from .errors import BadDimensions, DimensionMismatch, SingularMatrix
 from .optlayer import QuadraticProgram, _kkt_matrix, solve_box_budget_qp, solve_qp
-from .surrogate import simplex_base, box_budget_base
 
 RETURN_LAGS = 5
 ROLLING_SHORT = 5
@@ -260,10 +259,6 @@ def portfolio_oracle_decision(p, Q, risk_aversion: float, max_iter: int = 0) -> 
     return solve_qp(qp, max_iter=max_iter, start=simplex_start(qp)).y
 
 
-def portfolio_base(n: int):
-    return simplex_base(n)
-
-
 # ---------------------------------------------------------------------------
 # movie broadcast
 
@@ -427,10 +422,6 @@ def movierec_supergradient(x, theta, picks: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     sel = movierec_selection(x, theta, picks)
     return (sel * theta).sum(axis=1)
-
-
-def movierec_base(n_movies: int, budget_k: int):
-    return box_budget_base(n_movies, budget_k)
 
 
 def movierec_alternate(theta, budget_k: int, picks: int, solve, x0=None):

@@ -7,9 +7,9 @@ regularized QP.  The optimum is differentiated through its KKT system
 linearized with the active set frozen, and only by vector-Jacobian products:
 kkt_adjoint solves the adjoint of that system once, with the loss gradient
 as right-hand side, and the solution serves every parameter; kkt_jacobian_P
-turns it into dL/dP for a reparameterized QP with two outer products (the
-backward pass of OptNet, Amos & Kolter 2017, sec. 3).  The frozen set is the
-solvers' own strongly active rows, unfiltered (see kkt_adjoint's contract).
+turns it into an instance's dL/dP for a reparameterized QP with two outer
+products (OptNet's backward pass, Amos & Kolter 2017, sec. 3).  The frozen
+set is the solvers' own strongly active rows, unfiltered (kkt_adjoint).
 
 Simple-bound rows (one nonzero, s x_j <= h) stay out of every factorization.
 A bound in the working set or the frozen active set fixes its coordinate;
@@ -429,13 +429,9 @@ def solve_qp(qp: QuadraticProgram, max_iter: int = 0, start=None) -> PrimalDualS
 
 
 def find_feasible_point(Aeq, beq, Gineq, hineq, n, max_iter: int = 0) -> np.ndarray:
-    """Standalone phase-one solve; raises Infeasible when the set is empty."""
-    Aeq = as_matrix(Aeq) if Aeq is not None and np.size(Aeq) else np.zeros((0, n))
-    beq = as_vector(beq) if beq is not None and np.size(beq) else np.zeros(0)
-    G = as_matrix(Gineq) if Gineq is not None and np.size(Gineq) else np.zeros((0, n))
-    h = as_vector(hineq) if hineq is not None and np.size(hineq) else np.zeros(0)
-    max_iter = max_iter or _pivot_cap(n, Aeq.shape[0] + G.shape[0])
-    return _phase_one(Aeq, beq, G, h, n, max_iter)
+    """Phase-one solve on the arrays as given; raises Infeasible when the set is empty."""
+    max_iter = max_iter or _pivot_cap(n, Aeq.shape[0] + Gineq.shape[0])
+    return _phase_one(Aeq, beq, Gineq, hineq, n, max_iter)
 
 
 def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
@@ -497,17 +493,19 @@ def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
     return z_y, z[n_free : n_free + me], z_lam, act
 
 
-def kkt_jacobian_P(sqp, sol: PrimalDualSolution, adjoint) -> np.ndarray:
-    """Implicit part of dL/dP (n x m) for the surrogate QP sqp (a
-    surrogate.SurrogateQp) of x-space objective (H_x, c_x) on sqp.sp.
+def kkt_jacobian_P(sqp, sol: PrimalDualSolution, adjoint, dL_dx) -> np.ndarray:
+    """One instance's whole dL/dP (n x m) for the surrogate QP sqp (a
+    surrogate.SurrogateQp) of x-space objective (H_x, c_x) on sqp.sp, with
+    dL_dx the loss gradient at the lifted decision x = P y*.
 
     adjoint is kkt_adjoint's output (z_y, z_nu, z_lam, act) for the same
-    y-space QP and dL/dy, so the product dL/dy . dy*/dP comes from the
-    adjoint already solved instead of the m x (n m) Jacobian: with the
-    x-space stationarity vector s_x = H_x P y* + c_x + A_eq^T nu + G_ab^T lam_b,
-    it is -s_x z_y^T - (H_x P z_y + A_eq^T z_nu + G_ab^T z_lam_b) y*^T, where
-    G_ab holds the frozen rows of the x-space constraints (act < n_base) and
-    z_lam_b their adjoint entries; trailing y-space rows do not depend on P.
+    y-space QP and dL/dy = P^T dL_dx, so dL/dy . dy*/dP comes from the adjoint
+    already solved instead of the m x (n m) Jacobian.  With the x-space
+    stationarity vector s_x = H_x P y* + c_x + A_eq^T nu + G_ab^T lam_b and
+    w = H_x P z_y + A_eq^T z_nu + G_ab^T z_lam_b, dL/dP is
+    -s_x z_y^T + (dL_dx - w) y*^T, dL_dx y*^T being x = P y's explicit term.
+    G_ab holds the frozen x-space rows (act < n_base) and z_lam_b their
+    adjoint entries; trailing y-space rows do not depend on P.
     """
     z_y, z_nu, z_lam, act = adjoint
     P, base, H_x = sqp.sp.P, sqp.sp.base, sqp.H_x
@@ -515,7 +513,7 @@ def kkt_jacobian_P(sqp, sol: PrimalDualSolution, adjoint) -> np.ndarray:
     G_ab = base.G[act[is_base]]
     s_x = H_x @ (P @ sol.y) + sqp.c_x + base.Aeq.T @ sol.nu + G_ab.T @ sol.lam[act[is_base]]
     w = H_x @ (P @ z_y) + base.Aeq.T @ z_nu + G_ab.T @ z_lam[is_base]
-    return -np.outer(s_x, z_y) - np.outer(w, sol.y)
+    return -np.outer(s_x, z_y) + np.outer(dL_dx - w, sol.y)
 
 
 def solve_box_budget_qp(c_lin, gamma: float, k: float) -> PrimalDualSolution:

@@ -15,17 +15,18 @@ every theta of a pass holds the same predicted Q and the same
 domains.SimplexStart, so the pass's full QPs are siblings of one pass QP
 (their checks, row classes and KKT matrix are shared) and its cold
 decisions share one factorization of the crash start's KKT matrix.  A
-pass's y-space solves share its constraint set's phase-one point and the
-y-space QP of the pass Hessian (surrogate.SurrogateProblem), and movie-rec's
-frozen QPs are siblings of the one box-budget QP that optlayer holds per
-(n, gamma, k).
+pass's y-space solves share the y-space QP of the pass Hessian, and
+movie-rec's frozen QPs are siblings of the one box-budget QP that optlayer
+holds per (n, gamma, k).  What depends only on P is built once per P: the
+y-space constraint set and its phase-one point (surrogate.SurrogateProblem),
+which an epoch's validation and the next epoch's training share.
 
 Decision-focused training solves the full problem per instance and chains
 df/dw = df/dx . dx*/dtheta . dtheta/dw through the frozen KKT system.  The
 surrogate regime is that regime composed with x = P y: it solves only the
 m-dimensional reparameterized problem, lifts the answer, and takes the full
-theta-gradient at (P z_y, P y*); it also chains df/dP from the same
-frozen-KKT adjoint (kkt_jacobian_P).
+theta-gradient at (P z_y, P y*).  Each instance's dL/dP comes from the same
+adjoint (kkt_jacobian_P); an epoch chains their mean to P_raw once (grad_wrt_P).
 
 Adapters hold only domain math and a cache of oracle values; the training
 loop owns the start store (each training instance's last decision seeds its
@@ -66,12 +67,14 @@ from .surrogate import (
     MODES,
     Reparameterization,
     SurrogateQp,
+    box_budget_base,
     default_m,
     export_reparam_csv,
     grad_wrt_P,
     init_reparam,
     lift,
     materialize,
+    simplex_base,
     transform_problem,
 )
 
@@ -216,7 +219,7 @@ class PortfolioAdapter:
         self.config = config
         self.lam = config.risk_aversion
         self.n = config.n_securities
-        self.base = domains.portfolio_base(self.n)
+        self.base = simplex_base(self.n)
         self._oracle_cache = {}
 
     def generate(self, seed):
@@ -275,11 +278,11 @@ class PortfolioAdapter:
         return sol.y, sol, (qp,)
 
     def decision_surrogate(self, theta, sp, x0=None):
-        """(y*, x = P y*, sol, sqp, ctx) of the y-space QP; x0 is ignored."""
+        """(x = P y*, sol, sqp, ctx) of the y-space QP; x0 is ignored."""
         x, (sqp, qp, sol) = _solve_surrogate(
             sp, theta["start"].H, -theta["p"], self.config.qp_max_iter
         )
-        return sol.y, x, sol, sqp, (qp,)
+        return x, sol, sqp, (qp,)
 
     def objective(self, x, inst):
         return domains.portfolio_objective(
@@ -334,7 +337,7 @@ class MovieRecAdapter:
         self.gamma = config.gamma
         if self.picks > self.n or self.k > self.n:
             raise BadDimensions("picks_per_user and budget_k cannot exceed n_movies")
-        self.base = domains.movierec_base(self.n, self.k)
+        self.base = box_budget_base(self.n, self.k)
         self._oracle_cache = {}
         # the same arrays for every decision, so a pass's y-space QPs share
         # one (SurrogateProblem.qp)
@@ -395,7 +398,7 @@ class MovieRecAdapter:
         return x, sol, (box_budget_qp(c_frozen, self.gamma, self.k), sel)
 
     def decision_surrogate(self, theta, sp, x0=None):
-        """(y*, x = P y*, sol, sqp, ctx): decision_full's alternation with exact
+        """(x = P y*, sol, sqp, ctx): decision_full's alternation with exact
         y-space solves; x0, the previous lifted decision, seeds the first selection."""
         H_extra = self._H_extra.setdefault(sp.m, 2.0 * self.gamma * np.eye(sp.m))
         x, (sqp, qp, sol), _, sel = domains.movierec_alternate(
@@ -403,7 +406,7 @@ class MovieRecAdapter:
             lambda c: _solve_surrogate(sp, self._H_x, -c, self.config.qp_max_iter, H_extra),
             x0=x0,
         )
-        return sol.y, x, sol, sqp, (qp, sel)
+        return x, sol, sqp, (qp, sel)
 
     def objective(self, x, inst):
         return domains.movierec_objective(x, inst.preferences, self.picks)
@@ -477,7 +480,7 @@ def _split(dataset, idx):
     return [dataset.instances[i] for i in idx]
 
 
-def _prediction_step(adapter, theta, rep, sp, inst, idx, x0=None):
+def _prediction_step(adapter, theta, sp, inst, idx, x0=None):
     """The two-stage step in _decision_and_grads' signature: (loss, dtheta,
     None, None) of the squared prediction error."""
     loss, dtheta = adapter.prediction_loss(theta, inst)
@@ -491,26 +494,25 @@ def _prediction_error_on(adapter, models, sp, instances):
                           for theta, inst in zip(thetas, instances)]))
 
 
-def _decision_and_grads(adapter, theta, rep, sp, inst, idx, x0=None):
+def _decision_and_grads(adapter, theta, sp, inst, idx, x0=None):
     """One end-to-end decision and its backward pass down to theta, from
-    start x0: (loss, dtheta, dP_raw, x)."""
-    dP_raw = None
+    start x0: (loss, dtheta, dL_dP, x), dL_dP None without sp."""
+    dL_dP = None
     try:
         if sp is None:
             x, sol, ctx = adapter.decision_full(theta, x0=x0)
             loss, dL_dx = adapter.loss_grad_x(x, inst)
             z_x = kkt_adjoint(ctx[0], sol, dL_dx)[0]
         else:
-            y_star, x, sol, sqp, ctx = adapter.decision_surrogate(theta, sp, x0=x0)
+            x, sol, sqp, ctx = adapter.decision_surrogate(theta, sp, x0=x0)
             loss, dL_dx = adapter.loss_grad_x(x, inst)
             adjoint = kkt_adjoint(ctx[0], sol, sp.P.T @ dL_dx)
             z_x = sp.P @ adjoint[0]  # x = P y, so the x-space adjoint is P z_y
-            dL_dP = kkt_jacobian_P(sqp, sol, adjoint)
-            dP_raw = grad_wrt_P(dL_dx, y_star, dL_dP, rep)
+            dL_dP = kkt_jacobian_P(sqp, sol, adjoint, dL_dx)
         dtheta = adapter.theta_grads(ctx, z_x, x)
     except (Infeasible, MaxIterations, NumericalBreakdown, SingularKKT, SingularMatrix) as exc:
         raise type(exc)(f"instance {idx}: {exc}") from exc
-    return loss, dtheta, dP_raw, x
+    return loss, dtheta, dL_dP, x
 
 
 def _decide_pass(adapter, models, sp, instances):
@@ -519,7 +521,7 @@ def _decide_pass(adapter, models, sp, instances):
     thetas, _ = adapter.predict(models, instances)
     if sp is None:
         return [adapter.decision_full(theta)[0] for theta in thetas]
-    return [adapter.decision_surrogate(theta, sp)[1] for theta in thetas]
+    return [adapter.decision_surrogate(theta, sp)[0] for theta in thetas]
 
 
 def _regret_on(adapter, models, sp, instances):
@@ -535,8 +537,8 @@ def _train(models, rep, dataset, config, adapter, step, score):
     """Full-batch Adam on step's mean loss with early stopping on score over
     the validation split; returns the best checkpoint.  Each epoch predicts
     the training split in one pass, steps once per instance and backpropagates
-    the summed theta-gradients once.  P trains when rep is given.  step's x
-    is its next x0."""
+    the summed theta-gradients once.  P trains when rep is given, on the
+    epoch's mean dL/dP, and each P gets one y-space set.  step's x is its next x0."""
     adapter = adapter or get_adapter(config)
     train_set = _split(dataset, dataset.train_idx)
     val_set = _split(dataset, dataset.val_idx)
@@ -552,27 +554,26 @@ def _train(models, rep, dataset, config, adapter, step, score):
     starts = {}  # training index -> the instance's last decision (lifted for the surrogate)
     train_time = 0.0
     epochs = 0
+    sp = _surrogate_problem(adapter, rep)
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
-        sp = _surrogate_problem(adapter, rep, check_feasible=(epoch == 1))
         thetas, cache = adapter.predict(models, train_set)
-        dthetas = []
-        p_grad = np.zeros_like(rep.P_raw) if rep is not None else None
+        dthetas, dL_dPs = [], []
         epoch_loss = 0.0
         for idx, inst, theta in zip(dataset.train_idx, train_set, thetas):
-            loss, dtheta, dP_raw, starts[idx] = step(
-                adapter, theta, rep, sp, inst, idx, x0=starts.get(idx)
-            )
+            loss, dtheta, dL_dP, starts[idx] = step(adapter, theta, sp, inst, idx,
+                                                    x0=starts.get(idx))
             epoch_loss += loss
             dthetas.append(dtheta)
-            if dP_raw is not None:
-                p_grad += dP_raw / len(train_set)
+            dL_dPs.append(dL_dP)
         grads = [g / len(train_set) for g in adapter.backprop_models(models, cache, dthetas)]
         params, state = adam_step(params, grads, state)
         adapter.set_params(models, params)
         if rep is not None:
+            p_grad = grad_wrt_P(sum(dL_dPs) / len(train_set), rep)
             new_raw, p_state = adam_step([rep.P_raw], [p_grad], p_state)
             rep.P_raw = new_raw[0]
+            sp = _surrogate_problem(adapter, rep)
         train_time += time.perf_counter() - t0
         epochs = epoch
         if rep is not None and config.export_p and config.verbose:
@@ -580,7 +581,7 @@ def _train(models, rep, dataset, config, adapter, step, score):
             export_reparam_csv(
                 rep, os.path.join(config.out_dir, f"reparam_epoch_{epoch:03d}.csv")
             )
-        val_score = score(adapter, models, _surrogate_problem(adapter, rep), val_set)
+        val_score = score(adapter, models, sp, val_set)
         history.append((epoch, epoch_loss / len(train_set), val_score))
         if stopper.update(val_score, epoch):
             best_params = [p.copy() for p in params]
@@ -595,11 +596,11 @@ def _train(models, rep, dataset, config, adapter, step, score):
     return TrainResult(models, epochs, per_epoch, history)
 
 
-def _surrogate_problem(adapter, rep, check_feasible=False):
+def _surrogate_problem(adapter, rep):
     """The y-space constraint set of rep's current P, or None without a rep."""
     if rep is None:
         return None
-    return transform_problem(adapter.base, materialize(rep), check_feasible=check_feasible)
+    return transform_problem(adapter.base, materialize(rep))
 
 
 def train_two_stage(models, dataset, config: TrainConfig, adapter=None) -> TrainResult:

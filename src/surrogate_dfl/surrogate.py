@@ -4,7 +4,9 @@ P is materialized from unconstrained raw parameters through a mode-specific
 map (identity, softplus, or per-column softmax), so the training loop can run
 plain gradient steps on P_raw while P keeps the structure each domain needs:
 nonnegativity for diminishing-returns objectives, stochastic columns for
-simplex feasible sets.
+simplex feasible sets.  Training derives everything from P once per P: one
+y-space constraint set (SurrogateProblem) and one chain of the epoch's mean
+dL/dP back to P_raw (grad_wrt_P).
 """
 
 import math
@@ -105,10 +107,6 @@ def init_reparam(n: int, m: int = None, mode: str = "free", seed: int = 0) -> Re
     )
 
 
-def identity_reparam(n: int) -> Reparameterization:
-    return Reparameterization(P_raw=np.eye(n), mode="free", n=n, m=n)
-
-
 def materialize(rep: Reparameterization) -> np.ndarray:
     """P from P_raw: identity for free, softplus for nonneg, column softmax
     for column-simplex (strictly positive entries, unit column sums)."""
@@ -119,20 +117,6 @@ def materialize(rep: Reparameterization) -> np.ndarray:
     z = rep.P_raw - rep.P_raw.max(axis=0, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=0, keepdims=True)
-
-
-def materialize_grad(rep: Reparameterization, dL_dP) -> np.ndarray:
-    """Chain a gradient w.r.t. P back through the materialization to P_raw."""
-    g = np.asarray(dL_dP, dtype=float)
-    if g.shape != (rep.n, rep.m):
-        raise DimensionMismatch("dL_dP shape does not match reparameterization")
-    if rep.mode == "free":
-        return g.copy()
-    if rep.mode == "nonneg":
-        return g / (1.0 + np.exp(-rep.P_raw))  # softplus' = sigmoid
-    P = materialize(rep)
-    # per-column softmax Jacobian: diag(p) - p p^T
-    return P * g - P * np.sum(P * g, axis=0, keepdims=True)
 
 
 def lift(P, y) -> np.ndarray:
@@ -166,14 +150,17 @@ class SurrogateProblem:
         return self.P.shape[1]
 
     def feasible_start(self, max_iter: int = 0):
-        """Start (y0, no working row) for solve_qp: the phase-one point,
-        found once per pivot cap max_iter (0: the default cap).  solve_qp
-        from it takes the pivots of a solve that runs phase one itself.
-        Raises Infeasible when the set is empty."""
-        if self._start is None or self._start[0] != max_iter:
-            y0 = find_feasible_point(self.Aeq_y, self.beq, self.G_y, self.h_y, self.m, max_iter)
-            self._start = max_iter, (y0, np.zeros(self.h_y.shape[0], dtype=bool))
-        return self._start[1]
+        """Start (y0, no working row) for solve_qp: the phase-one point, found
+        at the first call under its pivot cap max_iter (0: the default cap).
+        solve_qp from it takes the pivots of a solve that runs phase one
+        itself.  Raises EmptyFeasibleSet when the set is empty."""
+        if self._start is None:
+            try:
+                y0 = find_feasible_point(self.Aeq_y, self.beq, self.G_y, self.h_y, self.m, max_iter)
+            except Infeasible as exc:
+                raise EmptyFeasibleSet(f"surrogate feasible set is empty: {exc}") from exc
+            self._start = y0, np.zeros(self.h_y.shape[0], dtype=bool)
+        return self._start
 
     def qp(self, H_x, H_extra=None) -> QuadraticProgram:
         """The y-space QP of Hessian P^T H_x P + H_extra and c = 0, which the
@@ -192,15 +179,13 @@ class SurrogateProblem:
         return held[2]
 
 
-def transform_problem(
-    base: BaseProblem, P, nonneg_y: bool = False, check_feasible: bool = True
-) -> SurrogateProblem:
+def transform_problem(base: BaseProblem, P, nonneg_y: bool = False) -> SurrogateProblem:
     """Compose the base constraints with x = P y.
 
     Equalities become (A P) y = b; each inequality row g x <= h becomes
     (g P) y <= h, so any feasible y lifts to a feasible x.  With nonneg_y,
-    explicit y >= 0 rows are appended after the transformed rows.  Raises
-    EmptyFeasibleSet when the y-space phase-one solve fails.
+    explicit y >= 0 rows are appended after the transformed rows.  An empty
+    set raises EmptyFeasibleSet at its first solve (feasible_start).
     """
     P = as_matrix(P)
     if P.shape[0] != base.n:
@@ -212,13 +197,7 @@ def transform_problem(
     if nonneg_y:
         G_y = np.vstack([G_y, -np.eye(m)])
         h_y = np.concatenate([h_y, np.zeros(m)])
-    sp = SurrogateProblem(base=base, P=P, Aeq_y=Aeq_y, beq=base.beq.copy(), G_y=G_y, h_y=h_y)
-    if check_feasible:
-        try:
-            sp.feasible_start()
-        except Infeasible as exc:
-            raise EmptyFeasibleSet(f"surrogate feasible set is empty: {exc}") from exc
-    return sp
+    return SurrogateProblem(base=base, P=P, Aeq_y=Aeq_y, beq=base.beq.copy(), G_y=G_y, h_y=h_y)
 
 
 @dataclass
@@ -240,19 +219,21 @@ class SurrogateQp:
         return self.sp.qp(self.H_x, self.H_extra).with_c(self.sp.P.T @ self.c_x)
 
 
-def grad_wrt_P(dL_dx, y_star, dL_dP_implicit, rep: Reparameterization) -> np.ndarray:
-    """Total derivative of the loss w.r.t. P_raw.
-
-    Adds the explicit term from x = P y at fixed y (outer product of dL_dx
-    and y*) to the implicit term through y*(P), the n x m product that
-    kkt_jacobian_P returns, then chains through the materialization mode.
-    """
-    dL_dx = as_vector(dL_dx)
-    y_star = as_vector(y_star)
-    implicit = as_matrix(dL_dP_implicit)
-    if dL_dx.shape[0] != rep.n or y_star.shape[0] != rep.m or implicit.shape != (rep.n, rep.m):
-        raise DimensionMismatch("gradient pieces do not match (n, m)")
-    return materialize_grad(rep, np.outer(dL_dx, y_star) + implicit)
+def grad_wrt_P(dL_dP, rep: Reparameterization) -> np.ndarray:
+    """dL/dP_raw: a gradient w.r.t. P (n x m), such as an epoch's mean of
+    kkt_jacobian_P's per-instance dL/dP, chained back through the
+    materialization mode.  The chain is linear in dL_dP, so chaining the
+    mean equals the mean of the chained gradients."""
+    g = np.asarray(dL_dP, dtype=float)
+    if g.shape != (rep.n, rep.m):
+        raise DimensionMismatch("dL_dP shape does not match reparameterization")
+    if rep.mode == "free":
+        return g.copy()
+    if rep.mode == "nonneg":
+        return g / (1.0 + np.exp(-rep.P_raw))  # softplus' = sigmoid
+    P = materialize(rep)
+    # per-column softmax Jacobian: diag(p) - p p^T
+    return P * g - P * np.sum(P * g, axis=0, keepdims=True)
 
 
 def export_reparam_csv(rep: Reparameterization, path) -> None:

@@ -86,7 +86,7 @@ def _surrogate_opt(H, c, base: BaseProblem, P, max_iter: int = 300) -> float:
     """OPT(theta, P): minimum of the reparameterized quadratic over the
     y-space feasible set, with y >= 0 declared (the setting under which
     per-column quasiconvexity holds)."""
-    sp = transform_problem(base, P, nonneg_y=True, check_feasible=False)
+    sp = transform_problem(base, P, nonneg_y=True)
     qp = SurrogateQp(H_x=H, c_x=c, sp=sp).qp()
     sol = solve_qp(qp, max_iter=max_iter)
     y = sol.y

@@ -7,10 +7,10 @@ the other criteria run, so it is declared last in this module.
 from dataclasses import replace
 
 import numpy as np
+from helpers import finite_diff_grad, identity_reparam
 
 from surrogate_dfl import surrogate, theory
 from surrogate_dfl.cli import main, parse_config
-from surrogate_dfl.diff import finite_diff_grad
 from surrogate_dfl.optlayer import QuadraticProgram, kkt_adjoint, solve_qp
 from surrogate_dfl.pipelines import (
     TrainConfig,
@@ -75,7 +75,8 @@ def test_criterion_1_gradient_correctness():
     assert skip_rate < 0.20
     assert worst_jac <= 1e-4
 
-    # (b, c) end-to-end dL/dw and dL/dP_raw on a 4-security MLP pipeline
+    # (b, c) end-to-end dL/dw and dL/dP (free mode: P = P_raw) on a 4-security
+    # MLP pipeline
     cfg = TrainConfig(domain="portfolio", n_securities=4, n_days=25,
                       hidden_size=8, embedding_dim=3, surrogate_m=2,
                       surrogate_mode="free")
@@ -86,7 +87,7 @@ def test_criterion_1_gradient_correctness():
     rep = make_reparam(cfg, adapter, subseed(0, 2))
     rep.P_raw = rep.P_raw + 0.6
     P = surrogate.materialize(rep)
-    sp = surrogate.transform_problem(adapter.base, P, check_feasible=False)
+    sp = surrogate.transform_problem(adapter.base, P)
     params0 = [p.copy() for p in adapter.params(models)]
     flat0 = np.concatenate([p.ravel() for p in params0])
 
@@ -100,12 +101,12 @@ def test_criterion_1_gradient_correctness():
     def loss_w(flat):
         adapter.set_params(models, unflatten(flat))
         theta = adapter.predict(models, [inst])[0][0]
-        _, x, _, _, _ = adapter.decision_surrogate(theta, sp)
+        x, _, _, _ = adapter.decision_surrogate(theta, sp)
         return adapter.loss_grad_x(x, inst)[0]
 
     adapter.set_params(models, unflatten(flat0))
     thetas, cache = adapter.predict(models, [inst])
-    _, dtheta, dP_raw, _ = _decision_and_grads(adapter, thetas[0], rep, sp, inst, 0)
+    _, dtheta, dL_dP, _ = _decision_and_grads(adapter, thetas[0], sp, inst, 0)
     grads = adapter.backprop_models(models, cache, [dtheta])
     an_w = np.concatenate([g.ravel() for g in grads])
     fd_w = finite_diff_grad(loss_w, flat0, h=1e-5)
@@ -116,14 +117,13 @@ def test_criterion_1_gradient_correctness():
 
     def loss_P(flat):
         rep2 = surrogate.Reparameterization(P_raw=flat.reshape(4, 2), mode="free", n=4, m=2)
-        sp2 = surrogate.transform_problem(
-            adapter.base, surrogate.materialize(rep2), check_feasible=False)
+        sp2 = surrogate.transform_problem(adapter.base, surrogate.materialize(rep2))
         theta = adapter.predict(models, [inst])[0][0]
-        _, x, _, _, _ = adapter.decision_surrogate(theta, sp2)
+        x, _, _, _ = adapter.decision_surrogate(theta, sp2)
         return adapter.loss_grad_x(x, inst)[0]
 
     fd_P = finite_diff_grad(loss_P, rep.P_raw.ravel().copy(), h=1e-6)
-    err_P = float(np.max(np.abs(fd_P - dP_raw.ravel()) / np.maximum(1.0, np.abs(dP_raw.ravel()))))
+    err_P = float(np.max(np.abs(fd_P - dL_dP.ravel()) / np.maximum(1.0, np.abs(dL_dP.ravel()))))
     assert err_P <= 1e-3
     print(f"\n[criterion 1] PASS - jacobian err {worst_jac:.2e} "
           f"(skips {skip_rate:.1%}), dL/dw err {err_w:.2e}, dL/dP err {err_P:.2e}")
@@ -160,7 +160,7 @@ def test_criterion_3_identity_neutrality():
         m_a = adapter_a.init_models(subseed(seed, 1))
         m_b = adapter_b.init_models(subseed(seed, 1))
         train_decision_focused(m_a, ds_a, cfg, adapter_a)
-        rep = surrogate.identity_reparam(cfg.n_securities)
+        rep = identity_reparam(cfg.n_securities)
         train_surrogate(m_b, rep, ds_b, replace(cfg, p_learning_rate=0.0), adapter_b)
         ev_a = evaluate(m_a, None, ds_a, cfg, adapter_a)
         ev_b = evaluate(m_b, rep, ds_b, cfg, adapter_b)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import finite_diff_grad
 
 from surrogate_dfl import diff
 from surrogate_dfl.diff import (
@@ -9,7 +10,6 @@ from surrogate_dfl.diff import (
     adam_step,
     embedding_cosine_backward,
     embedding_cosine_matrix,
-    finite_diff_grad,
     init_adam,
     init_embeddings,
     init_mlp,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from surrogate_dfl import domains, surrogate
+from surrogate_dfl import surrogate
 from surrogate_dfl.errors import DimensionMismatch, Infeasible, MaxIterations
 from surrogate_dfl.optlayer import (
     QuadraticProgram,
@@ -221,18 +221,20 @@ def test_jacobian_h_dependence_fd():
 
 
 def test_jacobian_P_zero_objective():
-    # H = 1e-8 ridge only, c = 0: the optimum sits at the interior origin
+    # H = 1e-8 ridge only, c = 0: the optimum sits at the interior origin,
+    # so dy*/dP and the explicit term dL/dx y*^T both vanish
     n, m = 4, 2
-    base = domains.movierec_base(n, 2)
+    base = surrogate.box_budget_base(n, 2)
     P = np.random.default_rng(6).uniform(0.1, 1.0, (n, m))
-    sp = surrogate.transform_problem(base, P, check_feasible=False)
+    sp = surrogate.transform_problem(base, P)
     sqp = surrogate.SurrogateQp(H_x=np.zeros((n, n)), c_x=np.zeros(n), sp=sp,
                                 H_extra=1e-8 * np.eye(m))
     qp = sqp.qp()
     sol = solve_qp(qp)
-    # row j of dy*/dP is the vector-Jacobian product with dL/dy = e_j
+    # row j of dy*/dP is the vector-Jacobian product with dL/dy = P^T dL/dx = e_j
     for e_j in np.eye(m):
-        J_j = kkt_jacobian_P(sqp, sol, kkt_adjoint(qp, sol, e_j))
+        dL_dx = np.linalg.lstsq(P.T, e_j, rcond=None)[0]
+        J_j = kkt_jacobian_P(sqp, sol, kkt_adjoint(qp, sol, P.T @ dL_dx), dL_dx)
         assert np.max(np.abs(J_j)) <= 1e-6
 
 

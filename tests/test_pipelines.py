@@ -4,9 +4,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from helpers import finite_diff_grad, identity_reparam
 
 from surrogate_dfl import domains, optlayer, pipelines, surrogate
-from surrogate_dfl.diff import finite_diff_grad
 from surrogate_dfl.errors import EmptySplit, MaxIterations
 from surrogate_dfl.optlayer import (
     STRICT_COMPLEMENTARITY_TOL,
@@ -148,7 +148,7 @@ def test_decision_focused_gradient_matches_fd():
 
     adapter.set_params(models, unflatten(flat0))
     thetas, cache = adapter.predict(models, [inst])
-    _, dtheta, _, _ = _decision_and_grads(adapter, thetas[0], None, None, inst, 0)
+    _, dtheta, _, _ = _decision_and_grads(adapter, thetas[0], None, inst, 0)
     grads = adapter.backprop_models(models, cache, [dtheta])
     an = np.concatenate([g.ravel() for g in grads])
     fd = finite_diff_grad(loss_of, flat0, h=1e-5)
@@ -166,7 +166,7 @@ def test_surrogate_joint_gradient_matches_fd():
     rep = make_reparam(cfg, adapter, 8)
     rep.P_raw = rep.P_raw + 0.6
     P = surrogate.materialize(rep)
-    sp = surrogate.transform_problem(adapter.base, P, check_feasible=False)
+    sp = surrogate.transform_problem(adapter.base, P)
 
     params0 = [p.copy() for p in adapter.params(models)]
     flat0 = np.concatenate([p.ravel() for p in params0])
@@ -181,12 +181,12 @@ def test_surrogate_joint_gradient_matches_fd():
     def loss_of_w(flat):
         adapter.set_params(models, unflatten(flat))
         theta = adapter.predict(models, [inst])[0][0]
-        _, x, _, _, _ = adapter.decision_surrogate(theta, sp)
+        x, _, _, _ = adapter.decision_surrogate(theta, sp)
         return adapter.loss_grad_x(x, inst)[0]
 
     adapter.set_params(models, unflatten(flat0))
     thetas, cache = adapter.predict(models, [inst])
-    _, dtheta, dP_raw, _ = _decision_and_grads(adapter, thetas[0], rep, sp, inst, 0)
+    _, dtheta, dL_dP, _ = _decision_and_grads(adapter, thetas[0], sp, inst, 0)
     grads = adapter.backprop_models(models, cache, [dtheta])
     an_w = np.concatenate([g.ravel() for g in grads])
     fd_w = finite_diff_grad(loss_of_w, flat0, h=1e-5)
@@ -199,13 +199,13 @@ def test_surrogate_joint_gradient_matches_fd():
             P_raw=flat.reshape(rep.n, rep.m), mode="free", n=rep.n, m=rep.m
         )
         P2 = surrogate.materialize(rep2)
-        sp2 = surrogate.transform_problem(adapter.base, P2, check_feasible=False)
+        sp2 = surrogate.transform_problem(adapter.base, P2)
         theta = adapter.predict(models, [inst])[0][0]
-        _, x, _, _, _ = adapter.decision_surrogate(theta, sp2)
+        x, _, _, _ = adapter.decision_surrogate(theta, sp2)
         return adapter.loss_grad_x(x, inst)[0]
 
     fd_P = finite_diff_grad(loss_of_P, rep.P_raw.ravel().copy(), h=1e-6)
-    assert np.max(np.abs(fd_P - dP_raw.ravel()) / np.maximum(1.0, np.abs(dP_raw.ravel()))) <= 1e-3
+    assert np.max(np.abs(fd_P - dL_dP.ravel()) / np.maximum(1.0, np.abs(dL_dP.ravel()))) <= 1e-3
 
 
 def _weight_grads(adapter, models, inst, rep, h):
@@ -214,8 +214,7 @@ def _weight_grads(adapter, models, inst, rep, h):
     difference point; the selection is None for portfolio."""
     sp = None
     if rep is not None:
-        sp = surrogate.transform_problem(adapter.base, surrogate.materialize(rep),
-                                         check_feasible=False)
+        sp = surrogate.transform_problem(adapter.base, surrogate.materialize(rep))
     params0 = [p.copy() for p in adapter.params(models)]
     flat0 = np.concatenate([p.ravel() for p in params0])
     branches = set()
@@ -230,7 +229,7 @@ def _weight_grads(adapter, models, inst, rep, h):
         if sp is None:
             x, sol, ctx = adapter.decision_full(theta)
         else:
-            _, x, sol, _, ctx = adapter.decision_surrogate(theta, sp)
+            x, sol, _, ctx = adapter.decision_surrogate(theta, sp)
         sel = ctx[1].tobytes() if len(ctx) > 1 else None
         branches.add((sel, np.nonzero(sol.lam > STRICT_COMPLEMENTARITY_TOL)[0].tobytes()))
         return adapter.loss_grad_x(x, inst)[0]
@@ -239,7 +238,7 @@ def _weight_grads(adapter, models, inst, rep, h):
     fd = finite_diff_grad(loss_of, flat0, h=h)
     adapter.set_params(models, params0)
     thetas, cache = adapter.predict(models, [inst])
-    _, dtheta, _, _ = _decision_and_grads(adapter, thetas[0], rep, sp, inst, 0)
+    _, dtheta, _, _ = _decision_and_grads(adapter, thetas[0], sp, inst, 0)
     an = np.concatenate([g.ravel() for g in adapter.backprop_models(models, cache, [dtheta])])
     return fd, an, branches
 
@@ -264,6 +263,53 @@ def test_weight_gradients_match_fd_in_norm():
         assert len(branches) == 1, case
         assert np.linalg.norm(fd) >= 1e-2, case
         assert np.linalg.norm(fd - an) <= 1e-6 * np.linalg.norm(fd), case
+
+
+def test_epoch_P_gradient_matches_fd_in_column_simplex_mode(monkeypatch):
+    # the P_raw gradient _train hands adam_step in epoch 1 against central
+    # differences of that epoch's mean training loss in P_raw, the models
+    # fixed, within the bounds above.  In column-simplex mode grad_wrt_P's
+    # chain is not the identity, so leaving dL/dP unchained, or the epoch's
+    # sum undivided by the instance count, fails here.
+    cfg = TrainConfig(domain="portfolio", n_securities=4, n_days=25, hidden_size=6,
+                      embedding_dim=3, surrogate_m=2, surrogate_mode="column-simplex",
+                      max_epochs=1)
+    adapter = get_adapter(cfg)
+    dataset = adapter.generate(subseed(0, 0))
+    models, rep = init_method(cfg, adapter, "surrogate", 0)
+    train_set = [dataset.instances[i] for i in dataset.train_idx]
+    thetas, _ = adapter.predict(models, train_set)  # epoch 1's predictions
+    raw0 = rep.P_raw.copy()
+    branches = set()
+
+    def mean_loss(flat):
+        r = surrogate.Reparameterization(P_raw=flat.reshape(raw0.shape), mode=rep.mode,
+                                         n=rep.n, m=rep.m)
+        sp = surrogate.transform_problem(adapter.base, surrogate.materialize(r))
+        losses, active = [], []
+        for theta, inst in zip(thetas, train_set):
+            x, sol, _, _ = adapter.decision_surrogate(theta, sp)
+            losses.append(adapter.loss_grad_x(x, inst)[0])
+            active.append(np.nonzero(sol.lam > STRICT_COMPLEMENTARITY_TOL)[0].tobytes())
+        branches.add(tuple(active))
+        return float(np.mean(losses))
+
+    handed, adam_step = [], pipelines.adam_step
+
+    def recording(params, grads, state):
+        if params[0] is rep.P_raw:
+            handed.append(grads[0])
+        return adam_step(params, grads, state)
+
+    monkeypatch.setattr(pipelines, "adam_step", recording)
+    train_surrogate(models, rep, dataset, cfg, adapter)
+    assert len(train_set) > 1 and len(handed) == 1
+    mean_loss(raw0)
+    fd = finite_diff_grad(mean_loss, raw0.ravel(), h=1e-6)
+    an = handed[0].ravel()
+    assert len(branches) == 1
+    assert np.linalg.norm(fd) >= 1e-2
+    assert np.linalg.norm(fd - an) <= 1e-6 * np.linalg.norm(fd)
 
 
 def test_training_deterministic():
@@ -291,7 +337,7 @@ def test_identity_neutrality():
     m_a = adapter_a.init_models(subseed(1, 1))
     m_b = adapter_b.init_models(subseed(1, 1))
     r_df = train_decision_focused(m_a, ds_a, cfg, adapter_a)
-    rep = surrogate.identity_reparam(cfg.n_securities)
+    rep = identity_reparam(cfg.n_securities)
     r_sur = train_surrogate(m_b, rep, ds_b, replace(cfg, p_learning_rate=0.0), adapter_b)
     assert len(r_df.history) == len(r_sur.history)
     for (e1, l1, v1), (e2, l2, v2) in zip(r_df.history, r_sur.history):
@@ -530,7 +576,7 @@ def test_validation_and_test_share_one_regret_policy():
             sp = None
             if rep is not None:
                 P = surrogate.materialize(rep)
-                sp = surrogate.transform_problem(adapter.base, P, check_feasible=False)
+                sp = surrogate.transform_problem(adapter.base, P)
             ev = evaluate(models, rep, dataset, cfg, adapter)
             assert _regret_on(adapter, models, sp, test_set) == np.mean(ev.regrets)
 
@@ -595,7 +641,7 @@ def test_decision_and_grads_names_the_instance():
     models = adapter.init_models(subseed(0, 1))
     inst = dataset.instances[0]
     with pytest.raises(MaxIterations, match=r"^instance 7: active-set pivot cap 1"):
-        _decision_and_grads(adapter, adapter.predict(models, [inst])[0][0], None, None, inst, 7)
+        _decision_and_grads(adapter, adapter.predict(models, [inst])[0][0], None, inst, 7)
 
 
 def test_run_experiment_parallel_matches_serial():
@@ -623,8 +669,9 @@ def test_default_workers_follow_the_cpu_affinity(monkeypatch):
 
 
 def test_passes_share_their_qp_work(monkeypatch):
-    # a surrogate epoch runs phase one once per y-space constraint set (the
-    # training pass's and the validation pass's) and forms the y-space
+    # a surrogate run builds one y-space constraint set per P (before the
+    # first epoch and after each step on P; an epoch's validation shares the
+    # next epoch's), runs phase one once per set and forms the y-space
     # Hessian once per pass; a decision-focused epoch classifies the rows and
     # assembles the KKT matrix once per pass, and its adjoints gather their
     # systems from that matrix
@@ -653,7 +700,7 @@ def test_passes_share_their_qp_work(monkeypatch):
         epochs = train_method(models, rep, dataset, cfg, adapter, method).epochs_run
         assert epochs > 1
         if method == "surrogate":
-            assert calls["phase one"] == 2 * epochs
+            assert calls["phase one"] == epochs + 1
             assert calls["y-space QPs"] == 2 * epochs
         else:
             # phase one, where a start does not fit, assembles its own QP's
@@ -720,7 +767,7 @@ def test_pass_qp_solves_match_fresh_qps():
                 ref = solve_qp(fresh, max_iter=cfg.qp_max_iter, start=start)
                 _assert_same_solve((qp, sol), (fresh, ref), rng)
             x_prev = sol.y
-            _, _, sol, sqp, (qp,) = adapter.decision_surrogate(theta, sp)
+            _, sol, sqp, (qp,) = adapter.decision_surrogate(theta, sp)
             fresh = _fresh_y_qp(sp, H, -theta["p"])
             _assert_same_solve((qp, sol), (fresh, solve_qp(fresh, cfg.qp_max_iter)), rng)
 

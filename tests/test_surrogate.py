@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
+from helpers import finite_diff_grad, identity_reparam
 
-from surrogate_dfl.diff import finite_diff_grad
 from surrogate_dfl.errors import BadDimensions, DimensionMismatch, EmptyFeasibleSet
 from surrogate_dfl.optlayer import kkt_adjoint, kkt_jacobian_P, solve_qp
 from surrogate_dfl.surrogate import (
@@ -10,11 +10,9 @@ from surrogate_dfl.surrogate import (
     box_budget_base,
     default_m,
     grad_wrt_P,
-    identity_reparam,
     init_reparam,
     lift,
     materialize,
-    materialize_grad,
     simplex_base,
     transform_problem,
 )
@@ -95,8 +93,9 @@ def test_transform_empty_feasible_set():
     base = simplex_base(3)
     base.G = np.vstack([base.G, np.eye(3)])
     base.h = np.concatenate([base.h, np.full(3, -0.1)])  # x <= -0.1: empty
-    with pytest.raises(EmptyFeasibleSet):
-        transform_problem(base, np.abs(np.random.default_rng(5).normal(size=(3, 2))))
+    sp = transform_problem(base, np.abs(np.random.default_rng(5).normal(size=(3, 2))))
+    with pytest.raises(EmptyFeasibleSet, match="^surrogate feasible set is empty: "):
+        sp.feasible_start()
 
 
 def test_feasibility_roundtrip_invariant():
@@ -117,36 +116,49 @@ def test_feasibility_roundtrip_invariant():
 
 
 def test_grad_wrt_P_zero_loss():
-    rep = init_reparam(4, 2, "free", seed=7)
-    g = grad_wrt_P(np.zeros(4), np.ones(2), np.zeros((4, 2)), rep)
-    assert np.allclose(g, 0.0)
+    for mode in ("free", "nonneg", "column-simplex"):
+        rep = init_reparam(4, 2, mode, seed=7)
+        assert np.allclose(grad_wrt_P(np.zeros((4, 2)), rep), 0.0), mode
+
+
+def _solved_surrogate(seed):
+    """(sqp, sol) of a solved 3 x 2 surrogate portfolio QP."""
+    rng = np.random.default_rng(seed)
+    P = np.abs(rng.normal(size=(3, 2))) + 0.3
+    M = rng.normal(size=(3, 3))
+    sqp = SurrogateQp(H_x=M @ M.T + np.eye(3), c_x=rng.normal(size=3),
+                      sp=transform_problem(simplex_base(3), P))
+    return sqp, solve_qp(sqp.qp())
 
 
 def test_grad_wrt_P_pinned_product_rule():
-    # dy*/dP = 0 reduces the total derivative to the outer product term
-    rep = init_reparam(3, 2, "free", seed=8)
-    dL_dx = np.array([1.0, -2.0, 0.5])
-    y_star = np.array([0.3, 0.7])
-    g = grad_wrt_P(dL_dx, y_star, np.zeros((3, 2)), rep)
-    assert np.allclose(g, np.outer(dL_dx, y_star))
+    # a loss gradient orthogonal to P's columns leaves dL/dy = 0, so y* does
+    # not move (zero adjoint) and the total derivative is the explicit term
+    sqp, sol = _solved_surrogate(8)
+    P = sqp.sp.P
+    dL_dx = np.linalg.svd(P.T)[2][-1]  # spans the null space of P^T
+    adjoint = kkt_adjoint(sqp.qp(), sol, P.T @ dL_dx)
+    assert np.max(np.abs(adjoint[0])) <= 1e-12
+    rep = Reparameterization(P_raw=P, mode="free", n=3, m=2)
+    g = grad_wrt_P(kkt_jacobian_P(sqp, sol, adjoint, dL_dx), rep)
+    assert np.allclose(g, np.outer(dL_dx, sol.y), atol=1e-12)
 
 
 def test_fixed_y_linear_objective_product_rule():
-    # f = c.x with y pinned: df/dP_ij = c_i y_j
+    # f = c.x with y pinned (a zero adjoint): df/dP_ij = c_i y_j
+    sqp, sol = _solved_surrogate(9)
     c = np.array([1.0, 2.0, -1.0])
-    y = np.array([0.4, 0.6])
-    rep = init_reparam(3, 2, "free", seed=9)
-    g = grad_wrt_P(c, y, np.zeros((3, 2)), rep)
-    assert np.allclose(g, np.outer(c, y))
+    pinned = (np.zeros(2), np.zeros(1), np.zeros(0), np.zeros(0, dtype=int))
+    assert np.array_equal(kkt_jacobian_P(sqp, sol, pinned, c), np.outer(c, sol.y))
 
 
 def test_grad_wrt_P_rejects_implicit_shape():
     rep = init_reparam(3, 2, "free", seed=9)
     with pytest.raises(DimensionMismatch):
-        grad_wrt_P(np.ones(3), np.ones(2), np.zeros((2, 3)), rep)
+        grad_wrt_P(np.zeros((2, 3)), rep)
 
 
-def test_materialize_grad_matches_fd():
+def test_grad_wrt_P_matches_fd():
     rng = np.random.default_rng(10)
     for mode in ("free", "nonneg", "column-simplex"):
         rep = init_reparam(4, 2, mode, seed=11)
@@ -157,7 +169,7 @@ def test_materialize_grad_matches_fd():
             return float(np.sum(W * materialize(r)))
 
         fd = finite_diff_grad(loss_of, rep.P_raw.ravel().copy(), h=1e-6)
-        an = materialize_grad(rep, W).ravel()
+        an = grad_wrt_P(W, rep).ravel()
         assert np.max(np.abs(fd - an)) <= 1e-8, mode
 
 
@@ -175,19 +187,19 @@ def test_full_gradient_matches_fd_through_solver():
 
     def end_to_end(flat):
         P = flat.reshape(n, m)
-        sp = transform_problem(base, P, check_feasible=False)
+        sp = transform_problem(base, P)
         sol = solve_qp(SurrogateQp(H_x=H, c_x=c, sp=sp).qp())
         x = P @ sol.y
         return float(-(p_true @ x))  # linear decision loss
 
     P0 = materialize(rep)
-    sp = transform_problem(base, P0, check_feasible=False)
+    sp = transform_problem(base, P0)
     sqp = SurrogateQp(H_x=H, c_x=c, sp=sp)
     sol = solve_qp(sqp.qp())
     dL_dx = -p_true
     dL_dy = P0.T @ dL_dx
-    dL_dP = kkt_jacobian_P(sqp, sol, kkt_adjoint(sqp.qp(), sol, dL_dy))
-    an = grad_wrt_P(dL_dx, sol.y, dL_dP, rep).ravel()
+    dL_dP = kkt_jacobian_P(sqp, sol, kkt_adjoint(sqp.qp(), sol, dL_dy), dL_dx)
+    an = grad_wrt_P(dL_dP, rep).ravel()
     fd = finite_diff_grad(end_to_end, rep.P_raw.ravel().copy(), h=1e-6)
     assert np.max(np.abs(fd - an) / np.maximum(1.0, np.abs(an))) <= 1e-4
 
@@ -203,21 +215,21 @@ def test_jacobian_P_fd_total_derivative():
 
     def opt_value(flat):
         P = flat.reshape(n, m)
-        sp = transform_problem(base, P, check_feasible=False)
+        sp = transform_problem(base, P)
         qp = SurrogateQp(H_x=H_x, c_x=c_x, sp=sp).qp()
         sol = solve_qp(qp)
         x = P @ sol.y
         return float(0.5 * x @ H_x @ x + c_x @ x)
 
     P0 = np.abs(rng.normal(size=(n, m))) + 0.3
-    sp = transform_problem(base, P0, check_feasible=False)
+    sp = transform_problem(base, P0)
     sqp = SurrogateQp(H_x=H_x, c_x=c_x, sp=sp)
     sol = solve_qp(sqp.qp())
     x0 = P0 @ sol.y
     dL_dx = H_x @ x0 + c_x
-    dL_dP = kkt_jacobian_P(sqp, sol, kkt_adjoint(sqp.qp(), sol, P0.T @ dL_dx))
+    dL_dP = kkt_jacobian_P(sqp, sol, kkt_adjoint(sqp.qp(), sol, P0.T @ dL_dx), dL_dx)
     rep = Reparameterization(P_raw=P0, mode="free", n=n, m=m)
-    an = grad_wrt_P(dL_dx, sol.y, dL_dP, rep).ravel()
+    an = grad_wrt_P(dL_dP, rep).ravel()
     fd = finite_diff_grad(opt_value, P0.ravel().copy(), h=1e-6)
     assert np.max(np.abs(fd - an) / np.maximum(1.0, np.abs(an))) <= 1e-4
 

@@ -2,7 +2,8 @@
 
 The reference below is the plain formulation the training loop used before
 the adjoint: build dy*/dP (m x (n m)) column by column from the frozen KKT
-system, solved densely, and contract it with dL/dy.
+system, solved densely, contract it with dL/dy and add the explicit term
+dL/dx y*^T of x = P y.
 """
 
 import numpy as np
@@ -16,10 +17,8 @@ from surrogate_dfl.surrogate import (
     MODES,
     SurrogateQp,
     box_budget_base,
-    grad_wrt_P,
     init_reparam,
     materialize,
-    materialize_grad,
     simplex_base,
     transform_problem,
 )
@@ -73,8 +72,9 @@ def test_adjoint_dP_matches_dense_jacobian(seed, n, m, simplex, mode, nonneg_y, 
     if mode == "free":
         rep.P_raw = rep.P_raw + rng.uniform(0.0, 0.8)
     P = materialize(rep)
+    sp = transform_problem(base, P, nonneg_y=nonneg_y)
     try:
-        sp = transform_problem(base, P, nonneg_y=nonneg_y)
+        sp.feasible_start()
     except EmptyFeasibleSet:
         assume(False)
     M = rng.normal(size=(n, n))
@@ -89,7 +89,7 @@ def test_adjoint_dP_matches_dense_jacobian(seed, n, m, simplex, mode, nonneg_y, 
     dL_dx = rng.normal(size=n)
     dL_dy = P.T @ dL_dx
 
-    got = grad_wrt_P(dL_dx, sol.y, kkt_jacobian_P(sqp, sol, kkt_adjoint(qp, sol, dL_dy)), rep)
+    got = kkt_jacobian_P(sqp, sol, kkt_adjoint(qp, sol, dL_dy), dL_dx)
     implicit = (dL_dy @ dense_jacobian_P(sqp, sol)).reshape(n, m)
-    want = materialize_grad(rep, np.outer(dL_dx, sol.y) + implicit)
+    want = np.outer(dL_dx, sol.y) + implicit
     assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
