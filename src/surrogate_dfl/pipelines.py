@@ -30,10 +30,14 @@ adjoint (kkt_jacobian_P); an epoch chains their mean to P_raw once (grad_wrt_P).
 
 Adapters hold only domain math and a cache of oracle values; the training
 loop owns the start store (each training instance's last decision seeds its
-next solve; validation and evaluation start cold), so a run depends only on
-its (method, seed).
+next solve; validation and evaluation start cold), so a job depends only on
+its (method, seed).  A run builds one adapter and one dataset per seed and
+shares them across the seed's methods (run_single's seed store): the seed's
+data is generated once, and each validation or test instance's oracle is
+solved once, for every method.  No job changes the shared dataset.
 """
 
+import copy
 import csv
 import os
 import time
@@ -311,15 +315,10 @@ class PortfolioAdapter:
 
     def oracle(self, inst):
         """Objective value of the oracle decision under the true parameters."""
-        hit = self._oracle_cache.get(id(inst))
-        if hit is None:
-            x = domains.portfolio_oracle_decision(
-                inst.true_returns, inst.true_covariance, self.lam,
-                max_iter=self.config.qp_max_iter,
-            )
-            # the entry holds inst, so no other instance can take its id
-            hit = self._oracle_cache[id(inst)] = (inst, self.objective(x, inst))
-        return hit[1]
+        return _memo_oracle(self, inst, lambda: domains.portfolio_oracle_decision(
+            inst.true_returns, inst.true_covariance, self.lam,
+            max_iter=self.config.qp_max_iter,
+        ))
 
     def test_decision(self, x):
         return x
@@ -428,17 +427,22 @@ class MovieRecAdapter:
 
     def oracle(self, inst):
         """Objective value of the rounded oracle decision under the true parameters."""
-        hit = self._oracle_cache.get(id(inst))
-        if hit is None:
-            x = domains.movierec_oracle_decision(
-                inst.preferences, self.k, self.picks, gamma=self.gamma
-            )
-            # the entry holds inst, so no other instance can take its id
-            hit = self._oracle_cache[id(inst)] = (inst, self.objective(x, inst))
-        return hit[1]
+        return _memo_oracle(self, inst, lambda: domains.movierec_oracle_decision(
+            inst.preferences, self.k, self.picks, gamma=self.gamma
+        ))
 
     def test_decision(self, x):
         return domains.round_top_k(x, self.k)
+
+
+def _memo_oracle(adapter, inst, decide):
+    """adapter.objective of inst's oracle decision, decide(), made once per
+    instance: later calls read it from the adapter's oracle cache."""
+    hit = adapter._oracle_cache.get(id(inst))
+    if hit is None:
+        # the entry holds inst, so no other instance can take its id
+        hit = adapter._oracle_cache[id(inst)] = (inst, adapter.objective(decide(), inst))
+    return hit[1]
 
 
 def _solve_surrogate(sp, H_x, c_x, max_iter, H_extra=None):
@@ -693,11 +697,34 @@ def train_method(models, rep, dataset, config: TrainConfig, adapter, method: str
     return train_surrogate(models, rep, dataset, config, adapter)
 
 
-def run_single(config: TrainConfig, method: str, seed: int):
-    """Train one method on one seed and evaluate it; returns (row, extras),
-    extras holding the test split's max_violation and min_regret."""
+# run_single's one-entry store: [(config, seed, adapter, dataset)] of the
+# last seed it loaded, or [] (run_experiment empties it when it starts)
+_seed_store = []
+
+
+def _seed_data(config: TrainConfig, seed):
+    """(adapter, dataset) of (config, seed): the stored pair when config equals
+    the stored config and seed the stored seed, else a new adapter and its
+    load_dataset, stored only when the load succeeds.  A seed's method jobs
+    thus share one dataset, which no job changes, and through the adapter
+    one oracle value per instance."""
+    if _seed_store and _seed_store[0][:2] == (config, seed):
+        return _seed_store[0][2:]
+    _seed_store.clear()
     adapter = get_adapter(config)
     dataset = load_dataset(config, adapter, seed)
+    # a copy, so a config changed in place after this call misses the store
+    _seed_store.append((copy.copy(config), seed, adapter, dataset))
+    return adapter, dataset
+
+
+def run_single(config: TrainConfig, method: str, seed: int):
+    """Train one method on one seed and evaluate it; returns (row, extras),
+    extras holding the test split's max_violation and min_regret.  The
+    adapter and dataset come from the seed store (_seed_data), so the first
+    job of a seed generates its data and solves its oracles, and the seed's
+    later jobs reuse both."""
+    adapter, dataset = _seed_data(config, seed)
     models, rep = init_method(config, adapter, method, seed)
     result = train_method(models, rep, dataset, config, adapter, method)
     ev = evaluate(result.models, rep, dataset, config, adapter)
@@ -728,10 +755,14 @@ def run_experiment(config: TrainConfig) -> RegretReport:
     """Train and evaluate every configured method over every seed.
 
     Seed-level failures are recorded in their report row and do not abort the
-    remaining runs.  Rows come back sorted by (method, seed) so reports are
-    byte-stable across executions.
+    remaining runs.  Jobs run seed-major, and a worker runs all of a seed's
+    jobs back to back, so they share the seed's adapter and dataset
+    (_seed_data); the store starts empty, so each run loads its own.  Rows
+    come back sorted by (method, seed) so reports are byte-stable across
+    executions.
     """
-    jobs = [(config, method, seed) for method in config.methods for seed in config.seeds()]
+    _seed_store.clear()
+    jobs = [(config, method, seed) for seed in config.seeds() for method in config.methods]
     workers = config.max_workers
     if workers <= 0:  # the CPUs this process may run on, where the platform tells
         if hasattr(os, "sched_getaffinity"):
@@ -740,7 +771,7 @@ def run_experiment(config: TrainConfig) -> RegretReport:
             workers = min(len(config.seeds()), os.cpu_count() or 1)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_single_safe, jobs))
+            results = list(pool.map(_run_single_safe, jobs, chunksize=len(config.methods)))
     else:
         results = [_run_single_safe(job) for job in jobs]
     rows = [r for r, _ in results]

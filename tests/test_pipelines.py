@@ -15,6 +15,7 @@ from surrogate_dfl.optlayer import (
     solve_qp,
 )
 from surrogate_dfl.pipelines import (
+    METHODS,
     REPORT_HEADER,
     EarlyStopper,
     TrainConfig,
@@ -616,6 +617,14 @@ def test_run_experiment_records_failures():
     assert report.aggregates == {}
 
 
+def test_failed_loads_are_recorded_per_job_and_not_stored():
+    cfg = TrainConfig(**{**SMALL_MOVIE, "budget_k": 99}, max_workers=1)
+    report = run_experiment(cfg)
+    status = "error: BadDimensions: picks_per_user and budget_k cannot exceed n_movies"
+    assert [r.status for r in report.rows] == [status] * len(METHODS) * cfg.n_seeds
+    assert pipelines._seed_store == []
+
+
 def test_report_csv_quotes_status_with_commas(tmp_path):
     # the BadDimensions message holds commas; each row still reads back as
     # seven fields with the status intact
@@ -644,13 +653,122 @@ def test_decision_and_grads_names_the_instance():
         _decision_and_grads(adapter, adapter.predict(models, [inst])[0][0], None, inst, 7)
 
 
+def _fields(rows):
+    """The non-timing fields of report rows, by (method, seed)."""
+    return {(r.method, r.seed): (repr(r.mean_regret), r.epochs_run, r.status) for r in rows}
+
+
 def test_run_experiment_parallel_matches_serial():
-    cfg_serial = TrainConfig(**SMALL_PORTFOLIO, methods=("two-stage",), max_workers=1)
-    cfg_par = TrainConfig(**SMALL_PORTFOLIO, methods=("two-stage",), max_workers=2)
-    r1 = run_experiment(cfg_serial)
-    r2 = run_experiment(cfg_par)
-    for a, b in zip(r1.rows, r2.rows):
-        assert a.mean_regret == b.mean_regret
+    for base in (SMALL_PORTFOLIO, SMALL_MOVIE):
+        cfg = TrainConfig(**{**base, "max_epochs": 4}, max_workers=1)
+        serial = run_experiment(cfg).rows
+        parallel = run_experiment(replace(cfg, max_workers=2)).rows
+        assert [(r.method, r.seed) for r in parallel] == [(r.method, r.seed) for r in serial]
+        assert len(serial) == len(METHODS) * cfg.n_seeds
+        assert _fields(parallel) == _fields(serial), cfg.domain
+
+
+def test_run_experiment_matches_fresh_single_jobs():
+    # a seed's jobs share one adapter and dataset in run_experiment; each
+    # job here loads its own, in method-major order
+    for base in (SMALL_PORTFOLIO, SMALL_MOVIE):
+        cfg = TrainConfig(**{**base, "max_epochs": 4}, max_workers=1)
+        shared = run_experiment(cfg).rows
+        fresh = []
+        for method in cfg.methods:
+            for seed in cfg.seeds():
+                pipelines._seed_store.clear()
+                fresh.append(run_single(cfg, method, seed)[0])
+        assert all(r.status == "ok" for r in shared), cfg.domain
+        assert _fields(shared) == _fields(fresh), cfg.domain
+
+
+def test_run_experiment_generates_and_solves_oracles_once_per_seed(monkeypatch):
+    # one generation per seed, and one oracle solve per distinct validation
+    # or test instance per seed, for all three methods; a second run in the
+    # same process loads everything again, also when its first seed is the
+    # last seed of the run before
+    calls = {}
+
+    def counted(name):
+        fn = getattr(domains, name)
+
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, []).append(args[0])  # held, so ids stay distinct
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(domains, name, wrapper)
+
+    for base, gen, oracle in (
+        (SMALL_PORTFOLIO, "gen_portfolio_data", "portfolio_oracle_decision"),
+        (SMALL_MOVIE, "gen_movierec_data", "movierec_oracle_decision"),
+    ):
+        configs = [TrainConfig(**{**base, "max_epochs": 2, "n_seeds": n_seeds}, max_workers=1)
+                   for n_seeds in (2, 1)]
+        scored = {}  # validation and test instances over each config's seeds
+        for cfg in configs:
+            datasets = [get_adapter(cfg).generate(subseed(seed, 0)) for seed in cfg.seeds()]
+            scored[cfg.n_seeds] = sum(len(d.val_idx) + len(d.test_idx) for d in datasets)
+        counted(gen)
+        counted(oracle)
+        for cfg in configs:
+            for _ in range(2):
+                calls.clear()
+                report = run_experiment(cfg)
+                assert [r.status for r in report.rows] == ["ok"] * len(report.rows)
+                assert len(report.rows) == len(METHODS) * cfg.n_seeds
+                assert len(calls[gen]) == cfg.n_seeds, cfg.domain
+                assert len(calls[oracle]) == scored[cfg.n_seeds], cfg.domain
+                assert len({id(a) for a in calls[oracle]}) == scored[cfg.n_seeds], cfg.domain
+
+
+def _arrays(obj):
+    """Every array under a dataset, as (dtype, shape, bytes), in a fixed order."""
+    if isinstance(obj, np.ndarray):
+        return [(obj.dtype.str, obj.shape, obj.tobytes())]
+    if isinstance(obj, dict):
+        return [a for key in sorted(obj) for a in _arrays(obj[key])]
+    if isinstance(obj, list):
+        return [a for item in obj for a in _arrays(item)]
+    if hasattr(obj, "__dataclass_fields__"):
+        return [a for name in obj.__dataclass_fields__ for a in _arrays(getattr(obj, name))]
+    return []
+
+
+def test_jobs_leave_the_shared_dataset_unchanged():
+    for base in (SMALL_PORTFOLIO, SMALL_MOVIE):
+        cfg = TrainConfig(**{**base, "max_epochs": 3, "n_seeds": 1})
+        pipelines._seed_store.clear()
+        adapter, dataset = pipelines._seed_data(cfg, 0)
+        before = _arrays(dataset)
+        assert len(before) >= 2 * len(dataset.instances) + 3  # instances and splits
+        for method in METHODS:
+            row, _ = run_single(cfg, method, 0)
+            assert row.status == "ok", (cfg.domain, method, row.status)
+            shared = pipelines._seed_data(cfg, 0)
+            assert shared[0] is adapter and shared[1] is dataset
+            assert _arrays(dataset) == before, (cfg.domain, method)
+
+
+def test_configs_differing_in_an_oracle_field_share_no_oracle_values():
+    for base, name, value in ((SMALL_PORTFOLIO, "risk_aversion", 5.0),
+                              (SMALL_MOVIE, "gamma", 1.0)):
+        cfg = TrainConfig(**{**base, "max_epochs": 1, "n_seeds": 1})
+        other = replace(cfg, **{name: value})
+        values = []
+        for config in (cfg, other):
+            run_single(config, "two-stage", 0)
+            adapter, dataset = pipelines._seed_data(config, 0)
+            test_set = [dataset.instances[i] for i in dataset.test_idx]
+            served = [adapter.oracle(inst) for inst in test_set]
+            assert served == [get_adapter(config).oracle(inst) for inst in test_set]
+            values.append(served)
+        assert values[0] != values[1], name
+        # a config changed in place after its load is a new key too
+        config = replace(cfg)
+        adapter = pipelines._seed_data(config, 0)[0]
+        setattr(config, name, value)
+        assert pipelines._seed_data(config, 0)[0] is not adapter
 
 
 def test_default_workers_follow_the_cpu_affinity(monkeypatch):
