@@ -20,6 +20,7 @@ from .errors import (
 )
 from .numerics import solve_symmetric
 from .optlayer import (
+    BaseProblem,
     PrimalDualSolution,
     QuadraticProgram,
     audit_kkt,
@@ -38,7 +39,6 @@ from .pipelines import (
     train_two_stage,
 )
 from .surrogate import (
-    BaseProblem,
     Reparameterization,
     SurrogateProblem,
     SurrogateQp,

@@ -1,8 +1,10 @@
 """Benchmark decision problems: Markowitz portfolio and movie broadcast.
 
 Both ship synthetic generators plus CSV ingestion through the same
-featurization, objective/gradient oracles, and oracle decisions under the
-true parameters; regret is the oracle's objective minus the decision's.
+featurization (a table with a missing cell raises BadDimensions),
+objective/gradient oracles, and oracle decisions under the true parameters;
+regret is the oracle's objective minus the decision's.  The feasible sets
+are optlayer's simplex_base and box_budget_base.
 """
 
 import csv
@@ -12,7 +14,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import BadDimensions, DimensionMismatch, SingularMatrix
-from .optlayer import QuadraticProgram, _kkt_matrix, solve_box_budget_qp, solve_qp
+from .optlayer import QuadraticProgram, _kkt_matrix, simplex_base, solve_box_budget_qp, solve_qp
 
 RETURN_LAGS = 5
 ROLLING_SHORT = 5
@@ -21,6 +23,7 @@ FORWARD_WINDOW = 10
 N_FEATURES = RETURN_LAGS + 2
 COSINE_NORM_FLOOR = 1e-12
 COV_RIDGE = 1e-6
+N_FACTORS = 3  # common factors behind the synthetic portfolio noise
 # SimplexStart's ridge, relative to the mean eigenvalue of H.  Of 0.003-0.1,
 # 0.01 took the fewest pivots on true-covariance QPs, and 29-40% fewer than
 # no ridge on predicted ones (39.0 against 54.8 per solve at n=100, 20.9
@@ -119,7 +122,6 @@ def gen_portfolio_data(
     n_securities: int,
     n_days: int,
     seed: int,
-    n_factors: int = 3,
 ) -> Dataset:
     """Synthetic daily prices from a mean-reverting multiplicative process
     with factor-correlated noise; yields exactly n_days instances split
@@ -131,13 +133,13 @@ def gen_portfolio_data(
     rng = np.random.default_rng(seed)
     n_prices = n_days + ROLLING_LONG + FORWARD_WINDOW
     mu = np.log(100.0) + rng.normal(0.0, 0.2, n_securities)
-    loadings = rng.normal(0.0, 0.01, size=(n_securities, n_factors))
+    loadings = rng.normal(0.0, 0.01, size=(n_securities, N_FACTORS))
     kappa = 0.1
     idio = 0.005
     s = mu + rng.normal(0.0, 0.05, n_securities)
     log_prices = [s.copy()]
     for _ in range(n_prices - 1):
-        shock = loadings @ rng.normal(size=n_factors) + idio * rng.normal(size=n_securities)
+        shock = loadings @ rng.normal(size=N_FACTORS) + idio * rng.normal(size=n_securities)
         s = s + kappa * (mu - s) + shock
         log_prices.append(s.copy())
     return _portfolio_dataset(np.exp(np.array(log_prices).T))
@@ -192,30 +194,27 @@ def portfolio_grad(x, p, Q, risk_aversion: float) -> np.ndarray:
     return np.asarray(p, dtype=float) - 2.0 * risk_aversion * np.asarray(Q) @ np.asarray(x)
 
 
-def portfolio_qp(p, Q, risk_aversion: float):
-    """The simplex-constrained minimization QP whose solution maximizes the
-    penalized return under (p, Q)."""
-    return SimplexStart(2.0 * risk_aversion * np.asarray(Q, dtype=float)).qp(p)
-
-
 class SimplexStart:
     """The portfolio QPs with Hessian H, such as every decision of one
     prediction pass, which share the pass's predicted Q, and crash starts
     (x0, working) for solve_qp on them.
 
-    qp(p) is the QP of returns p.  Each is a sibling (QuadraticProgram.with_c)
-    of one pass QP, built at the first call, so a pass checks H and the
-    simplex rows once and classifies and assembles them once.
+    qp(p) is the QP of returns p: minimizing 0.5 x^T H x - p^T x on the
+    simplex maximizes the penalized return when H = 2 lambda Q.  Each is a
+    sibling (QuadraticProgram.with_c) of one pass QP on optlayer.simplex_base,
+    built at the first call, so a pass checks H and the simplex rows once and
+    classifies and assembles them once.
 
     u minimizes the objective with H + delta I, delta = START_RIDGE tr(H) / n,
     over the equality row alone.  The ridge keeps u near the simplex: a
     predicted H is a rank-32 cosine matrix plus COV_RIDGE, whose
     unregularized minimizer reaches |u| ~ 6e3 and projects to a one-asset
     vertex.  The ridge KKT matrix depends on H alone, so it is LU-factored
-    (LAPACK dgetrf) at the first call and each call solves against it.  x0
-    is u projected onto the simplex by the sort rule: x0 = max(u - tau, 0)
-    with tau set so that x0 sums to 1.  The working rows are the bounds
-    -x_j <= 0 of x0's zero coordinates.
+    (LAPACK dgetrf) at the first call and each call solves against it.  The
+    equality row and its total are the QP's.  x0 is u projected onto the
+    simplex by the sort rule: x0 = max(u - tau, 0) with tau set so that x0
+    meets the total.  The working rows are the bounds -x_j <= 0 of x0's zero
+    coordinates.
     """
 
     def __init__(self, H):
@@ -225,17 +224,13 @@ class SimplexStart:
 
     def qp(self, p) -> QuadraticProgram:
         if self._qp is None:
-            n = self.H.shape[0]
-            self._qp = QuadraticProgram(
-                H=self.H, c=np.zeros(n), Aeq=np.ones((1, n)), beq=np.array([1.0]),
-                Gineq=-np.eye(n), hineq=np.zeros(n),
-            )
+            self._qp = simplex_base(self.H.shape[0]).qp(self.H)
         return self._qp.with_c(-np.asarray(p, dtype=float))
 
     def __call__(self, qp):
         n = qp.n
         if self._lu is None:
-            K = _kkt_matrix(self.H, np.ones((1, n)))
+            K = _kkt_matrix(self.H, qp.Aeq)
             K[np.arange(n), np.arange(n)] += START_RIDGE * np.trace(self.H) / n
             lu, piv, info = lapack.dgetrf(K, overwrite_a=True)
             if info > 0:
@@ -243,20 +238,18 @@ class SimplexStart:
             self._lu = lu, piv
         u = lapack.dgetrs(*self._lu, np.concatenate([-qp.c, qp.beq]))[0][:n]
         v = np.sort(u)[::-1]
-        excess = np.cumsum(v) - 1.0
+        excess = np.cumsum(v) - qp.beq[0]
         rho = np.count_nonzero(v * np.arange(1, n + 1) > excess)  # coordinates left positive
         x0 = np.maximum(u - excess[rho - 1] / rho, 0.0)
         return x0, x0 == 0.0
 
 
-def simplex_start(qp):
-    """SimplexStart of one QP built by portfolio_qp: factors its ridge KKT matrix."""
-    return SimplexStart(qp.H)(qp)
-
-
 def portfolio_oracle_decision(p, Q, risk_aversion: float, max_iter: int = 0) -> np.ndarray:
-    qp = portfolio_qp(p, Q, risk_aversion)
-    return solve_qp(qp, max_iter=max_iter, start=simplex_start(qp)).y
+    """The decision maximizing the penalized return under (p, Q), from its
+    SimplexStart's crash start as a pass's decisions start."""
+    start = SimplexStart(2.0 * risk_aversion * np.asarray(Q, dtype=float))
+    qp = start.qp(p)
+    return solve_qp(qp, max_iter=max_iter, start=start(qp)).y
 
 
 # ---------------------------------------------------------------------------
@@ -362,26 +355,33 @@ def export_movierec_csv(dataset: Dataset, path) -> None:
 
 def ingest_movierec_csv(path, n_movies: int, users_per_group: int) -> Dataset:
     """Rebuild a movie-rec Dataset from `user,movie,rating` rows; users are
-    grouped in consecutive blocks of users_per_group."""
+    grouped in consecutive blocks of users_per_group.  Raises BadDimensions
+    when a (user, movie) cell is missing, a movie id is negative or the
+    feature-movie ids do not run consecutively from n_movies."""
     entries = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             entries.append((int(row["user"]), int(row["movie"]), float(row["rating"])))
     user_ids = sorted({u for u, _, _ in entries})
-    movie_ids = sorted({m for _, m, _ in entries})
-    n_feature_movies = len([m for m in movie_ids if m >= n_movies])
+    if any(m < 0 for _, m, _ in entries):
+        raise BadDimensions("movie ids must be nonnegative")
+    feature_ids = sorted({m for _, m, _ in entries if m >= n_movies})
+    if feature_ids != list(range(n_movies, n_movies + len(feature_ids))):
+        raise BadDimensions(f"feature-movie ids do not run consecutively from {n_movies}")
     user_pos = {u: i for i, u in enumerate(user_ids)}
     n_users = len(user_ids)
     if n_users % users_per_group:
         raise BadDimensions("user count is not a multiple of users_per_group")
-    theta = np.zeros((n_movies, n_users))
-    features = np.zeros((n_users, n_feature_movies))
+    theta = np.full((n_movies, n_users), np.nan)
+    features = np.full((n_users, len(feature_ids)), np.nan)
     for u, m, r in entries:
         if m < n_movies:
             theta[m, user_pos[u]] = np.clip(r, 0.0, 1.0)
         else:
             features[user_pos[u], m - n_movies] = r
+    if np.isnan(theta).any() or np.isnan(features).any():
+        raise BadDimensions("rating table has missing (user, movie) cells")
     return _movierec_dataset(theta, features, users_per_group)
 
 

@@ -1,5 +1,11 @@
 """Constrained solvers and implicit differentiation through KKT conditions.
 
+A feasible set has one format, BaseProblem (Aeq z = beq, G z <= h): the
+domains' x-space sets (simplex_base, box_budget_base), their y-space images
+and every QP's rows, which QuadraticProgram normalizes and checks as a
+BaseProblem's.  BaseProblem.qp(H) is the QP of Hessian H and c = 0 on a set,
+whose with_c siblings are the QPs of a pass.
+
 solve_qp is a primal active-set method: exact active sets at the optimum are
 what make the downstream KKT Jacobians well defined.  Feasibility comes from
 a phase-one pass that minimizes the worst constraint violation as a
@@ -55,16 +61,77 @@ from .numerics import as_matrix, as_vector, solve_symmetric
 STEP_TOL = 1e-11
 MULT_TOL = 1e-11
 FEAS_TOL = 1e-9
-ACTIVE_TOL = 1e-8
 STRICT_COMPLEMENTARITY_TOL = 1e-8
 KKT_TOL = 1e-8
+
+
+@dataclass
+class BaseProblem:
+    """A feasible set in n variables: Aeq z = beq plus inequality rows G z <= h.
+
+    Aeq/G may be None when a block is absent; the blocks must chain with n.
+    """
+
+    n: int
+    Aeq: np.ndarray = None
+    beq: np.ndarray = None
+    G: np.ndarray = None
+    h: np.ndarray = None
+
+    def __post_init__(self):
+        if self.Aeq is None:
+            self.Aeq = np.zeros((0, self.n))
+            self.beq = np.zeros(0)
+        else:
+            self.Aeq = as_matrix(self.Aeq)
+            self.beq = as_vector(self.beq)
+        if self.G is None:
+            self.G = np.zeros((0, self.n))
+            self.h = np.zeros(0)
+        else:
+            self.G = as_matrix(self.G)
+            self.h = as_vector(self.h)
+        if self.Aeq.shape != (self.beq.shape[0], self.n):
+            raise DimensionMismatch("equality block dimensions do not chain")
+        if self.G.shape != (self.h.shape[0], self.n):
+            raise DimensionMismatch("inequality block dimensions do not chain")
+
+    def violation(self, x) -> float:
+        """Worst constraint violation of a candidate x (0 when feasible)."""
+        v = 0.0
+        if self.Aeq.shape[0]:
+            v = max(v, float(np.max(np.abs(self.Aeq @ x - self.beq))))
+        if self.G.shape[0]:
+            v = max(v, float(np.max(self.G @ x - self.h, initial=0.0)))
+        return v
+
+    def qp(self, H) -> "QuadraticProgram":
+        """The QP of Hessian H and c = 0 on this set; its with_c siblings are
+        the QPs of a pass."""
+        return QuadraticProgram(H=H, c=np.zeros(self.n), Aeq=self.Aeq, beq=self.beq,
+                                Gineq=self.G, hineq=self.h)
+
+
+def simplex_base(n: int) -> BaseProblem:
+    """sum(x) = 1, x >= 0."""
+    return BaseProblem(n=n, Aeq=np.ones((1, n)), beq=np.ones(1), G=-np.eye(n), h=np.zeros(n))
+
+
+def box_budget_base(n: int, k: float) -> BaseProblem:
+    """0 <= x <= 1, sum(x) <= k."""
+    return BaseProblem(
+        n=n,
+        G=np.vstack([-np.eye(n), np.eye(n), np.ones((1, n))]),
+        h=np.concatenate([np.zeros(n), np.ones(n), [float(k)]]),
+    )
 
 
 @dataclass
 class QuadraticProgram:
     """min_y 0.5 y^T H y + c^T y  s.t.  Aeq y = beq, Gineq y <= hineq.
 
-    H must be symmetric; Aeq/Gineq may be None when a block is absent.
+    H must be symmetric; the rows are normalized and checked as a
+    BaseProblem's, so Aeq/Gineq may be None when a block is absent.
     with_c(c) is the QP of another c on the same H and constraints, as the
     QPs of one pass are: it checks c alone and shares the _Rows that
     solve_qp and kkt_adjoint derive from H and the constraints, so a pass
@@ -90,22 +157,8 @@ class QuadraticProgram:
             1.0, np.max(np.abs(self.H), initial=0.0)
         ):
             raise ValueError("H is not symmetric within 1e-10")
-        if self.Aeq is None:
-            self.Aeq = np.zeros((0, n))
-            self.beq = np.zeros(0)
-        else:
-            self.Aeq = as_matrix(self.Aeq)
-            self.beq = as_vector(self.beq)
-        if self.Gineq is None:
-            self.Gineq = np.zeros((0, n))
-            self.hineq = np.zeros(0)
-        else:
-            self.Gineq = as_matrix(self.Gineq)
-            self.hineq = as_vector(self.hineq)
-        if self.Aeq.shape != (self.beq.shape[0], n):
-            raise DimensionMismatch("equality block dimensions do not chain")
-        if self.Gineq.shape != (self.hineq.shape[0], n):
-            raise DimensionMismatch("inequality block dimensions do not chain")
+        rows = BaseProblem(n, self.Aeq, self.beq, self.Gineq, self.hineq)
+        self.Aeq, self.beq, self.Gineq, self.hineq = rows.Aeq, rows.beq, rows.G, rows.h
 
     @property
     def n(self):
@@ -163,7 +216,6 @@ class PrimalDualSolution:
     y: np.ndarray
     nu: np.ndarray
     lam: np.ndarray
-    active_set: np.ndarray
     kkt_residual: float
 
 
@@ -419,19 +471,13 @@ def solve_qp(qp: QuadraticProgram, max_iter: int = 0, start=None) -> PrimalDualS
     if working is None:
         x0 = _phase_one(qp.Aeq, qp.beq, qp.Gineq, qp.hineq, n, max_iter)
     x, nu, lam = _active_set_loop(qp, x0, max_iter, working)
-    if qp.Gineq.shape[0]:
-        slack = qp.Gineq @ x - qp.hineq
-        active = np.nonzero(np.abs(slack) <= ACTIVE_TOL)[0]
-    else:
-        active = np.zeros(0, dtype=int)
-    sol = PrimalDualSolution(y=x, nu=nu, lam=lam, active_set=active, kkt_residual=0.0)
-    return _certify(qp, sol)
+    return _certify(qp, PrimalDualSolution(y=x, nu=nu, lam=lam, kkt_residual=0.0))
 
 
-def find_feasible_point(Aeq, beq, Gineq, hineq, n, max_iter: int = 0) -> np.ndarray:
-    """Phase-one solve on the arrays as given; raises Infeasible when the set is empty."""
-    max_iter = max_iter or _pivot_cap(n, Aeq.shape[0] + Gineq.shape[0])
-    return _phase_one(Aeq, beq, Gineq, hineq, n, max_iter)
+def find_feasible_point(base: BaseProblem, max_iter: int = 0) -> np.ndarray:
+    """A point of the set base by phase one; raises Infeasible when it is empty."""
+    max_iter = max_iter or _pivot_cap(base.n, base.Aeq.shape[0] + base.G.shape[0])
+    return _phase_one(base.Aeq, base.beq, base.G, base.h, base.n, max_iter)
 
 
 def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
@@ -558,11 +604,7 @@ def solve_box_budget_qp(c_lin, gamma: float, k: float) -> PrimalDualSolution:
     lam_lower = np.maximum(mu - c, 0.0) * (x <= 0.0)
     lam_upper = np.maximum(c - two_g - mu, 0.0) * (x >= 1.0)
     lam = np.concatenate([lam_lower, lam_upper, [mu]])
-    slack = np.concatenate([-x, x - 1.0, [np.sum(x) - k]])
-    active = np.nonzero(np.abs(slack) <= ACTIVE_TOL)[0]
-    sol = PrimalDualSolution(
-        y=x, nu=np.zeros(0), lam=lam, active_set=active, kkt_residual=0.0
-    )
+    sol = PrimalDualSolution(y=x, nu=np.zeros(0), lam=lam, kkt_residual=0.0)
     return _certify(box_budget_qp(c, gamma, k), sol)
 
 
@@ -576,6 +618,4 @@ def box_budget_qp(c_lin, gamma: float, k: float) -> QuadraticProgram:
 @lru_cache(maxsize=8)
 def _box_budget_qp0(n, gamma, k):
     """The box-budget QP of c = 0, built once per (n, gamma, k)."""
-    G = np.vstack([-np.eye(n), np.eye(n), np.ones((1, n))])
-    h = np.concatenate([np.zeros(n), np.ones(n), [float(k)]])
-    return QuadraticProgram(H=2.0 * gamma * np.eye(n), c=np.zeros(n), Gineq=G, hineq=h)
+    return box_budget_base(n, k).qp(2.0 * gamma * np.eye(n))

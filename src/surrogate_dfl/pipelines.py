@@ -66,19 +66,24 @@ from .errors import (
     SingularKKT,
     SingularMatrix,
 )
-from .optlayer import box_budget_qp, kkt_adjoint, kkt_jacobian_P, solve_qp
+from .optlayer import (
+    box_budget_base,
+    box_budget_qp,
+    kkt_adjoint,
+    kkt_jacobian_P,
+    simplex_base,
+    solve_qp,
+)
 from .surrogate import (
     MODES,
     Reparameterization,
     SurrogateQp,
-    box_budget_base,
     default_m,
     export_reparam_csv,
     grad_wrt_P,
     init_reparam,
     lift,
     materialize,
-    simplex_base,
     transform_problem,
 )
 

@@ -6,7 +6,8 @@ plain gradient steps on P_raw while P keeps the structure each domain needs:
 nonnegativity for diminishing-returns objectives, stochastic columns for
 simplex feasible sets.  Training derives everything from P once per P: one
 y-space constraint set (SurrogateProblem) and one chain of the epoch's mean
-dL/dP back to P_raw (grad_wrt_P).
+dL/dP back to P_raw (grad_wrt_P).  Constraint sets, in x-space and in
+y-space alike, are optlayer.BaseProblems.
 """
 
 import math
@@ -16,63 +17,9 @@ import numpy as np
 
 from .errors import BadDimensions, DimensionMismatch, EmptyFeasibleSet, Infeasible
 from .numerics import as_matrix, as_vector, matrix_to_csv
-from .optlayer import QuadraticProgram, find_feasible_point
+from .optlayer import BaseProblem, QuadraticProgram, find_feasible_point
 
 MODES = ("free", "nonneg", "column-simplex")
-
-
-@dataclass
-class BaseProblem:
-    """x-space constraints: Aeq x = beq plus inequality rows G x <= h."""
-
-    n: int
-    Aeq: np.ndarray = None
-    beq: np.ndarray = None
-    G: np.ndarray = None
-    h: np.ndarray = None
-
-    def __post_init__(self):
-        if self.Aeq is None:
-            self.Aeq = np.zeros((0, self.n))
-            self.beq = np.zeros(0)
-        else:
-            self.Aeq = as_matrix(self.Aeq)
-            self.beq = as_vector(self.beq)
-        if self.G is None:
-            self.G = np.zeros((0, self.n))
-            self.h = np.zeros(0)
-        else:
-            self.G = as_matrix(self.G)
-            self.h = as_vector(self.h)
-
-    def violation(self, x) -> float:
-        """Worst constraint violation of a candidate x (0 when feasible)."""
-        v = 0.0
-        if self.Aeq.shape[0]:
-            v = max(v, float(np.max(np.abs(self.Aeq @ x - self.beq))))
-        if self.G.shape[0]:
-            v = max(v, float(np.max(self.G @ x - self.h, initial=0.0)))
-        return v
-
-
-def simplex_base(n: int, total: float = 1.0) -> BaseProblem:
-    """sum(x) = total, x >= 0."""
-    return BaseProblem(
-        n=n,
-        Aeq=np.ones((1, n)),
-        beq=np.array([total]),
-        G=-np.eye(n),
-        h=np.zeros(n),
-    )
-
-
-def box_budget_base(n: int, k: float, upper: float = 1.0) -> BaseProblem:
-    """0 <= x <= upper, sum(x) <= k."""
-    return BaseProblem(
-        n=n,
-        G=np.vstack([-np.eye(n), np.eye(n), np.ones((1, n))]),
-        h=np.concatenate([np.zeros(n), np.full(n, upper), [float(k)]]),
-    )
 
 
 @dataclass
@@ -130,18 +77,15 @@ def lift(P, y) -> np.ndarray:
 
 @dataclass
 class SurrogateProblem:
-    """y-space constraint data: base constraints composed with P, plus an
-    optional trailing y >= 0 block that does not depend on P.
+    """The y-space set y of the x-space set base composed with x = P y, plus
+    an optional trailing y >= 0 block that does not depend on P.
 
     It keeps what every y-space QP on it shares: its phase-one point
     (feasible_start) and the QP of the last Hessian asked for (qp)."""
 
     base: BaseProblem
     P: np.ndarray
-    Aeq_y: np.ndarray
-    beq: np.ndarray
-    G_y: np.ndarray
-    h_y: np.ndarray
+    y: BaseProblem
     _start: tuple = field(default=None, repr=False, compare=False)
     _qp: tuple = field(default=None, repr=False, compare=False)
 
@@ -156,15 +100,15 @@ class SurrogateProblem:
         itself.  Raises EmptyFeasibleSet when the set is empty."""
         if self._start is None:
             try:
-                y0 = find_feasible_point(self.Aeq_y, self.beq, self.G_y, self.h_y, self.m, max_iter)
+                y0 = find_feasible_point(self.y, max_iter)
             except Infeasible as exc:
                 raise EmptyFeasibleSet(f"surrogate feasible set is empty: {exc}") from exc
-            self._start = y0, np.zeros(self.h_y.shape[0], dtype=bool)
+            self._start = y0, np.zeros(self.y.h.shape[0], dtype=bool)
         return self._start
 
     def qp(self, H_x, H_extra=None) -> QuadraticProgram:
-        """The y-space QP of Hessian P^T H_x P + H_extra and c = 0, which the
-        SurrogateQps of a pass share through with_c.  It is built once per
+        """The y-space QP of Hessian P^T H_x P + H_extra and c = 0 on y, which
+        the SurrogateQps of a pass share through with_c.  It is built once per
         (H_x, H_extra): the pair last asked for is held and matched by
         identity, so a pass passes the same arrays, unchanged, to every solve."""
         held = self._qp
@@ -173,9 +117,7 @@ class SurrogateProblem:
             if H_extra is not None:
                 H_y = H_y + H_extra
             H_y = 0.5 * (H_y + H_y.T)  # squash matmul round-off asymmetry
-            qp = QuadraticProgram(H=H_y, c=np.zeros(self.m), Aeq=self.Aeq_y, beq=self.beq,
-                                  Gineq=self.G_y, hineq=self.h_y)
-            self._qp = held = H_x, H_extra, qp
+            self._qp = held = H_x, H_extra, self.y.qp(H_y)
         return held[2]
 
 
@@ -191,13 +133,13 @@ def transform_problem(base: BaseProblem, P, nonneg_y: bool = False) -> Surrogate
     if P.shape[0] != base.n:
         raise DimensionMismatch("P rows must match the base dimension")
     m = P.shape[1]
-    Aeq_y = base.Aeq @ P
     G_y = base.G @ P
     h_y = base.h.copy()
     if nonneg_y:
         G_y = np.vstack([G_y, -np.eye(m)])
         h_y = np.concatenate([h_y, np.zeros(m)])
-    return SurrogateProblem(base=base, P=P, Aeq_y=Aeq_y, beq=base.beq.copy(), G_y=G_y, h_y=h_y)
+    y = BaseProblem(m, base.Aeq @ P, base.beq.copy(), G_y, h_y)
+    return SurrogateProblem(base=base, P=P, y=y)
 
 
 @dataclass

@@ -13,15 +13,14 @@ import numpy as np
 
 from .errors import HypothesisViolated, InvalidInputs, SurrogateDflError
 from .numerics import as_matrix
-from .optlayer import solve_qp
-from .surrogate import BaseProblem, SurrogateQp, simplex_base, transform_problem
+from .optlayer import BaseProblem, simplex_base, solve_qp
+from .surrogate import SurrogateQp, transform_problem
 
 
 @dataclass
 class CheckResult:
     passed: bool
     worst: float
-    detail: str = ""
 
 
 def check_convexity_preservation(hessian, P, sample_points, tol: float = 1e-8) -> CheckResult:

@@ -16,6 +16,11 @@ def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:
     return g
 
 
+def tight_rows(qp, y, tol: float = 1e-8) -> np.ndarray:
+    """Indices, in order, of qp's inequality rows tight at y within tol."""
+    return np.flatnonzero(np.abs(qp.Gineq @ y - qp.hineq) <= tol)
+
+
 def identity_reparam(n: int) -> Reparameterization:
     """P = I_n in free mode: the surrogate that is the full problem."""
     return Reparameterization(P_raw=np.eye(n), mode="free", n=n, m=n)

@@ -354,6 +354,30 @@ def test_size_errors_exit_2(tmp_path):
     assert report.count("error: BadDimensions: ") == 6
 
 
+def test_malformed_ratings_exit_2(tmp_path):
+    # a ratings file with a (user, movie) row gone or a gap in the feature-movie
+    # ids: train exits 2 with the reason in run.log, not a traceback
+    movie = ["--domain", "movierec", "--set", "n_movies=10", "--set", "users_per_group=4",
+             "--set", "n_groups=10", "--set", "n_feature_movies=3", "--set", "budget_k=3",
+             "--set", "picks_per_user=2", "--set", "max_epochs=1"]
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), *movie]) == 0
+    header, *rows = (data / "movierec_ratings.csv").read_text().splitlines()
+    edits = {
+        "missing (user, movie) cells": rows[1:],
+        "feature-movie ids do not run consecutively from 10": [
+            row.replace(",12,", ",13,") for row in rows
+        ],
+    }
+    for i, (reason, kept) in enumerate(edits.items()):
+        path = tmp_path / f"ratings{i}.csv"
+        path.write_text("\n".join([header, *kept]) + "\n")
+        out = tmp_path / f"out{i}"
+        assert main(["train", "--out", str(out), *movie, "--set", f"data_in={path}"]) == 2
+        assert reason in (out / "run.log").read_text()
+        assert not (out / "checkpoint.csv").exists()
+
+
 def test_empty_split_exits_2(tmp_path):
     # one group of users splits 70/10/20 into no training or validation
     # instance: exit 2 with the reason in run.log, not a traceback

@@ -1,10 +1,14 @@
-"""Every helper and every public name in the package has a caller.
+"""Every helper, public name, public method and dataclass field in the
+package has a caller or a reader.
 
 An `ast` pass over src/surrogate_dfl: each `_`-prefixed module-level function
 and method (dunder methods aside) must be referenced, by name or as an
 attribute, somewhere in the package outside its own definition.  So must
 each public module-level function and class, with references from
-`__init__.py` (re-exports) not counted.
+`__init__.py` (re-exports) not counted, and each public method of a class.
+Each field of a dataclass must be read somewhere in the package: its name
+loaded as an attribute or, as the pass cannot tell a local variable from a
+field, as a name; assigning it or passing it by keyword does not count.
 """
 
 import ast
@@ -47,6 +51,23 @@ def _public_defs(tree):
     ]
 
 
+def _public_methods(tree):
+    """Methods, properties included, whose names do not start with `_`, of
+    the module-level classes."""
+    return [
+        d for node in tree.body if isinstance(node, ast.ClassDef)
+        for d in node.body
+        if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) and not d.name.startswith("_")
+    ]
+
+
+def _is_dataclass(node):
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
 def _unreferenced(trees, defs_of) -> list:
     """'file:line: name' of each definition defs_of(tree) finds in trees
     ({filename: ast}) that nothing outside its own definition references."""
@@ -73,6 +94,31 @@ def dead_public(sources) -> list:
         for name, text in sources.items() if name != "__init__.py"
     }
     return _unreferenced(trees, _public_defs)
+
+
+def dead_methods(sources) -> list:
+    """The public methods in sources ({filename: text}) that nothing
+    references outside their own definition."""
+    trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
+    return _unreferenced(trees, _public_methods)
+
+
+def dead_fields(sources) -> list:
+    """'file:line: Class.field' of each dataclass field in sources
+    ({filename: text}) whose name nothing loads, as an attribute or a name."""
+    trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
+    reads = {
+        n.attr if isinstance(n, ast.Attribute) else n.id
+        for tree in trees.values() for n in ast.walk(tree)
+        if isinstance(n, (ast.Attribute, ast.Name)) and isinstance(n.ctx, ast.Load)
+    }
+    return [
+        f"{name}:{f.lineno}: {cls.name}.{f.target.id}"
+        for name, tree in trees.items()
+        for cls in tree.body if _is_dataclass(cls)
+        for f in cls.body
+        if isinstance(f, ast.AnnAssign) and f.target.id not in reads
+    ]
 
 
 def test_package_found():
@@ -130,4 +176,67 @@ def test_planted_unused_public_name_is_reported():
     init = "from .planted import Reexported\n__all__ = [Reexported, caller]\n"
     assert dead_public({"planted.py": planted, "__init__.py": init}) == [
         "planted.py:1: unused", "planted.py:8: Reexported", "planted.py:11: caller"
+    ]
+
+
+def test_every_public_method_has_a_package_caller():
+    dead = dead_methods({p.name: p.read_text() for p in PACKAGE})
+    assert not dead, f"public methods nothing in the package calls: {dead}"
+
+
+def test_planted_unused_public_method_is_reported():
+    planted = (
+        "class C:\n"
+        "    def used(self):\n"
+        "        return 1\n"
+        "\n"
+        "    def unused(self):\n"
+        "        return self.unused()\n"  # a call from inside its own definition does not count
+        "\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 2\n"
+        "\n"
+        "    def _private(self):\n"  # the private-helper rule covers it
+        "        return 3\n"
+        "\n"
+        "def caller(c):\n"
+        "    return c.used()\n"
+    )
+    assert dead_methods({"planted.py": planted}) == [
+        "planted.py:5: unused", "planted.py:9: size"
+    ]
+
+
+def test_every_dataclass_field_is_read():
+    dead = dead_fields({p.name: p.read_text() for p in PACKAGE})
+    assert not dead, f"dataclass fields nothing reads: {dead}"
+
+
+def test_planted_unread_dataclass_field_is_reported():
+    planted = (
+        "from dataclasses import dataclass, field\n"
+        "\n"
+        "@dataclass\n"
+        "class D:\n"
+        "    read: int\n"
+        "    written: int = 0\n"
+        "    _cache: dict = field(default=None)\n"
+        "\n"
+        "    def method(self):\n"
+        "        self.written = self._cache\n"  # assigning a field does not read it
+        "        return self.read\n"
+        "\n"
+        "@dataclass(frozen=True)\n"
+        "class Unread:\n"
+        "    value: float\n"
+        "\n"
+        "class Plain:\n"  # not a dataclass: its annotations are not fields
+        "    hint: int\n"
+        "\n"
+        "def make():\n"
+        "    return D(read=1, written=2), Unread(value=3.0)\n"  # keywords do not read
+    )
+    assert dead_fields({"planted.py": planted}) == [
+        "planted.py:6: D.written", "planted.py:15: Unread.value"
     ]

@@ -5,8 +5,18 @@ from hypothesis import strategies as st
 
 from surrogate_dfl import domains, optlayer
 from surrogate_dfl.errors import BadDimensions, DimensionMismatch
-from surrogate_dfl.optlayer import QuadraticProgram, solve_qp
+from surrogate_dfl.optlayer import QuadraticProgram, box_budget_qp, solve_qp
 from surrogate_dfl.pipelines import TrainConfig, get_adapter
+
+
+def portfolio_qp(p, Q, risk):
+    """The QP whose solution maximizes p.x - risk x'Qx on the simplex."""
+    return domains.SimplexStart(2.0 * risk * np.asarray(Q, dtype=float)).qp(p)
+
+
+def own_start(qp):
+    """The crash start of a SimplexStart built for qp alone."""
+    return domains.SimplexStart(qp.H)(qp)
 
 
 def test_portfolio_objective_values():
@@ -151,6 +161,50 @@ def test_movierec_csv_roundtrip(tmp_path):
     for ia, ib in zip(ds.instances, back.instances):
         assert np.allclose(ia.preferences, ib.preferences, atol=1e-11)
         assert np.allclose(ia.user_features, ib.user_features, atol=1e-11)
+
+
+def _ingest_edited(tmp_path, edit):
+    """Ingest the ratings file of a small movie-rec dataset (8 movies, 5
+    feature movies) after edit(rows) rewrites its data rows ([user, movie,
+    rating] strings)."""
+    path = tmp_path / "ratings.csv"
+    domains.export_movierec_csv(domains.gen_movierec_data(8, 4, 3, 5, seed=8), path)
+    header, *rows = path.read_text().splitlines()
+    rows = edit([row.split(",") for row in rows])
+    path.write_text("\n".join([header, *(",".join(row) for row in rows)]) + "\n")
+    return domains.ingest_movierec_csv(path, n_movies=8, users_per_group=4)
+
+
+def test_movierec_csv_rejects_a_missing_cell(tmp_path):
+    # one (user, movie) row gone: its preference must not read as 0
+    with pytest.raises(BadDimensions, match="missing"):
+        _ingest_edited(tmp_path, lambda rows: rows[:3] + rows[4:])
+
+
+def test_movierec_csv_rejects_a_negative_movie_id(tmp_path):
+    # an extra row for movie -1 must not overwrite the last movie's rating
+    with pytest.raises(BadDimensions, match="nonnegative"):
+        _ingest_edited(tmp_path, lambda rows: rows + [["0", "-1", "0.5"]])
+
+
+def test_movierec_csv_rejects_a_gap_in_the_feature_movie_ids(tmp_path):
+    # feature movies are 8..12; renumbering 12 as 13 leaves a gap at 12
+    with pytest.raises(BadDimensions, match="consecutively from 8"):
+        _ingest_edited(tmp_path, lambda rows: [
+            [u, "13" if m == "12" else m, r] for u, m, r in rows
+        ])
+
+
+def test_domain_qps_have_their_adapter_sets_rows():
+    # the rows are written once: a pass's QPs carry the adapter's feasible set
+    port = get_adapter(TrainConfig(domain="portfolio", n_securities=6))
+    movie = get_adapter(TrainConfig(domain="movierec", n_movies=7, budget_k=3))
+    for base, qp in [(port.base, domains.SimplexStart(np.eye(6)).qp(np.arange(6.0))),
+                     (movie.base, box_budget_qp(np.arange(7.0), 0.1, 3))]:
+        assert qp.n == base.n
+        for got, want in ((qp.Aeq, base.Aeq), (qp.beq, base.beq), (qp.Gineq, base.G),
+                          (qp.hineq, base.h)):
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_movierec_objective_enumerated():
@@ -311,16 +365,16 @@ def simplex_start_qps(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     risk = rng.uniform(0.1, 5.0)
     if kind == "ties":
-        return domains.portfolio_qp(0.5 * rng.integers(-3, 4, n), np.eye(n), risk)
+        return portfolio_qp(0.5 * rng.integers(-3, 4, n), np.eye(n), risk)
     if kind == "tiny":  # u = w, on the simplex, with w_0 down to 1e-9
         w = rng.dirichlet(np.ones(n))
         w[0] = 10.0 ** -rng.integers(4, 10)
-        return domains.portfolio_qp(2.0 * risk * w / w.sum(), np.eye(n), risk)
+        return portfolio_qp(2.0 * risk * w / w.sum(), np.eye(n), risk)
     F = rng.normal(size=(n, 3))
     Q = F @ F.T / 3 + 0.01 * np.eye(n)
     if kind == "negative":  # c = H w with w > 0
-        return domains.portfolio_qp(-2.0 * risk * Q @ rng.uniform(0.1, 2.0, n), Q, risk)
-    return domains.portfolio_qp(rng.normal(0.0, 0.5, n), Q, risk)
+        return portfolio_qp(-2.0 * risk * Q @ rng.uniform(0.1, 2.0, n), Q, risk)
+    return portfolio_qp(rng.normal(0.0, 0.5, n), Q, risk)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -328,7 +382,7 @@ def simplex_start_qps(draw):
 def test_simplex_start_is_the_projected_equality_minimizer(qp):
     # the projection of u, the minimizer of the objective with H + delta I
     # over the equality row, delta = START_RIDGE tr(H) / n
-    x0, working = domains.simplex_start(qp)
+    x0, working = own_start(qp)
     assert abs(x0.sum() - 1.0) <= 1e-12 and x0.min() >= 0.0
     assert np.array_equal(working, x0 == 0.0)
     n = qp.n
@@ -347,22 +401,22 @@ def test_simplex_start_is_the_projected_equality_minimizer(qp):
 def test_shared_simplex_start_matches_simplex_start(n, dim, count, seed):
     # the QPs of one prediction pass share H = 2 lam Q, Q a cosine matrix of
     # random embeddings plus COV_RIDGE as PortfolioAdapter.predict builds it;
-    # one SimplexStart, factored once, serves each as simplex_start does
+    # one SimplexStart, factored once, serves each as a SimplexStart of its own does
     rng = np.random.default_rng(seed)
     Q = domains.cosine_similarity_matrix(rng.normal(size=(n, dim)))
     Q += domains.COV_RIDGE * np.eye(n)
     risk = rng.uniform(0.1, 5.0)
     shared = domains.SimplexStart(2.0 * risk * Q)
     for _ in range(count):
-        qp = domains.portfolio_qp(rng.normal(0.0, 0.05, n), Q, risk)
+        qp = portfolio_qp(rng.normal(0.0, 0.05, n), Q, risk)
         x0, working = shared(qp)
-        x0_alone, working_alone = domains.simplex_start(qp)
+        x0_alone, working_alone = own_start(qp)
         assert np.max(np.abs(x0 - x0_alone)) <= 1e-12
         assert np.array_equal(working, working_alone)
 
 
 def unregularized_simplex_start(qp):
-    """simplex_start as first written: the projection of the minimizer of
+    """The simplex crash start as first written: the projection of the minimizer of
     the objective itself over the equality row."""
     n = qp.n
     K = np.block([[qp.H, np.ones((n, 1))], [np.ones((1, n)), np.zeros((1, 1))]])
@@ -384,11 +438,11 @@ def test_simplex_start_takes_no_more_pivots_than_the_unregularized_start(monkeyp
     for n in (50, 100):
         for _ in range(8):
             Q = domains.cosine_similarity_matrix(rng.normal(size=(n, 32)))
-            qps.append(domains.portfolio_qp(
+            qps.append(portfolio_qp(
                 rng.normal(0.0, 0.01, n), Q + domains.COV_RIDGE * np.eye(n), 2.0
             ))
         for inst in domains.gen_portfolio_data(n, 60, seed=18).instances[:8]:
-            qps.append(domains.portfolio_qp(inst.true_returns, inst.true_covariance, 2.0))
+            qps.append(portfolio_qp(inst.true_returns, inst.true_covariance, 2.0))
     calls = []
     equality_solve = optlayer._equality_solve
     monkeypatch.setattr(
@@ -401,7 +455,7 @@ def test_simplex_start_takes_no_more_pivots_than_the_unregularized_start(monkeyp
         return len(calls), ys
 
     old_calls, old_ys = solve_all(unregularized_simplex_start)
-    new_calls, new_ys = solve_all(domains.simplex_start)
+    new_calls, new_ys = solve_all(own_start)
     assert new_calls <= old_calls, (new_calls, old_calls)
     for y_new, y_old in zip(new_ys, old_ys):
         assert np.max(np.abs(y_new - y_old)) <= 1e-9

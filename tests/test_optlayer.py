@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from helpers import tight_rows
 
 from surrogate_dfl import surrogate
 from surrogate_dfl.errors import DimensionMismatch, Infeasible, MaxIterations
 from surrogate_dfl.optlayer import (
+    BaseProblem,
     QuadraticProgram,
     audit_kkt,
+    box_budget_base,
     box_budget_qp,
     kkt_adjoint,
     kkt_jacobian_P,
@@ -60,7 +63,7 @@ def test_active_inequality():
     )
     sol = solve_qp(qp)
     assert np.allclose(sol.y, [1.0, 0.0], atol=1e-10)
-    assert 0 in sol.active_set
+    assert 0 in tight_rows(qp, sol.y)
     assert sol.lam[0] > 1e-8
     independent_kkt_audit(qp, sol)
 
@@ -94,6 +97,19 @@ def test_scale_consistency():
         assert np.max(np.abs(sol2.y - sol1.y)) <= 1e-8
         assert np.max(np.abs(sol2.nu - alpha * sol1.nu)) <= 1e-6 * alpha
         assert np.max(np.abs(sol2.lam - alpha * sol1.lam)) <= 1e-6 * alpha
+
+
+def test_sets_and_qps_check_their_blocks_chain():
+    # G of 4 columns for n = 3, h one short of G's rows, beq one past Aeq's:
+    # a set rejects each, and a QP's rows are checked as a set's
+    for Aeq, beq, G, h in [(None, None, np.eye(4), np.zeros(4)),
+                           (None, None, np.eye(3), np.zeros(2)),
+                           (np.ones((1, 3)), np.ones(2), None, None)]:
+        with pytest.raises(DimensionMismatch):
+            BaseProblem(3, Aeq, beq, G, h)
+        with pytest.raises(DimensionMismatch):
+            QuadraticProgram(np.eye(3), np.zeros(3), Aeq, beq, G, h)
+    assert BaseProblem(3).qp(np.eye(3)).Gineq.shape == (0, 3)
 
 
 def test_infeasible_raises():
@@ -224,7 +240,7 @@ def test_jacobian_P_zero_objective():
     # H = 1e-8 ridge only, c = 0: the optimum sits at the interior origin,
     # so dy*/dP and the explicit term dL/dx y*^T both vanish
     n, m = 4, 2
-    base = surrogate.box_budget_base(n, 2)
+    base = box_budget_base(n, 2)
     P = np.random.default_rng(6).uniform(0.1, 1.0, (n, m))
     sp = surrogate.transform_problem(base, P)
     sqp = surrogate.SurrogateQp(H_x=np.zeros((n, n)), c_x=np.zeros(n), sp=sp,

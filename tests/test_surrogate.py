@@ -3,17 +3,21 @@ import pytest
 from helpers import finite_diff_grad, identity_reparam
 
 from surrogate_dfl.errors import BadDimensions, DimensionMismatch, EmptyFeasibleSet
-from surrogate_dfl.optlayer import kkt_adjoint, kkt_jacobian_P, solve_qp
+from surrogate_dfl.optlayer import (
+    box_budget_base,
+    kkt_adjoint,
+    kkt_jacobian_P,
+    simplex_base,
+    solve_qp,
+)
 from surrogate_dfl.surrogate import (
     Reparameterization,
     SurrogateQp,
-    box_budget_base,
     default_m,
     grad_wrt_P,
     init_reparam,
     lift,
     materialize,
-    simplex_base,
     transform_problem,
 )
 
@@ -65,9 +69,9 @@ def test_lift_column_simplex_maps_simplex_to_simplex():
 def test_transform_identity_is_neutral():
     base = simplex_base(4)
     sp = transform_problem(base, np.eye(4))
-    assert np.array_equal(sp.Aeq_y, base.Aeq)
-    assert np.array_equal(sp.G_y, base.G)
-    assert np.array_equal(sp.h_y, base.h)
+    assert np.array_equal(sp.y.Aeq, base.Aeq)
+    assert np.array_equal(sp.y.G, base.G)
+    assert np.array_equal(sp.y.h, base.h)
 
 
 def test_transform_row_count_expansion():
@@ -75,9 +79,9 @@ def test_transform_row_count_expansion():
     base = box_budget_base(4, 2)
     P = np.abs(np.random.default_rng(3).normal(size=(4, 2))) + 0.05
     sp = transform_problem(base, P)
-    assert sp.G_y.shape == (2 * 4 + 1, 2)
+    assert sp.y.G.shape == (2 * 4 + 1, 2)
     sp2 = transform_problem(base, P, nonneg_y=True)
-    assert sp2.G_y.shape == (2 * 4 + 1 + 2, 2)
+    assert sp2.y.G.shape == (2 * 4 + 1 + 2, 2)
 
 
 def test_transform_column_simplex_gives_m_simplex():
@@ -85,7 +89,7 @@ def test_transform_column_simplex_gives_m_simplex():
     base = simplex_base(5)
     rep = init_reparam(5, 2, "column-simplex", seed=4)
     sp = transform_problem(base, materialize(rep), nonneg_y=True)
-    assert np.allclose(sp.Aeq_y, 1.0, atol=1e-12)
+    assert np.allclose(sp.y.Aeq, 1.0, atol=1e-12)
 
 
 def test_transform_empty_feasible_set():

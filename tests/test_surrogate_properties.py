@@ -12,14 +12,18 @@ from hypothesis import strategies as st
 
 from surrogate_dfl import optlayer
 from surrogate_dfl.errors import EmptyFeasibleSet
-from surrogate_dfl.optlayer import kkt_adjoint, kkt_jacobian_P, solve_qp
+from surrogate_dfl.optlayer import (
+    box_budget_base,
+    kkt_adjoint,
+    kkt_jacobian_P,
+    simplex_base,
+    solve_qp,
+)
 from surrogate_dfl.surrogate import (
     MODES,
     SurrogateQp,
-    box_budget_base,
     init_reparam,
     materialize,
-    simplex_base,
     transform_problem,
 )
 

@@ -5,7 +5,7 @@ import pytest
 
 from surrogate_dfl import theory
 from surrogate_dfl.errors import HypothesisViolated, Infeasible, InvalidInputs
-from surrogate_dfl.surrogate import simplex_base
+from surrogate_dfl.optlayer import simplex_base
 from surrogate_dfl.theory import (
     BoundInputs,
     check_convexity_preservation,
