@@ -35,6 +35,7 @@ from .pipelines import (
     subseed,
     train_method,
     write_aggregate_csv,
+    write_history_csv,
     write_report_csv,
 )
 from .surrogate import export_reparam_csv
@@ -211,9 +212,12 @@ def cmd_train(resolved, out, log) -> int:
         export_reparam_csv(rep, os.path.join(out, "reparam_final.csv"))
     ckpt = resolved["checkpoint"] or os.path.join(out, "checkpoint.csv")
     save_params_csv(_checkpoint_entries(adapter, result.models, rep), ckpt)
+    history = os.path.join(out, f"history_{method}_s{seed}.csv")
+    write_history_csv(result.history, history)
     log.line(
         f"trained {result.epochs_run} epochs "
-        f"({result.train_sec_per_epoch:.4f} s/epoch); checkpoint -> {ckpt}"
+        f"({result.train_sec_per_epoch:.4f} s/epoch); checkpoint -> {ckpt}; "
+        f"history -> {history}"
     )
     return 0
 

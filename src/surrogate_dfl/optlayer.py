@@ -26,16 +26,20 @@ Nocedal & Wright, Numerical Optimization, ch. 16).  A QP classifies its rows
 and assembles the KKT matrix of H, the equality rows and the general rows
 once (_Rows); the QPs of a pass differ only in c and share them
 (QuadraticProgram.with_c).  Each pivot gathers its working-set system from
-that matrix and solves it by LU (LAPACK dgesv), except after a full step,
-which leaves the working set and so the solution unchanged; kkt_adjoint
-gathers its frozen system from it the same way.  When every row is a
-bound, the ratio test reads G p and G x off the bounds' coordinates.  It
-drops the working row with the most negative multiplier, or the
-lowest-index negative one after a zero-length step (Bland's rule, against
-cycling).  A caller may pass a start (x0, working): a feasible x0 tight on
-its working rows replaces phase one (a crash start, Nocedal & Wright ch.
-16.5), and x0 from phase one with no working row gives the pivots of a
-solve that runs phase one itself.  Every solution is certified: solve_qp and
+that matrix and solves it by LU (LAPACK dgesv), one solve per working set:
+a full step leaves the working set unchanged and lands on its minimizer,
+so the next pivot goes straight to the multipliers; kkt_adjoint gathers
+its frozen system from the same matrix.  The bound rows' multipliers come
+from one product of the matrix's first n rows with the solution.  When
+every row is a bound, the ratio test reads G p and G x off the bounds'
+coordinates.  It drops the working row with the most negative multiplier,
+or the lowest-index negative one after a zero-length step (Bland's rule,
+against cycling).  A caller may pass a start (x0, working): a feasible x0
+tight on its working rows replaces phase one (a crash start, Nocedal &
+Wright ch. 16.5), and x0 from phase one with no working row gives the
+pivots of a solve that runs phase one itself; the optimum of another QP on
+the same rows, with its rows of positive multiplier, is such a start (the
+surrogate's chained y-space solves).  Every solution is certified: solve_qp and
 solve_box_budget_qp raise NumericalBreakdown when the KKT residual exceeds
 1e-8 (1 + max(|H|, |c|, |h|)); the box-budget QPs certified are siblings of
 one QP held per (n, gamma, k).
@@ -188,7 +192,10 @@ class _Rows:
     factorization, or general.  K is the KKT matrix of H, Aeq and the general
     rows, from which each pivot gathers its working-set system and
     kkt_adjoint its frozen one; rhs is its right-hand side less the -c block,
-    and slot[r] the row and column of K of general row r.
+    slot[r] the row and column of K of general row r, and K_t the transpose
+    of K, from which a system is gathered in the column order dgesv reads.
+    The pivots' bookkeeping reads each row's class, slot, coordinate and
+    fixed value h / s from the Python tuples of per_row.
     """
 
     def __init__(self, qp: QuadraticProgram):
@@ -203,10 +210,19 @@ class _Rows:
         self.rhs = np.concatenate([np.zeros(n), qp.beq, h[self.general]])
         self.slot = np.zeros(mi, dtype=int)
         self.slot[self.general] = n + me + np.arange(self.general.size)
+        self.K_t = self.K.T.copy()
+        fix = np.divide(h, self.s, out=np.zeros(mi), where=self.bound)
+        self.per_row = list(zip(self.bound.tolist(), self.slot.tolist(), self.col.tolist(),
+                                fix.tolist()))
         # a row blocks when G_r p exceeds its round-off, which grows with |p|
         # (phase-one steps reach ~1e8): d > 1e-13 (1 + |h|) + 1e-12 max|G_r| max|p|
-        self.d_tol = 1e-13 * (1.0 + np.abs(h))
-        self.d_tol_per_step = 1e-12 * np.max(np.abs(G), axis=1, initial=0.0)
+        d_tol = 1e-13 * (1.0 + np.abs(h))
+        per_step = 1e-12 * np.max(np.abs(G), axis=1, initial=0.0)
+        # one scalar each when every row has the same (the simplex), so the
+        # threshold costs the ratio test no vector operation
+        uniform = mi and np.ptp(d_tol) == 0.0 and np.ptp(per_step) == 0.0
+        self.d_tol = float(d_tol[0]) if uniform else d_tol
+        self.d_tol_per_step = float(per_step[0]) if uniform else per_step
 
 
 @dataclass
@@ -279,108 +295,130 @@ def _active_set_loop(qp: QuadraticProgram, x0, max_iter, working=None):
     matrix: the free coordinates, the equality rows and the general working
     rows, with the fixed coordinates' terms moved to the right-hand side.  A
     step of full length with no blocking row leaves the working set
-    unchanged, so the next iteration reuses its solution instead of gathering
-    and solving the same system; it still counts toward max_iter.  When every
-    row is a bound, the ratio test forms G p and G x as s p_j and s x_j,
-    which is exact.  A bound's multiplier is read back from the stationarity
-    row of its coordinate.  When multipliers are negative, the row with the
-    most negative one leaves the working set (lowest index on ties); after a
-    zero-length step, the lowest-index negative one does instead.  Returns
-    (x, nu, lam), lam zero off the working set.
+    unchanged and lands on its minimizer, so the next iteration goes straight
+    to the multipliers of the same solution; it still counts toward
+    max_iter.  When every row is a bound, the ratio test forms G p and G x as
+    s p_j and s x_j, which is exact.  A general row's multiplier is its entry
+    of the solution; a bound's is read back from the stationarity row of its
+    coordinate, out of one product of K's first n rows.  When multipliers are
+    negative, the row with the most negative one leaves the working set
+    (lowest index on ties); after a zero-length step, the lowest-index
+    negative one does instead.  Returns (x, nu, lam), lam zero off the
+    working set.
     """
     rows = qp._rows()
-    bound, col, s, general, K, slot = (
-        rows.bound, rows.col, rows.s, rows.general, rows.K, rows.slot
-    )
+    bound, col, s, general, K = rows.bound, rows.col, rows.s, rows.general, rows.K
     G, h = qp.Gineq, qp.hineq
     n, me, mi = qp.n, qp.Aeq.shape[0], G.shape[0]
     rhs = rows.rhs.copy()
     rhs[:n] = -qp.c
     in_system = np.zeros(K.shape[0], dtype=bool)
     in_system[: n + me] = True
-    n_fixing = np.zeros(n, dtype=int)  # working bound rows on each coordinate
     x_fixed = np.zeros(n)  # zero off the fixed coordinates
     work = np.zeros(mi, dtype=bool)
-
-    def set_working(r, on):
-        work[r] = on
-        if not bound[r]:
-            in_system[slot[r]] = on
-            return
-        j = col[r]
-        n_fixing[j] += 1 if on else -1
-        in_system[j] = n_fixing[j] == 0
-        if on:
-            x_fixed[j] = h[r] / s[r]
-        elif in_system[j]:
-            x_fixed[j] = 0.0
-
     if working is not None:  # set_working(r, True) for every seeded row, at once
         seeded = working.nonzero()[0]
         work[seeded] = True
-        in_system[slot[seeded[~bound[seeded]]]] = True
+        in_system[rows.slot[seeded[~bound[seeded]]]] = True
         fixes = seeded[bound[seeded]]
-        n_fixing += np.bincount(col[fixes], minlength=n)
-        in_system[:n] = n_fixing == 0
+        in_system[col[fixes]] = False
         # independent rows fix distinct coordinates
         x_fixed[col[fixes]] = h[fixes] / s[fixes]
+    idle = ~work  # kept, as the rest of this state, by set_working
+    n_fixing = np.bincount(col[work & bound], minlength=n).tolist()  # per coordinate
+    n_free = n_fixing.count(0)
+    fixed = x_fixed.tolist()  # x_fixed, read without a numpy call
+    n_shifted = np.count_nonzero(x_fixed)  # fixed coordinates at a nonzero value
+
+    def set_working(r, on):
+        nonlocal n_free, n_shifted
+        work[r] = on
+        idle[r] = not on
+        is_bound, slot, j, value = rows.per_row[r]
+        if not is_bound:
+            in_system[slot] = on
+            return
+        n_fixing[j] += 1 if on else -1
+        if n_fixing[j] == on:  # j was free and is fixed now, or the reverse
+            n_free -= 1 if on else -1
+            in_system[j] = not on
+        elif not on:
+            return  # another working bound still fixes j
+        if not on:
+            value = 0.0
+        n_shifted += (value != 0.0) - (fixed[j] != 0.0)
+        fixed[j] = x_fixed[j] = value
+
+    lam = np.empty(mi)
+    v = np.empty(K.shape[0])  # the solution over all of K, zero off the system
+    K_t, K_top, minus_c = rows.K_t, K[:n], rhs[:n]
     x = x0.copy()
+    abs_x = np.abs(x)  # max |x| as abs_x[argmax]: cheaper than max() on short arrays
+    step_tol = STEP_TOL * (1.0 + abs_x[abs_x.argmax()])
     stalled = False  # the last step had zero length
-    full_step = False  # the last step had alpha = 1 and no blocking row
+    solved = False  # the working set is unchanged since the last solve
+    at_minimizer = False  # and the last step was a full one onto its minimizer
     for _ in range(max_iter):
-        if not full_step:  # after a full step the system, and so z, is the same
+        if not solved:
             idx = in_system.nonzero()[0]
-            n_free = np.count_nonzero(in_system[:n])
             b = rhs.take(idx)
-            if x_fixed.any():
+            if n_shifted:
                 b -= (K[:, :n] @ x_fixed).take(idx)
             try:
-                z = _equality_solve(K.take(idx, axis=0).take(idx, axis=1), b)
+                z = _equality_solve(K_t.take(idx, axis=0).take(idx, axis=1).T, b)
             except SingularMatrix as exc:
                 raise NumericalBreakdown(f"singular working-set KKT system: {exc}") from exc
             x_hat = x_fixed.copy()
             x_hat[idx[:n_free]] = z[:n_free]
-        p = x_hat - x
-        p_max = np.abs(p).max()
-        step_tol = STEP_TOL * (1.0 + np.abs(x).max())
-        if p_max <= step_tol:
-            lam = np.zeros(mi)
+            solved = True
+        if not at_minimizer:
+            p = x_hat - x
+            abs_p = np.abs(p)
+            p_max = abs_p[abs_p.argmax()]
+            if p_max > step_tol:
+                alpha = 1.0
+                blocking = -1
+                if rows.all_bounds:  # G_r p = s_r p_j exactly when row r is s_r x_j <= h_r
+                    d = s * p.take(col)
+                    room = h - s * x.take(col)
+                else:
+                    d = G @ p
+                    room = h - G @ x
+                cand = (idle & (d > rows.d_tol + rows.d_tol_per_step * p_max)).nonzero()[0]
+                if cand.size:
+                    ratios = np.maximum(room[cand], 0.0) / d[cand]
+                    k = ratios.argmin()  # argmin takes the lowest index on ties
+                    if ratios[k] < alpha - 1e-12:
+                        alpha = ratios[k]
+                        blocking = cand[k]
+                x = x + alpha * p
+                stalled = alpha * p_max <= step_tol
+                abs_x = np.abs(x)
+                step_tol = STEP_TOL * (1.0 + abs_x[abs_x.argmax()])
+                if blocking >= 0:
+                    set_working(blocking, True)
+                    solved = False
+                else:
+                    # x + p meets x_hat within ~ulp(p_max) + ulp(x_hat), under
+                    # the step-length test's STEP_TOL (1 + |x|) while p_max <= 1e4
+                    at_minimizer = p_max <= 1e4
+                continue
+        lam.fill(0.0)
+        if idx.size > n_free + me:  # general working rows
             lam[general[idx[n_free + me :] - n - me]] = z[n_free + me :]
-            fixing = (work & bound).nonzero()[0]
-            if fixing.size:
-                v = np.zeros(K.shape[0])
-                v[:n], v[idx[n_free:]] = x_hat, z[n_free:]
-                cols = col[fixing]
-                lam[fixing] = (rhs[cols] - K.take(cols, axis=0) @ v) / s[fixing]
-            neg = lam < -MULT_TOL
-            if not neg.any():
-                return x, z[n_free : n_free + me], lam
-            # the most negative multiplier leaves (argmin: lowest index on ties);
-            # after a zero-length step the lowest-index negative one does
-            # (Bland's rule, against cycling at a degenerate vertex)
-            set_working(neg.argmax() if stalled else lam.argmin(), False)
-            full_step = False
-            continue
-        alpha = 1.0
-        blocking = -1
-        if rows.all_bounds:  # G_r p = s_r p_j exactly when row r is s_r x_j <= h_r
-            d = s * p.take(col)
-            room = h - s * x.take(col)
-        else:
-            d = G @ p
-            room = h - G @ x
-        cand = (~work & (d > rows.d_tol + rows.d_tol_per_step * p_max)).nonzero()[0]
-        if cand.size:
-            ratios = np.maximum(room[cand], 0.0) / d[cand]
-            k = ratios.argmin()  # argmin takes the lowest index on ties
-            if ratios[k] < alpha - 1e-12:
-                alpha = ratios[k]
-                blocking = cand[k]
-        x = x + alpha * p
-        stalled = alpha * p_max <= step_tol
-        full_step = blocking < 0
-        if not full_step:
-            set_working(blocking, True)
+        if n_free < n:  # bound working rows
+            fixing = (work if rows.all_bounds else work & bound).nonzero()[0]
+            v.fill(0.0)
+            v[:n], v[idx[n_free:]] = x_hat, z[n_free:]
+            lam[fixing] = (minus_c - K_top @ v).take(col[fixing]) / s[fixing]
+        k = lam.argmin() if mi else 0
+        if not (mi and lam[k] < -MULT_TOL):
+            return x, z[n_free : n_free + me], lam
+        # the most negative multiplier leaves (argmin: lowest index on ties);
+        # after a zero-length step the lowest-index negative one does
+        # (Bland's rule, against cycling at a degenerate vertex)
+        set_working((lam < -MULT_TOL).argmax() if stalled else k, False)
+        solved = at_minimizer = False
     raise MaxIterations(f"active-set pivot cap {max_iter} reached")
 
 

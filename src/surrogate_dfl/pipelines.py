@@ -19,7 +19,9 @@ pass's y-space solves share the y-space QP of the pass Hessian, and
 movie-rec's frozen QPs are siblings of the one box-budget QP that optlayer
 holds per (n, gamma, k).  What depends only on P is built once per P: the
 y-space constraint set and its phase-one point (surrogate.SurrogateProblem),
-which an epoch's validation and the next epoch's training share.
+which an epoch's validation and the next epoch's training share.  Each
+y-space solve on a set starts at the optimum of the one before it; each of
+evaluate's timed passes starts at a new set's phase-one point.
 
 Decision-focused training solves the full problem per instance and chains
 df/dw = df/dx . dx*/dtheta . dtheta/dw through the frozen KKT system.  The
@@ -225,6 +227,7 @@ class PortfolioAdapter:
     embedding table predicts the covariance as cosine similarities."""
 
     def __init__(self, config: TrainConfig):
+        _check_shared_sizes(config)
         self.config = config
         self.lam = config.risk_aversion
         self.n = config.n_securities
@@ -334,13 +337,18 @@ class MovieRecAdapter:
     preference scores; decisions come from the selection-frozen concave QP."""
 
     def __init__(self, config: TrainConfig):
+        _check_shared_sizes(config)
         self.config = config
         self.n = config.n_movies
         self.k = config.budget_k
         self.picks = config.picks_per_user
         self.gamma = config.gamma
+        if self.picks < 1 or self.k < 1:
+            raise BadDimensions("picks_per_user and budget_k must be at least 1")
         if self.picks > self.n or self.k > self.n:
             raise BadDimensions("picks_per_user and budget_k cannot exceed n_movies")
+        if not self.gamma > 0:
+            raise BadDimensions(f"gamma must be positive, got {self.gamma}")
         self.base = box_budget_base(self.n, self.k)
         self._oracle_cache = {}
         # the same arrays for every decision, so a pass's y-space QPs share
@@ -440,6 +448,15 @@ class MovieRecAdapter:
         return domains.round_top_k(x, self.k)
 
 
+def _check_shared_sizes(config: TrainConfig):
+    """BadDimensions unless the settings both adapters use are in range."""
+    if config.hidden_size < 1:
+        raise BadDimensions(f"hidden_size must be at least 1, got {config.hidden_size}")
+    if config.qp_max_iter < 0:
+        raise BadDimensions(f"qp_max_iter must be 0 (the default cap) or more, "
+                            f"got {config.qp_max_iter}")
+
+
 def _memo_oracle(adapter, inst, decide):
     """adapter.objective of inst's oracle decision, decide(), made once per
     instance: later calls read it from the adapter's oracle cache."""
@@ -452,10 +469,12 @@ def _memo_oracle(adapter, inst, decide):
 
 def _solve_surrogate(sp, H_x, c_x, max_iter, H_extra=None):
     """Solves the y-space QP of x-space objective (H_x, c_x) on sp from sp's
-    phase-one point: (P y*, (sqp, qp, sol))."""
+    start, the last optimum on sp or its phase-one point, and holds its
+    optimum as the next solve's start: (P y*, (sqp, qp, sol))."""
     sqp = SurrogateQp(H_x=H_x, c_x=c_x, sp=sp, H_extra=H_extra)
     qp = sqp.qp()
     sol = solve_qp(qp, max_iter=max_iter, start=sp.feasible_start(max_iter))
+    sp.hold(sol)
     return lift(sp.P, sol.y), (sqp, qp, sol)
 
 
@@ -663,9 +682,11 @@ def evaluate(models, rep, dataset, config: TrainConfig, adapter=None) -> EvalRes
     test_set = _split(dataset, dataset.test_idx)
     if not test_set:
         raise EmptySplit("test split is empty")
-    sp = _surrogate_problem(adapter, rep)
     times = []
     for _ in range(max(1, config.timing_repeats)):
+        # each timed pass starts at a new set's phase-one point, so every
+        # repeat makes the same solves, phase one included
+        sp = _surrogate_problem(adapter, rep)
         t0 = time.perf_counter()
         decisions = _decide_pass(adapter, models, sp, test_set)
         times.append(time.perf_counter() - t0)
@@ -787,6 +808,7 @@ def run_experiment(config: TrainConfig) -> RegretReport:
 
 
 REPORT_HEADER = "method,seed,mean_regret,train_sec_per_epoch,inference_sec,epochs_run,status"
+HISTORY_HEADER = "epoch,train_loss,val_score"
 AGGREGATE_HEADER = "method,mean_regret,stderr_regret,mean_train_sec,mean_inference_sec"
 TIMING_COLUMNS = ("train_sec_per_epoch", "inference_sec")
 
@@ -802,6 +824,15 @@ def write_report_csv(report: RegretReport, path) -> None:
                 r.method, r.seed, _fmt(r.mean_regret), _fmt(r.train_sec_per_epoch),
                 _fmt(r.inference_sec), r.epochs_run, r.status,
             ])
+
+
+def write_history_csv(history, path) -> None:
+    """A TrainResult's history, one row per epoch run: the epoch, its mean
+    training loss and its validation score."""
+    with open(path, "w") as fh:
+        fh.write(HISTORY_HEADER + "\n")
+        for epoch, loss, score in history:
+            fh.write(f"{epoch},{_fmt(loss)},{_fmt(score)}\n")
 
 
 def write_aggregate_csv(report: RegretReport, path) -> None:

@@ -80,8 +80,10 @@ class SurrogateProblem:
     """The y-space set y of the x-space set base composed with x = P y, plus
     an optional trailing y >= 0 block that does not depend on P.
 
-    It keeps what every y-space QP on it shares: its phase-one point
-    (feasible_start) and the QP of the last Hessian asked for (qp)."""
+    It keeps what every y-space QP on it shares: the start of its next
+    solve (feasible_start, hold) and the QP of the last Hessian asked for
+    (qp).  The set's rows depend on neither c nor the Hessian, so every
+    optimum on it is a feasible start for every QP on it."""
 
     base: BaseProblem
     P: np.ndarray
@@ -94,9 +96,10 @@ class SurrogateProblem:
         return self.P.shape[1]
 
     def feasible_start(self, max_iter: int = 0):
-        """Start (y0, no working row) for solve_qp: the phase-one point, found
-        at the first call under its pivot cap max_iter (0: the default cap).
-        solve_qp from it takes the pivots of a solve that runs phase one
+        """Start (y0, working) for the next solve_qp on this set: the optimum
+        last held (hold), else the phase-one point with no working row, found
+        under the pivot cap max_iter (0: the default cap).  solve_qp from the
+        phase-one point takes the pivots of a solve that runs phase one
         itself.  Raises EmptyFeasibleSet when the set is empty."""
         if self._start is None:
             try:
@@ -105,6 +108,12 @@ class SurrogateProblem:
                 raise EmptyFeasibleSet(f"surrogate feasible set is empty: {exc}") from exc
             self._start = y0, np.zeros(self.y.h.shape[0], dtype=bool)
         return self._start
+
+    def hold(self, sol):
+        """Make sol, a solve_qp optimum on this set, the next solve's start:
+        y with its rows of positive multiplier working (independent, as the
+        pivots keep every working set, and tight)."""
+        self._start = sol.y, sol.lam > 0.0
 
     def qp(self, H_x, H_extra=None) -> QuadraticProgram:
         """The y-space QP of Hessian P^T H_x P + H_extra and c = 0 on y, which

@@ -260,7 +260,7 @@ def run_theory_checks(seed: int = 0):
         "column_quasiconvexity_probe",
         probe.passed,
         {"violations": probe.violations, "errors": probe.errors, "worst_gap": probe.worst_gap},
-        "0 violations over 200 trials",
+        f"0 violations over {probe.trials} trials",
     )
 
     # full-matrix segment between the counterexample endpoints must violate

@@ -172,6 +172,33 @@ def test_train_then_eval(tmp_path):
     assert all(r >= -1e-6 for r in regrets)
 
 
+def test_train_writes_its_history(tmp_path):
+    # one row per epoch run: the epoch, the mean training loss and the
+    # validation score (regret for the end-to-end methods), as numbers
+    out = tmp_path / "h"
+    assert main(["train", "--domain", "portfolio", "--out", str(out), *TINY,
+                 "--method", "decision-focused", "--seed", "1"]) == 0
+    log = (out / "run.log").read_text()
+    epochs = int(log.split("trained ")[1].split(" epochs")[0])
+    lines = (out / "history_decision-focused_s1.csv").read_text().splitlines()
+    assert lines[0] == "epoch,train_loss,val_score"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(1, epochs + 1))
+    assert all(len(r) == 3 and all(abs(float(v)) < 1e3 for v in r[1:]) for r in rows)
+
+
+@pytest.mark.parametrize("setting, reason", [
+    ("hidden_size=0", "hidden_size must be at least 1, got 0"),
+    ("qp_max_iter=-5", "qp_max_iter must be 0 (the default cap) or more, got -5"),
+])
+def test_bad_model_sizes_exit_2(tmp_path, setting, reason):
+    out = tmp_path / "b"
+    assert main(["train", "--domain", "portfolio", "--out", str(out), *TINY,
+                 "--set", setting]) == 2
+    assert reason in (out / "run.log").read_text()
+    assert not (out / "checkpoint.csv").exists()
+
+
 def test_echo_config_format(tmp_path):
     resolved = parse_config(None, ["domain=movierec"])
     path = tmp_path / "echo.txt"

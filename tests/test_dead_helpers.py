@@ -7,8 +7,8 @@ attribute, somewhere in the package outside its own definition.  So must
 each public module-level function and class, with references from
 `__init__.py` (re-exports) not counted, and each public method of a class.
 Each field of a dataclass must be read somewhere in the package: its name
-loaded as an attribute or, as the pass cannot tell a local variable from a
-field, as a name; assigning it or passing it by keyword does not count.
+loaded as an attribute; a local variable of the same name, assigning the
+field or passing it by keyword does not count.
 """
 
 import ast
@@ -105,12 +105,11 @@ def dead_methods(sources) -> list:
 
 def dead_fields(sources) -> list:
     """'file:line: Class.field' of each dataclass field in sources
-    ({filename: text}) whose name nothing loads, as an attribute or a name."""
+    ({filename: text}) whose name nothing loads as an attribute."""
     trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
     reads = {
-        n.attr if isinstance(n, ast.Attribute) else n.id
-        for tree in trees.values() for n in ast.walk(tree)
-        if isinstance(n, (ast.Attribute, ast.Name)) and isinstance(n.ctx, ast.Load)
+        n.attr for tree in trees.values() for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
     }
     return [
         f"{name}:{f.lineno}: {cls.name}.{f.target.id}"
@@ -235,7 +234,8 @@ def test_planted_unread_dataclass_field_is_reported():
         "    hint: int\n"
         "\n"
         "def make():\n"
-        "    return D(read=1, written=2), Unread(value=3.0)\n"  # keywords do not read
+        "    value = 3.0\n"  # loading a local of a field's name does not read the field
+        "    return D(read=1, written=2), Unread(value=value)\n"  # keywords do not read
     )
     assert dead_fields({"planted.py": planted}) == [
         "planted.py:6: D.written", "planted.py:15: Unread.value"

@@ -15,7 +15,7 @@ from helpers import tight_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surrogate_dfl import domains, optlayer
+from surrogate_dfl import domains, optlayer, pipelines, surrogate
 from surrogate_dfl.errors import MaxIterations, NumericalBreakdown, SingularKKT
 from surrogate_dfl.optlayer import (
     PrimalDualSolution,
@@ -357,6 +357,47 @@ def test_seeded_pivots_match_reference_loop(
     for _, start, runs_phase_one in starts:
         if not runs_phase_one:
             assert_pivots_match_reference(qp, start)
+
+
+def first_pass(cfg, count):
+    """(adapter, thetas, sp) of seed 0's first training pass under cfg: the
+    first count training instances predicted by the initial models, and the
+    y-space set of the initial P."""
+    adapter = pipelines.get_adapter(cfg)
+    dataset = adapter.generate(pipelines.subseed(0, 0))
+    models, rep = pipelines.init_method(cfg, adapter, "surrogate", 0)
+    instances = [dataset.instances[i] for i in dataset.train_idx[:count]]
+    thetas, _ = adapter.predict(models, instances)
+    return adapter, thetas, surrogate.transform_problem(adapter.base, surrogate.materialize(rep))
+
+
+@pytest.mark.parametrize("cfg, decide", [
+    (pipelines.TrainConfig(domain="portfolio", n_securities=100, n_days=60, surrogate_m=10),
+     "decision_full"),
+    (pipelines.TrainConfig(domain="portfolio", n_securities=100, n_days=60, surrogate_m=10),
+     "decision_surrogate"),
+    (pipelines.TrainConfig(domain="movierec", p_learning_rate=0.1), "decision_surrogate"),
+], ids=["n100-crash", "n100-y-chained", "movie-y-chained"])
+def test_pass_pivots_match_reference_loop(monkeypatch, cfg, decide):
+    # the traffic the loop is tuned for, each solve_qp of a pass checked
+    # against the reference from its own start: predicted-Q simplex QPs at
+    # n = 100 (a rank-32 cosine Q plus a ridge) from the SimplexStart crash,
+    # and y-space QPs on one set, each started at the last one's optimum
+    adapter, thetas, sp = first_pass(cfg, 12)
+    starts = []
+
+    def checked(qp, max_iter=0, start=None):
+        assert_pivots_match_reference(qp, start)
+        starts.append(start[1].any())
+        return solve_qp(qp, max_iter, start)
+
+    monkeypatch.setattr(pipelines, "solve_qp", checked)
+    for theta in thetas:
+        if decide == "decision_full":
+            adapter.decision_full(theta)
+        else:
+            adapter.decision_surrogate(theta, sp)
+    assert len(starts) >= len(thetas) and sum(starts) >= len(thetas) - 1
 
 
 def started_solves(qp, x_feas, t, seed):

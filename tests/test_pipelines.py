@@ -1,4 +1,5 @@
 import csv
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import pytest
 from helpers import finite_diff_grad, identity_reparam, tight_rows
 
 from surrogate_dfl import domains, optlayer, pipelines, surrogate
-from surrogate_dfl.errors import EmptySplit, MaxIterations
+from surrogate_dfl.errors import BadDimensions, EmptySplit, MaxIterations
 from surrogate_dfl.optlayer import (
     STRICT_COMPLEMENTARITY_TOL,
     QuadraticProgram,
@@ -212,10 +213,16 @@ def test_surrogate_joint_gradient_matches_fd():
 def _weight_grads(adapter, models, inst, rep, h):
     """dL/dw of one instance by central differences and by _decision_and_grads,
     plus the (selection, strongly active set) pairs met at w and at every
-    difference point; the selection is None for portfolio."""
-    sp = None
-    if rep is not None:
-        sp = surrogate.transform_problem(adapter.base, surrogate.materialize(rep))
+    difference point; the selection is None for portfolio.  Each evaluation
+    solves on a y-space set of its own, from its phase-one point: a shared
+    set would start each solve at the last one's optimum, and the rounding
+    of the path taken would enter the differences."""
+
+    def new_sp():
+        if rep is None:
+            return None
+        return surrogate.transform_problem(adapter.base, surrogate.materialize(rep))
+
     params0 = [p.copy() for p in adapter.params(models)]
     flat0 = np.concatenate([p.ravel() for p in params0])
     branches = set()
@@ -227,6 +234,7 @@ def _weight_grads(adapter, models, inst, rep, h):
             off += p.size
         adapter.set_params(models, out)
         theta = adapter.predict(models, [inst])[0][0]
+        sp = new_sp()
         if sp is None:
             x, sol, ctx = adapter.decision_full(theta)
         else:
@@ -239,7 +247,7 @@ def _weight_grads(adapter, models, inst, rep, h):
     fd = finite_diff_grad(loss_of, flat0, h=h)
     adapter.set_params(models, params0)
     thetas, cache = adapter.predict(models, [inst])
-    _, dtheta, _, _ = _decision_and_grads(adapter, thetas[0], sp, inst, 0)
+    _, dtheta, _, _ = _decision_and_grads(adapter, thetas[0], new_sp(), inst, 0)
     an = np.concatenate([g.ravel() for g in adapter.backprop_models(models, cache, [dtheta])])
     return fd, an, branches
 
@@ -625,6 +633,22 @@ def test_failed_loads_are_recorded_per_job_and_not_stored():
     assert pipelines._seed_store == []
 
 
+@pytest.mark.parametrize("domain, setting, reason", [
+    ("movierec", {"picks_per_user": 0}, "picks_per_user and budget_k must be at least 1"),
+    ("movierec", {"budget_k": -1}, "picks_per_user and budget_k must be at least 1"),
+    ("movierec", {"gamma": 0.0}, "gamma must be positive, got 0.0"),
+    ("portfolio", {"hidden_size": 0}, "hidden_size must be at least 1, got 0"),
+    ("movierec", {"hidden_size": 0}, "hidden_size must be at least 1, got 0"),
+    ("portfolio", {"qp_max_iter": -5}, "qp_max_iter must be 0 (the default cap) or more"),
+])
+def test_adapters_reject_bad_sizes(domain, setting, reason):
+    # each size fails when the adapter is built, not at a numpy or solver
+    # error deep in a job (kth out of bounds, a division by zero, a
+    # singular KKT system or a negative pivot cap)
+    with pytest.raises(BadDimensions, match=re.escape(reason)):
+        get_adapter(TrainConfig(domain=domain, **setting))
+
+
 def test_report_csv_quotes_status_with_commas(tmp_path):
     # the BadDimensions message holds commas; each row still reads back as
     # seven fields with the status intact
@@ -861,9 +885,9 @@ def _assert_same_solve(got, want, rng):
 def test_pass_qp_solves_match_fresh_qps():
     # the first passes of the portfolio-n100 and criterion-6 configurations:
     # each decision on the pass's shared QP, x-space from the crash start and
-    # from a warm start or y-space from the constraint set's phase-one point,
-    # is bitwise the solve of a QP built afresh for the instance (y-space:
-    # with phase one run by the solve)
+    # from a warm start or y-space from the start the constraint set holds
+    # (the last optimum on it, or its phase-one point), is bitwise the solve
+    # of a QP built afresh for the instance from the same start
     rng = np.random.default_rng(0)
     portfolio_configs = (
         TrainConfig(domain="portfolio", n_securities=100, n_days=60, surrogate_m=10,
@@ -886,9 +910,11 @@ def test_pass_qp_solves_match_fresh_qps():
                 ref = solve_qp(fresh, max_iter=cfg.qp_max_iter, start=start)
                 _assert_same_solve((qp, sol), (fresh, ref), rng)
             x_prev = sol.y
+            start = sp.feasible_start()
             _, sol, sqp, (qp,) = adapter.decision_surrogate(theta, sp)
             fresh = _fresh_y_qp(sp, H, -theta["p"])
-            _assert_same_solve((qp, sol), (fresh, solve_qp(fresh, cfg.qp_max_iter)), rng)
+            ref = solve_qp(fresh, cfg.qp_max_iter, start=start)
+            _assert_same_solve((qp, sol), (fresh, ref), rng)
 
     cfg = TrainConfig(domain="movierec", max_epochs=100, p_learning_rate=0.1)
     adapter, thetas, sp = _first_pass(cfg)
@@ -897,12 +923,86 @@ def test_pass_qp_solves_match_fresh_qps():
         rounds = []
 
         def solve_both(c):
+            start = sp.feasible_start()
             x, (_, qp, sol) = pipelines._solve_surrogate(
                 sp, adapter._H_x, -c, cfg.qp_max_iter, adapter._H_extra.get(sp.m, H_extra))
             fresh = _fresh_y_qp(sp, np.zeros((adapter.n, adapter.n)), -c, H_extra)
-            rounds.append(((qp, sol), (fresh, solve_qp(fresh, cfg.qp_max_iter))))
+            rounds.append(((qp, sol), (fresh, solve_qp(fresh, cfg.qp_max_iter, start=start))))
             return x, None
 
         domains.movierec_alternate(theta, adapter.k, adapter.picks, solve_both)
         for got, want in rounds:
             _assert_same_solve(got, want, rng)
+
+
+N100 = TrainConfig(domain="portfolio", n_securities=100, n_days=60, surrogate_m=10,
+                   qp_max_iter=2000)
+C6_MOVIE = TrainConfig(domain="movierec", max_epochs=100, p_learning_rate=0.1)
+
+
+@pytest.mark.parametrize("cfg", [N100, C6_MOVIE], ids=["portfolio-n100", "c6-movie"])
+def test_y_space_pass_chains_its_starts(monkeypatch, cfg):
+    # the first training pass's y-space solves on one set, each started at
+    # the last one's optimum: phase one runs once for the pass, the pass
+    # factorizes fewer systems than solving each QP cold (phase one each),
+    # and every optimum is the cold one within 1e-12
+    adapter, thetas, sp = _first_pass(cfg)
+    calls = {"phase one": 0, "factorizations": 0}
+    phase_one, equality_solve = optlayer._phase_one, optlayer._equality_solve
+
+    def counted_phase_one(*args):
+        calls["phase one"] += 1
+        return phase_one(*args)
+
+    def counted_solve(K, rhs):
+        calls["factorizations"] += 1
+        return equality_solve(K, rhs)
+
+    solves = []
+
+    def recorded(qp, max_iter=0, start=None):
+        sol = solve_qp(qp, max_iter, start)
+        solves.append((qp, max_iter, sol))
+        return sol
+
+    monkeypatch.setattr(optlayer, "_phase_one", counted_phase_one)
+    monkeypatch.setattr(optlayer, "_equality_solve", counted_solve)
+    monkeypatch.setattr(pipelines, "solve_qp", recorded)
+    for theta in thetas:
+        adapter.decision_surrogate(theta, sp)
+    chained = dict(calls)
+    calls.update(dict.fromkeys(calls, 0))
+    for qp, max_iter, sol in solves:
+        cold = solve_qp(qp, max_iter)
+        assert np.max(np.abs(sol.y - cold.y)) <= 1e-12 * (1.0 + np.max(np.abs(cold.y)))
+    assert chained["phase one"] == 1
+    assert calls["phase one"] == len(solves) > len(thetas) - 1
+    assert chained["factorizations"] < calls["factorizations"]
+
+
+@pytest.mark.parametrize("method", ["decision-focused", "surrogate"])
+def test_evaluate_passes_make_the_same_solves(monkeypatch, method):
+    # each timed test pass starts from the same starts, phase one included,
+    # so the repeats time the same work: equal factorization counts
+    cfg = replace(N100, timing_repeats=3)
+    adapter = get_adapter(cfg)
+    dataset = adapter.generate(subseed(0, 0))
+    models, rep = init_method(cfg, adapter, method, 0)
+    for i in dataset.test_idx:  # the oracles, solved once, before the passes
+        adapter.oracle(dataset.instances[i])
+    counts = []
+    equality_solve, decide_pass = optlayer._equality_solve, pipelines._decide_pass
+
+    def counted_solve(K, rhs):
+        counts[-1] += 1
+        return equality_solve(K, rhs)
+
+    def counted_pass(*args):
+        counts.append(0)
+        return decide_pass(*args)
+
+    monkeypatch.setattr(optlayer, "_equality_solve", counted_solve)
+    monkeypatch.setattr(pipelines, "_decide_pass", counted_pass)
+    evaluate(models, rep, dataset, cfg, adapter)
+    assert len(counts) == 3
+    assert counts[0] > 0 and counts == [counts[0]] * 3
