@@ -9,7 +9,7 @@ the outputs so a run can be reproduced from the echo alone.
 import argparse
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -40,8 +40,8 @@ from .pipelines import (
 )
 from .surrogate import export_reparam_csv
 
-# extra keys beyond TrainConfig: single-run seed and checkpoint location
-EXTRA_DEFAULTS = {"train_seed": 0, "checkpoint": ""}
+# extra keys beyond TrainConfig: output directory, single-run seed, checkpoint
+EXTRA_DEFAULTS = {"out_dir": "runs", "train_seed": 0, "checkpoint": ""}
 
 
 def _field_types():
@@ -209,6 +209,10 @@ def cmd_train(resolved, out, log) -> int:
     log.line(f"training method={method} domain={config.domain} seed={seed}")
     result = train_method(models, rep, dataset, config, adapter, method)
     if rep is not None and config.export_p:
+        if config.verbose:  # P after each epoch's update
+            for epoch, P_raw in enumerate(result.p_history, 1):
+                export_reparam_csv(replace(rep, P_raw=P_raw),
+                                   os.path.join(out, f"reparam_epoch_{epoch:03d}.csv"))
         export_reparam_csv(rep, os.path.join(out, "reparam_final.csv"))
     ckpt = resolved["checkpoint"] or os.path.join(out, "checkpoint.csv")
     save_params_csv(_checkpoint_entries(adapter, result.models, rep), ckpt)

@@ -4,7 +4,8 @@ regret and wall-clock metrics, and the multi-seed experiment runner.
 One loop (_train) trains every method; a method is a per-instance step and a
 validation score.  Two-stage steps on and scores the squared prediction
 error; the end-to-end methods step through the optimization layer and score
-the regret they optimize, as evaluate scores the test split.
+the regret they optimize, as evaluate scores the test split (_regrets).  The
+loop keeps one best checkpoint (parameters and P_raw) and writes no file.
 
 A pass (a training epoch, a validation score or one timed test pass of
 evaluate) predicts once: one adapter.predict call over all of its
@@ -30,10 +31,12 @@ m-dimensional reparameterized problem, lifts the answer, and takes the full
 theta-gradient at (P z_y, P y*).  Each instance's dL/dP comes from the same
 adjoint (kkt_jacobian_P); an epoch chains their mean to P_raw once (grad_wrt_P).
 
-Adapters hold only domain math and a cache of oracle values; the training
-loop owns the start store (each training instance's last decision seeds its
-next solve; validation and evaluation start cold), so a job depends only on
-its (method, seed).  A run builds one adapter and one dataset per seed and
+The adapters share one base (_Adapter): the size checks, the parameter list
+in checkpoint order, the decision loss, the oracle memo and the identity
+test decision; a subclass holds only domain math.  The training loop owns
+the start store (each training instance's last decision seeds its next
+solve; validation and evaluation start cold), so a job depends only on its
+(method, seed).  A run builds one adapter and one dataset per seed and
 shares them across the seed's methods (run_single's seed store): the seed's
 data is generated once, and each validation or test instance's oracle is
 solved once, for every method.  No job changes the shared dataset.
@@ -81,7 +84,6 @@ from .surrogate import (
     Reparameterization,
     SurrogateQp,
     default_m,
-    export_reparam_csv,
     grad_wrt_P,
     init_reparam,
     lift,
@@ -136,7 +138,6 @@ class TrainConfig:
     # run control
     timing_repeats: int = 1
     max_workers: int = 0  # 0 -> min(n_seeds, usable cpus)
-    out_dir: str = "runs"
     data_in: str = ""
     verbose: bool = False
     export_p: bool = False
@@ -195,44 +196,58 @@ class RegretReport:
         return self.aggregates
 
 
-class EarlyStopper:
-    """Stop after `patience` consecutive epochs without strict improvement."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = np.inf
-        self.best_epoch = 0
-        self.bad = 0
-
-    def update(self, value: float, epoch: int) -> bool:
-        if value < self.best:
-            self.best = value
-            self.best_epoch = epoch
-            self.bad = 0
-            return True
-        self.bad += 1
-        return False
-
-    @property
-    def should_stop(self) -> bool:
-        return self.bad >= self.patience
-
-
 # ---------------------------------------------------------------------------
 # domain adapters
 
 
-class PortfolioAdapter:
+class _Adapter:
+    """The size checks (BadDimensions), parameters, decision loss, oracle memo
+    and test decision every adapter shares; a subclass adds its domain math."""
+
+    def __init__(self, config: TrainConfig):
+        if config.hidden_size < 1:
+            raise BadDimensions(f"hidden_size must be at least 1, got {config.hidden_size}")
+        if config.qp_max_iter < 0:
+            raise BadDimensions(f"qp_max_iter must be 0 (the default cap) or more, "
+                                f"got {config.qp_max_iter}")
+        self.config = config
+        self._oracle_cache = {}
+
+    def params(self, models):
+        """The models' parameter arrays in models' order, the checkpoint order."""
+        return [p for model in models.values() for p in model.parameters()]
+
+    def set_params(self, models, params):
+        arrays = iter(params)
+        for model in models.values():
+            model.set_parameters([next(arrays) for _ in model.parameters()])
+
+    def loss_grad_x(self, x, inst):
+        """The decision loss, the negated achieved quality, and its x-gradient."""
+        return -self.objective(x, inst), -self.objective_grad(x, inst)
+
+    def oracle(self, inst):
+        """objective of inst's oracle_decision, solved once per instance."""
+        hit = self._oracle_cache.get(id(inst))
+        if hit is None:
+            # the entry holds inst, so no other instance can take its id
+            hit = self._oracle_cache[id(inst)] = (
+                inst, self.objective(self.oracle_decision(inst), inst))
+        return hit[1]
+
+    def test_decision(self, x):
+        return x
+
+
+class PortfolioAdapter(_Adapter):
     """Markowitz portfolio: MLP predicts per-security returns, a learned
     embedding table predicts the covariance as cosine similarities."""
 
     def __init__(self, config: TrainConfig):
-        _check_shared_sizes(config)
-        self.config = config
+        super().__init__(config)
         self.lam = config.risk_aversion
         self.n = config.n_securities
         self.base = simplex_base(self.n)
-        self._oracle_cache = {}
 
     def generate(self, seed):
         return domains.gen_portfolio_data(self.n, self.config.n_days, seed)
@@ -250,14 +265,6 @@ class PortfolioAdapter:
             "mlp": init_mlp([domains.N_FEATURES, h, h, 1], seed),
             "emb": init_embeddings(self.n, self.config.embedding_dim, subseed(seed, 1)),
         }
-
-    def params(self, models):
-        return models["mlp"].parameters() + models["emb"].parameters()
-
-    def set_params(self, models, params):
-        k = len(models["mlp"].parameters())
-        models["mlp"].set_parameters(params[:k])
-        models["emb"].set_parameters(params[k:])
 
     def predict(self, models, instances):
         """(thetas, cache) of one pass: one MLP forward over every instance's
@@ -301,10 +308,8 @@ class PortfolioAdapter:
             x, inst.true_returns, inst.true_covariance, self.lam
         )
 
-    def loss_grad_x(self, x, inst):
-        # decision loss is the negated achieved quality
-        g = domains.portfolio_grad(x, inst.true_returns, inst.true_covariance, self.lam)
-        return -self.objective(x, inst), -g
+    def objective_grad(self, x, inst):
+        return domains.portfolio_grad(x, inst.true_returns, inst.true_covariance, self.lam)
 
     def theta_grads(self, ctx, z_x, x):
         """dL/dtheta at the x-space adjoint z_x and decision x: c = -p and
@@ -321,24 +326,18 @@ class PortfolioAdapter:
         dQ = sum(d["Q"] for d in dthetas)
         return mlp_grads + [embedding_cosine_backward(emb_cache, dQ)]
 
-    def oracle(self, inst):
-        """Objective value of the oracle decision under the true parameters."""
-        return _memo_oracle(self, inst, lambda: domains.portfolio_oracle_decision(
-            inst.true_returns, inst.true_covariance, self.lam,
-            max_iter=self.config.qp_max_iter,
-        ))
-
-    def test_decision(self, x):
-        return x
+    def oracle_decision(self, inst):
+        """The optimal decision under the true parameters."""
+        return domains.portfolio_oracle_decision(
+            inst.true_returns, inst.true_covariance, self.lam, max_iter=self.config.qp_max_iter)
 
 
-class MovieRecAdapter:
+class MovieRecAdapter(_Adapter):
     """Movie broadcast: an MLP maps user feature ratings to per-movie
     preference scores; decisions come from the selection-frozen concave QP."""
 
     def __init__(self, config: TrainConfig):
-        _check_shared_sizes(config)
-        self.config = config
+        super().__init__(config)
         self.n = config.n_movies
         self.k = config.budget_k
         self.picks = config.picks_per_user
@@ -350,7 +349,6 @@ class MovieRecAdapter:
         if not self.gamma > 0:
             raise BadDimensions(f"gamma must be positive, got {self.gamma}")
         self.base = box_budget_base(self.n, self.k)
-        self._oracle_cache = {}
         # the same arrays for every decision, so a pass's y-space QPs share
         # one (SurrogateProblem.qp)
         self._H_x = np.zeros((self.n, self.n))
@@ -382,12 +380,6 @@ class MovieRecAdapter:
     def init_models(self, seed):
         h = self.config.hidden_size
         return {"mlp": init_mlp([self.config.n_feature_movies, h, h, self.n], seed)}
-
-    def params(self, models):
-        return models["mlp"].parameters()
-
-    def set_params(self, models, params):
-        models["mlp"].set_parameters(params)
 
     def predict(self, models, instances):
         """(thetas, cache) of one pass: one MLP forward over every instance's
@@ -423,9 +415,8 @@ class MovieRecAdapter:
     def objective(self, x, inst):
         return domains.movierec_objective(x, inst.preferences, self.picks)
 
-    def loss_grad_x(self, x, inst):
-        g = domains.movierec_supergradient(x, inst.preferences, self.picks)
-        return -self.objective(x, inst), -g
+    def objective_grad(self, x, inst):
+        return domains.movierec_supergradient(x, inst.preferences, self.picks)
 
     def theta_grads(self, ctx, z_x, x):
         """dL/dtheta at the x-space adjoint z_x: the frozen c_i is
@@ -438,33 +429,13 @@ class MovieRecAdapter:
         its instances' theta-gradients dthetas (one backward)."""
         return mlp_backward_batch(models["mlp"], cache, np.hstack(dthetas).T)
 
-    def oracle(self, inst):
-        """Objective value of the rounded oracle decision under the true parameters."""
-        return _memo_oracle(self, inst, lambda: domains.movierec_oracle_decision(
-            inst.preferences, self.k, self.picks, gamma=self.gamma
-        ))
+    def oracle_decision(self, inst):
+        """The rounded optimal decision under the true parameters."""
+        return domains.movierec_oracle_decision(inst.preferences, self.k, self.picks,
+                                                gamma=self.gamma)
 
     def test_decision(self, x):
         return domains.round_top_k(x, self.k)
-
-
-def _check_shared_sizes(config: TrainConfig):
-    """BadDimensions unless the settings both adapters use are in range."""
-    if config.hidden_size < 1:
-        raise BadDimensions(f"hidden_size must be at least 1, got {config.hidden_size}")
-    if config.qp_max_iter < 0:
-        raise BadDimensions(f"qp_max_iter must be 0 (the default cap) or more, "
-                            f"got {config.qp_max_iter}")
-
-
-def _memo_oracle(adapter, inst, decide):
-    """adapter.objective of inst's oracle decision, decide(), made once per
-    instance: later calls read it from the adapter's oracle cache."""
-    hit = adapter._oracle_cache.get(id(inst))
-    if hit is None:
-        # the entry holds inst, so no other instance can take its id
-        hit = adapter._oracle_cache[id(inst)] = (inst, adapter.objective(decide(), inst))
-    return hit[1]
 
 
 def _solve_surrogate(sp, H_x, c_x, max_iter, H_extra=None):
@@ -502,15 +473,15 @@ class TrainResult:
     epochs_run: int
     train_sec_per_epoch: float
     history: list
+    p_history: list  # P_raw after each epoch's update; empty without a rep
 
 
 def _split(dataset, idx):
     return [dataset.instances[i] for i in idx]
 
 
-def _prediction_step(adapter, theta, sp, inst, idx, x0=None):
-    """The two-stage step in _decision_and_grads' signature: (loss, dtheta,
-    None, None) of the squared prediction error."""
+def _prediction_step(adapter, theta, sp, inst, x0=None):
+    """The two-stage step: (loss, dtheta, None, None) of the squared prediction error."""
     loss, dtheta = adapter.prediction_loss(theta, inst)
     return loss, dtheta, None, None
 
@@ -522,25 +493,20 @@ def _prediction_error_on(adapter, models, sp, instances):
                           for theta, inst in zip(thetas, instances)]))
 
 
-def _decision_and_grads(adapter, theta, sp, inst, idx, x0=None):
+def _decision_and_grads(adapter, theta, sp, inst, x0=None):
     """One end-to-end decision and its backward pass down to theta, from
     start x0: (loss, dtheta, dL_dP, x), dL_dP None without sp."""
-    dL_dP = None
-    try:
-        if sp is None:
-            x, sol, ctx = adapter.decision_full(theta, x0=x0)
-            loss, dL_dx = adapter.loss_grad_x(x, inst)
-            z_x = kkt_adjoint(ctx[0], sol, dL_dx)[0]
-        else:
-            x, sol, sqp, ctx = adapter.decision_surrogate(theta, sp, x0=x0)
-            loss, dL_dx = adapter.loss_grad_x(x, inst)
-            adjoint = kkt_adjoint(ctx[0], sol, sp.P.T @ dL_dx)
-            z_x = sp.P @ adjoint[0]  # x = P y, so the x-space adjoint is P z_y
-            dL_dP = kkt_jacobian_P(sqp, sol, adjoint, dL_dx)
-        dtheta = adapter.theta_grads(ctx, z_x, x)
-    except (Infeasible, MaxIterations, NumericalBreakdown, SingularKKT, SingularMatrix) as exc:
-        raise type(exc)(f"instance {idx}: {exc}") from exc
-    return loss, dtheta, dL_dP, x
+    if sp is None:
+        x, sol, ctx = adapter.decision_full(theta, x0=x0)
+        loss, dL_dx = adapter.loss_grad_x(x, inst)
+        z_x = kkt_adjoint(ctx[0], sol, dL_dx)[0]
+        return loss, adapter.theta_grads(ctx, z_x, x), None, x
+    x, sol, sqp, ctx = adapter.decision_surrogate(theta, sp, x0=x0)
+    loss, dL_dx = adapter.loss_grad_x(x, inst)
+    adjoint = kkt_adjoint(ctx[0], sol, sp.P.T @ dL_dx)
+    z_x = sp.P @ adjoint[0]  # x = P y, so the x-space adjoint is P z_y
+    dL_dP = kkt_jacobian_P(sqp, sol, adjoint, dL_dx)
+    return loss, adapter.theta_grads(ctx, z_x, x), dL_dP, x
 
 
 def _decide_pass(adapter, models, sp, instances):
@@ -552,22 +518,26 @@ def _decide_pass(adapter, models, sp, instances):
     return [adapter.decision_surrogate(theta, sp)[0] for theta in thetas]
 
 
+def _regrets(adapter, instances, decisions):
+    """(regrets, xs): the decisions as tested (test_decision) and their regrets."""
+    xs = [adapter.test_decision(x) for x in decisions]
+    return [adapter.oracle(inst) - adapter.objective(x, inst)
+            for inst, x in zip(instances, xs)], xs
+
+
 def _regret_on(adapter, models, sp, instances):
     """Mean regret on instances, decided and scored as evaluate does."""
-    regrets = []
-    for inst, x in zip(instances, _decide_pass(adapter, models, sp, instances)):
-        x = adapter.test_decision(x)
-        regrets.append(adapter.oracle(inst) - adapter.objective(x, inst))
+    regrets, _ = _regrets(adapter, instances, _decide_pass(adapter, models, sp, instances))
     return float(np.mean(regrets))
 
 
 def _train(models, rep, dataset, config, adapter, step, score):
-    """Full-batch Adam on step's mean loss with early stopping on score over
-    the validation split; returns the best checkpoint.  Each epoch predicts
-    the training split in one pass, steps once per instance and backpropagates
-    the summed theta-gradients once.  P trains when rep is given, on the
-    epoch's mean dL/dP, and each P gets one y-space set.  step's x is its next x0."""
-    adapter = adapter or get_adapter(config)
+    """Full-batch Adam on step's mean loss, stopped once config.patience epochs
+    in a row score no lower on the validation split than the best (a tie or a
+    NaN is not lower); models and rep return to the best score's checkpoint,
+    the initial one until a score is below inf.  An epoch predicts in one pass,
+    steps per instance (a solver error gains the epoch and instance index) and
+    backpropagates once; P trains on its mean dL/dP, one y-space set per P."""
     train_set = _split(dataset, dataset.train_idx)
     val_set = _split(dataset, dataset.val_idx)
     if not train_set or not val_set:
@@ -575,13 +545,12 @@ def _train(models, rep, dataset, config, adapter, step, score):
     params = adapter.params(models)
     state = init_adam(params, config.learning_rate)
     p_state = init_adam([rep.P_raw], config.p_learning_rate) if rep is not None else None
-    stopper = EarlyStopper(config.patience)
-    best_params = [p.copy() for p in params]
-    best_raw = rep.P_raw.copy() if rep is not None else None
-    history = []
+    # adam_step makes fresh arrays, so the checkpoint holds them by reference
+    best = (params, rep and rep.P_raw)
+    best_score, bad = np.inf, 0
+    history, p_history = [], []
     starts = {}  # training index -> the instance's last decision (lifted for the surrogate)
     train_time = 0.0
-    epochs = 0
     sp = _surrogate_problem(adapter, rep)
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
@@ -589,8 +558,12 @@ def _train(models, rep, dataset, config, adapter, step, score):
         dthetas, dL_dPs = [], []
         epoch_loss = 0.0
         for idx, inst, theta in zip(dataset.train_idx, train_set, thetas):
-            loss, dtheta, dL_dP, starts[idx] = step(adapter, theta, sp, inst, idx,
-                                                    x0=starts.get(idx))
+            try:
+                loss, dtheta, dL_dP, starts[idx] = step(adapter, theta, sp, inst,
+                                                        x0=starts.get(idx))
+            except (Infeasible, MaxIterations, NumericalBreakdown, SingularKKT,
+                    SingularMatrix) as exc:
+                raise type(exc)(f"epoch {epoch}, instance {idx}: {exc}") from exc
             epoch_loss += loss
             dthetas.append(dtheta)
             dL_dPs.append(dL_dP)
@@ -601,27 +574,23 @@ def _train(models, rep, dataset, config, adapter, step, score):
             p_grad = grad_wrt_P(sum(dL_dPs) / len(train_set), rep)
             new_raw, p_state = adam_step([rep.P_raw], [p_grad], p_state)
             rep.P_raw = new_raw[0]
+            p_history.append(rep.P_raw)
             sp = _surrogate_problem(adapter, rep)
         train_time += time.perf_counter() - t0
-        epochs = epoch
-        if rep is not None and config.export_p and config.verbose:
-            os.makedirs(config.out_dir, exist_ok=True)
-            export_reparam_csv(
-                rep, os.path.join(config.out_dir, f"reparam_epoch_{epoch:03d}.csv")
-            )
         val_score = score(adapter, models, sp, val_set)
         history.append((epoch, epoch_loss / len(train_set), val_score))
-        if stopper.update(val_score, epoch):
-            best_params = [p.copy() for p in params]
-            if rep is not None:
-                best_raw = rep.P_raw.copy()
-        if stopper.should_stop:
+        if val_score < best_score:
+            best_score, bad = val_score, 0
+            best = (params, rep and rep.P_raw)
+        else:
+            bad += 1
+        if bad >= config.patience:
             break
-    adapter.set_params(models, best_params)
+    adapter.set_params(models, best[0])
     if rep is not None:
-        rep.P_raw = best_raw
-    per_epoch = train_time / epochs if epochs else 0.0
-    return TrainResult(models, epochs, per_epoch, history)
+        rep.P_raw = best[1]
+    per_epoch = train_time / len(history) if history else 0.0
+    return TrainResult(models, len(history), per_epoch, history, p_history)
 
 
 def _surrogate_problem(adapter, rep):
@@ -631,19 +600,19 @@ def _surrogate_problem(adapter, rep):
     return transform_problem(adapter.base, materialize(rep))
 
 
-def train_two_stage(models, dataset, config: TrainConfig, adapter=None) -> TrainResult:
+def train_two_stage(models, dataset, config: TrainConfig, adapter) -> TrainResult:
     """Training on the squared prediction error, validated on the same error."""
     return _train(models, None, dataset, config, adapter,
                   _prediction_step, _prediction_error_on)
 
 
-def train_decision_focused(models, dataset, config: TrainConfig, adapter=None) -> TrainResult:
+def train_decision_focused(models, dataset, config: TrainConfig, adapter) -> TrainResult:
     """End-to-end training through the full optimization layer (x-space)."""
     return _train(models, None, dataset, config, adapter,
                   _decision_and_grads, _regret_on)
 
 
-def train_surrogate(models, rep, dataset, config: TrainConfig, adapter=None) -> TrainResult:
+def train_surrogate(models, rep, dataset, config: TrainConfig, adapter) -> TrainResult:
     """Joint training of the predictive model and the reparameterization by
     solving only the m-dimensional surrogate problem."""
     return _train(models, rep, dataset, config, adapter,
@@ -670,7 +639,7 @@ class EvalResult:
     max_violation: float
 
 
-def evaluate(models, rep, dataset, config: TrainConfig, adapter=None) -> EvalResult:
+def evaluate(models, rep, dataset, config: TrainConfig, adapter) -> EvalResult:
     """Timed decisions plus regret for every test instance.
 
     The surrogate path (rep given) solves only the m-dimensional problem and
@@ -678,7 +647,6 @@ def evaluate(models, rep, dataset, config: TrainConfig, adapter=None) -> EvalRes
     median over config.timing_repeats runs of the whole test pass, each of
     which predicts the test split in one pass of its own.
     """
-    adapter = adapter or get_adapter(config)
     test_set = _split(dataset, dataset.test_idx)
     if not test_set:
         raise EmptySplit("test split is empty")
@@ -690,16 +658,11 @@ def evaluate(models, rep, dataset, config: TrainConfig, adapter=None) -> EvalRes
         t0 = time.perf_counter()
         decisions = _decide_pass(adapter, models, sp, test_set)
         times.append(time.perf_counter() - t0)
-    regrets = []
-    max_violation = 0.0
-    for inst, x in zip(test_set, decisions):
-        x = adapter.test_decision(x)
-        max_violation = max(max_violation, adapter.base.violation(x))
-        regrets.append(adapter.oracle(inst) - adapter.objective(x, inst))
+    regrets, xs = _regrets(adapter, test_set, decisions)
     return EvalResult(
         regrets=np.array(regrets),
         inference_sec=float(np.median(times)),
-        max_violation=max_violation,
+        max_violation=max([0.0, *map(adapter.base.violation, xs)]),
     )
 
 

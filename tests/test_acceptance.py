@@ -106,7 +106,7 @@ def test_criterion_1_gradient_correctness():
 
     adapter.set_params(models, unflatten(flat0))
     thetas, cache = adapter.predict(models, [inst])
-    _, dtheta, dL_dP, _ = _decision_and_grads(adapter, thetas[0], sp, inst, 0)
+    _, dtheta, dL_dP, _ = _decision_and_grads(adapter, thetas[0], sp, inst)
     grads = adapter.backprop_models(models, cache, [dtheta])
     an_w = np.concatenate([g.ravel() for g in grads])
     fd_w = finite_diff_grad(loss_w, flat0, h=1e-5)

@@ -232,6 +232,18 @@ def test_per_epoch_reparam_export(tmp_path):
     assert len(first) == 6  # n_securities rows
 
 
+def test_run_writes_no_per_epoch_reparam(tmp_path):
+    # the per-epoch P export belongs to train: parallel seeds of a run would
+    # write the same file names into one out_dir
+    out = tmp_path / "r"
+    rc = main(["run", "--domain", "portfolio", "--out", str(out), *TINY,
+               "--set", "methods=surrogate", "--set", "max_workers=2",
+               "--set", "export_p=true", "--set", "verbose=true"])
+    assert rc == 0
+    assert len((out / "report.csv").read_text().splitlines()) == 2 + 2
+    assert not list(out.glob("reparam_epoch_*.csv"))
+
+
 def test_train_and_eval_reject_unknown_method(tmp_path):
     out = tmp_path / "u"
     rc = main(["train", "--domain", "portfolio", "--out", str(out), *TINY,

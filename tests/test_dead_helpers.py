@@ -8,7 +8,8 @@ each public module-level function and class, with references from
 `__init__.py` (re-exports) not counted, and each public method of a class.
 Each field of a dataclass must be read somewhere in the package: its name
 loaded as an attribute; a local variable of the same name, assigning the
-field or passing it by keyword does not count.
+field or passing it by keyword does not count.  By the same test, so must
+each attribute a module-level class stores on `self`.
 """
 
 import ast
@@ -107,10 +108,7 @@ def dead_fields(sources) -> list:
     """'file:line: Class.field' of each dataclass field in sources
     ({filename: text}) whose name nothing loads as an attribute."""
     trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
-    reads = {
-        n.attr for tree in trees.values() for n in ast.walk(tree)
-        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
-    }
+    reads = _attribute_reads(trees)
     return [
         f"{name}:{f.lineno}: {cls.name}.{f.target.id}"
         for name, tree in trees.items()
@@ -118,6 +116,33 @@ def dead_fields(sources) -> list:
         for f in cls.body
         if isinstance(f, ast.AnnAssign) and f.target.id not in reads
     ]
+
+
+def _attribute_reads(trees):
+    """Attribute names loaded anywhere in trees."""
+    return {
+        n.attr for tree in trees.values() for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def dead_attributes(sources) -> list:
+    """'file:line: Class.attr' of each attribute a module-level class in
+    sources ({filename: text}) stores on self and nothing loads as an
+    attribute, each at its first store."""
+    trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
+    reads = _attribute_reads(trees)
+    dead = {}
+    for name, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for n in ast.walk(cls):
+                if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                        and isinstance(n.value, ast.Name) and n.value.id == "self"
+                        and n.attr not in reads):
+                    dead.setdefault((cls.name, n.attr), f"{name}:{n.lineno}: {cls.name}.{n.attr}")
+    return list(dead.values())
 
 
 def test_package_found():
@@ -239,4 +264,31 @@ def test_planted_unread_dataclass_field_is_reported():
     )
     assert dead_fields({"planted.py": planted}) == [
         "planted.py:6: D.written", "planted.py:15: Unread.value"
+    ]
+
+
+def test_every_stored_attribute_is_read():
+    dead = dead_attributes({p.name: p.read_text() for p in PACKAGE})
+    assert not dead, f"attributes stored on self that nothing reads: {dead}"
+
+
+def test_planted_unread_attribute_is_reported():
+    planted = (
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.read = 1\n"
+        "        self.unread = 2\n"
+        "        self.counted = 0\n"
+        "\n"
+        "    def bump(self):\n"
+        "        self.counted += 1\n"  # an augmented assignment stores, it does not read
+        "        self.unread = 3\n"  # reported once, at its first store
+        "        return self.read\n"
+        "\n"
+        "def make(other):\n"
+        "    other.elsewhere = 4\n"  # stored on another object: not this rule's case
+        "    return C().bump()\n"
+    )
+    assert dead_attributes({"planted.py": planted}) == [
+        "planted.py:4: C.unread", "planted.py:5: C.counted"
     ]

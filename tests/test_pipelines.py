@@ -18,7 +18,6 @@ from surrogate_dfl.optlayer import (
 from surrogate_dfl.pipelines import (
     METHODS,
     REPORT_HEADER,
-    EarlyStopper,
     TrainConfig,
     evaluate,
     get_adapter,
@@ -35,6 +34,7 @@ from surrogate_dfl.pipelines import (
     write_report_csv,
     _decision_and_grads,
     _regret_on,
+    _train,
 )
 
 SMALL_PORTFOLIO = dict(
@@ -52,29 +52,32 @@ TOY_MOVIE = dict(
 )
 
 
-def test_early_stopper_rule():
-    # strictly worsening from epoch 1 stops exactly at epoch 1 + patience
-    stopper = EarlyStopper(patience=3)
-    assert stopper.update(1.0, 1)
-    for epoch, val in [(2, 1.1), (3, 1.2), (4, 1.3)]:
-        assert not stopper.update(val, epoch)
-        stopped_at = epoch
-        if stopper.should_stop:
-            break
-    assert stopper.should_stop and stopped_at == 4
-    assert stopper.best_epoch == 1
+@pytest.mark.parametrize("scores, stop, best", [
+    # a tie (epoch 5) is no improvement, and an improvement (epoch 3) resets
+    # the count: the stop comes at the best epoch plus patience
+    ((1.0, 1.1, 0.9, 1.0, 0.9, 0.5), 5, 3),
+    # a NaN never improves: the initial parameters stay the checkpoint
+    ((np.nan, np.nan, 0.5), 2, 0),
+], ids=["tie-and-reset", "nan"])
+def test_train_stops_patience_epochs_after_the_best(scores, stop, best):
+    cfg = TrainConfig(**{**SMALL_PORTFOLIO, "max_epochs": 10}, patience=2)
+    adapter = get_adapter(cfg)
+    dataset = adapter.generate(subseed(0, 0))
+    models, rep = init_method(cfg, adapter, "surrogate", 0)
+    states = [([p.copy() for p in adapter.params(models)], rep.P_raw.copy())]
 
+    def scripted(adapter, models, sp, instances):
+        states.append(([p.copy() for p in adapter.params(models)], rep.P_raw.copy()))
+        return scores[len(states) - 2]
 
-def test_early_stopper_resets_on_improvement():
-    stopper = EarlyStopper(patience=2)
-    stopper.update(1.0, 1)
-    stopper.update(1.1, 2)
-    assert stopper.update(0.9, 3)
-    assert not stopper.should_stop
-    stopper.update(1.0, 4)
-    stopper.update(1.0, 5)
-    assert stopper.should_stop
-    assert stopper.best_epoch == 3
+    result = _train(models, rep, dataset, cfg, adapter, _decision_and_grads, scripted)
+    assert result.epochs_run == stop == len(states) - 1
+    assert [row[2] for row in result.history] == pytest.approx(scores[:stop], nan_ok=True)
+    params, P_raw = states[best]
+    for a, b in zip(params, adapter.params(result.models)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(P_raw, rep.P_raw)
+    assert all(np.array_equal(a[1], b) for a, b in zip(states[1:], result.p_history))
 
 
 def test_two_stage_realizable_regression():
@@ -150,7 +153,7 @@ def test_decision_focused_gradient_matches_fd():
 
     adapter.set_params(models, unflatten(flat0))
     thetas, cache = adapter.predict(models, [inst])
-    _, dtheta, _, _ = _decision_and_grads(adapter, thetas[0], None, inst, 0)
+    _, dtheta, _, _ = _decision_and_grads(adapter, thetas[0], None, inst)
     grads = adapter.backprop_models(models, cache, [dtheta])
     an = np.concatenate([g.ravel() for g in grads])
     fd = finite_diff_grad(loss_of, flat0, h=1e-5)
@@ -188,7 +191,7 @@ def test_surrogate_joint_gradient_matches_fd():
 
     adapter.set_params(models, unflatten(flat0))
     thetas, cache = adapter.predict(models, [inst])
-    _, dtheta, dL_dP, _ = _decision_and_grads(adapter, thetas[0], sp, inst, 0)
+    _, dtheta, dL_dP, _ = _decision_and_grads(adapter, thetas[0], sp, inst)
     grads = adapter.backprop_models(models, cache, [dtheta])
     an_w = np.concatenate([g.ravel() for g in grads])
     fd_w = finite_diff_grad(loss_of_w, flat0, h=1e-5)
@@ -247,7 +250,7 @@ def _weight_grads(adapter, models, inst, rep, h):
     fd = finite_diff_grad(loss_of, flat0, h=h)
     adapter.set_params(models, params0)
     thetas, cache = adapter.predict(models, [inst])
-    _, dtheta, _, _ = _decision_and_grads(adapter, thetas[0], new_sp(), inst, 0)
+    _, dtheta, _, _ = _decision_and_grads(adapter, thetas[0], new_sp(), inst)
     an = np.concatenate([g.ravel() for g in adapter.backprop_models(models, cache, [dtheta])])
     return fd, an, branches
 
@@ -667,14 +670,18 @@ def test_report_csv_quotes_status_with_commas(tmp_path):
 
 def test_decision_and_grads_names_the_instance():
     # a one-pivot cap stops the full solve; the error keeps its type and
-    # gains the training instance index
+    # gains the epoch and the training instance index, in the run's status too
     cfg = TrainConfig(**SMALL_PORTFOLIO, qp_max_iter=1)
     adapter = get_adapter(cfg)
     dataset = adapter.generate(subseed(0, 0))
+    dataset.train_idx = dataset.train_idx[7:]
     models = adapter.init_models(subseed(0, 1))
-    inst = dataset.instances[0]
-    with pytest.raises(MaxIterations, match=r"^instance 7: active-set pivot cap 1"):
-        _decision_and_grads(adapter, adapter.predict(models, [inst])[0][0], None, inst, 7)
+    message = rf"^epoch 1, instance {dataset.train_idx[0]}: active-set pivot cap 1"
+    with pytest.raises(MaxIterations, match=message):
+        train_decision_focused(models, dataset, cfg, adapter)
+    row, _ = pipelines._run_single_safe((cfg, "decision-focused", 0))
+    assert re.match(r"error: MaxIterations: epoch 1, instance \d+: active-set pivot cap 1",
+                    row.status)
 
 
 def _fields(rows):
