@@ -52,15 +52,10 @@ TOY_MOVIE = dict(
 )
 
 
-@pytest.mark.parametrize("scores, stop, best", [
-    # a tie (epoch 5) is no improvement, and an improvement (epoch 3) resets
-    # the count: the stop comes at the best epoch plus patience
-    ((1.0, 1.1, 0.9, 1.0, 0.9, 0.5), 5, 3),
-    # a NaN never improves: the initial parameters stay the checkpoint
-    ((np.nan, np.nan, 0.5), 2, 0),
-], ids=["tie-and-reset", "nan"])
-def test_train_stops_patience_epochs_after_the_best(scores, stop, best):
-    cfg = TrainConfig(**{**SMALL_PORTFOLIO, "max_epochs": 10}, patience=2)
+def _check_scripted_stop(scores, patience, stop, best):
+    # drive _train with a scripted validation score per epoch: it must stop
+    # at epoch `stop` and restore the parameters and P_raw of epoch `best`
+    cfg = TrainConfig(**{**SMALL_PORTFOLIO, "max_epochs": 10}, patience=patience)
     adapter = get_adapter(cfg)
     dataset = adapter.generate(subseed(0, 0))
     models, rep = init_method(cfg, adapter, "surrogate", 0)
@@ -78,6 +73,27 @@ def test_train_stops_patience_epochs_after_the_best(scores, stop, best):
         assert np.array_equal(a, b)
     assert np.array_equal(P_raw, rep.P_raw)
     assert all(np.array_equal(a[1], b) for a, b in zip(states[1:], result.p_history))
+
+
+def test_early_stopper_rule():
+    # strictly worsening from epoch 1 stops exactly at epoch 1 + patience
+    _check_scripted_stop((1.0, 1.1, 1.2, 1.3, 1.4, 1.5), patience=3, stop=4, best=1)
+
+
+def test_early_stopper_resets_on_improvement():
+    # the improvement at epoch 3 resets the count: two worse epochs then stop
+    _check_scripted_stop((1.0, 1.1, 0.9, 1.0, 1.0, 0.5), patience=2, stop=5, best=3)
+
+
+@pytest.mark.parametrize("scores, stop, best", [
+    # a tie (epoch 5) is no improvement, and an improvement (epoch 3) resets
+    # the count: the stop comes at the best epoch plus patience
+    ((1.0, 1.1, 0.9, 1.0, 0.9, 0.5), 5, 3),
+    # a NaN never improves: the initial parameters stay the checkpoint
+    ((np.nan, np.nan, 0.5), 2, 0),
+], ids=["tie-and-reset", "nan"])
+def test_train_stops_patience_epochs_after_the_best(scores, stop, best):
+    _check_scripted_stop(scores, patience=2, stop=stop, best=best)
 
 
 def test_two_stage_realizable_regression():
