@@ -40,8 +40,10 @@ from .pipelines import (
 )
 from .surrogate import export_reparam_csv
 
-# extra keys beyond TrainConfig: output directory, single-run seed, checkpoint
-EXTRA_DEFAULTS = {"out_dir": "runs", "train_seed": 0, "checkpoint": ""}
+# extra keys beyond TrainConfig: output directory, single-run seed,
+# checkpoint, and train's P export (the final P; each epoch's too with verbose)
+EXTRA_DEFAULTS = {"out_dir": "runs", "train_seed": 0, "checkpoint": "",
+                  "export_p": False, "verbose": False}
 
 
 def _field_types():
@@ -208,8 +210,8 @@ def cmd_train(resolved, out, log) -> int:
     models, rep = init_method(config, adapter, method, seed)
     log.line(f"training method={method} domain={config.domain} seed={seed}")
     result = train_method(models, rep, dataset, config, adapter, method)
-    if rep is not None and config.export_p:
-        if config.verbose:  # P after each epoch's update
+    if rep is not None and resolved["export_p"]:
+        if resolved["verbose"]:  # P after each epoch's update
             for epoch, P_raw in enumerate(result.p_history, 1):
                 export_reparam_csv(replace(rep, P_raw=P_raw),
                                    os.path.join(out, f"reparam_epoch_{epoch:03d}.csv"))

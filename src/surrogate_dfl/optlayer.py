@@ -38,11 +38,13 @@ against cycling).  A caller may pass a start (x0, working): a feasible x0
 tight on its working rows replaces phase one (a crash start, Nocedal &
 Wright ch. 16.5), and x0 from phase one with no working row gives the
 pivots of a solve that runs phase one itself; the optimum of another QP on
-the same rows, with its rows of positive multiplier, is such a start (the
-surrogate's chained y-space solves).  Every solution is certified: solve_qp and
-solve_box_budget_qp raise NumericalBreakdown when the KKT residual exceeds
-1e-8 (1 + max(|H|, |c|, |h|)); the box-budget QPs certified are siblings of
-one QP held per (n, gamma, k).
+the same rows, with its rows of positive multiplier, is such a start.
+surrogate.SurrogateProblem.solve starts the first y-space solve on a set at
+its phase-one point and each later one at the optimum before it.  Every
+solution is certified: solve_qp and solve_box_budget_qp raise
+NumericalBreakdown when the KKT residual exceeds 1e-8 (1 + max(|H|, |c|,
+|h|)); the box-budget QPs certified are siblings of one QP held per (n,
+gamma, k).
 """
 
 import copy
@@ -578,8 +580,9 @@ def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
 
 
 def kkt_jacobian_P(sqp, sol: PrimalDualSolution, adjoint, dL_dx) -> np.ndarray:
-    """One instance's whole dL/dP (n x m) for the surrogate QP sqp (a
-    surrogate.SurrogateQp) of x-space objective (H_x, c_x) on sqp.sp, with
+    """One instance's whole dL/dP (n x m) for the surrogate QP sqp (the
+    surrogate.SurrogateQp that SurrogateProblem.solve returns with sol) of
+    x-space objective (H_x, c_x) on sqp.sp, with
     dL_dx the loss gradient at the lifted decision x = P y*.
 
     adjoint is kkt_adjoint's output (z_y, z_nu, z_lam, act) for the same

@@ -15,14 +15,15 @@ depends only on a pass's shared data is built once per pass.  In portfolio
 every theta of a pass holds the same predicted Q and the same
 domains.SimplexStart, so the pass's full QPs are siblings of one pass QP
 (their checks, row classes and KKT matrix are shared) and its cold
-decisions share one factorization of the crash start's KKT matrix.  A
-pass's y-space solves share the y-space QP of the pass Hessian, and
-movie-rec's frozen QPs are siblings of the one box-budget QP that optlayer
-holds per (n, gamma, k).  What depends only on P is built once per P: the
-y-space constraint set and its phase-one point (surrogate.SurrogateProblem),
-which an epoch's validation and the next epoch's training share.  Each
-y-space solve on a set starts at the optimum of the one before it; each of
-evaluate's timed passes starts at a new set's phase-one point.
+decisions share one factorization of the crash start's KKT matrix.
+Movie-rec's frozen QPs are siblings of the one box-budget QP that optlayer
+holds per (n, gamma, k).  What depends only on P is built once per P in
+training: the y-space constraint set (surrogate.SurrogateProblem), which an
+epoch's validation and the next epoch's training share.  The set makes
+every y-space solve on it (SurrogateProblem.solve), so it holds their
+starts and the y-space QP of the pass Hessian, which a pass's solves share.
+Each of evaluate's timed passes builds a new set inside its timing, since
+inference builds it too, and so every repeat makes the same solves.
 
 Decision-focused training solves the full problem per instance and chains
 df/dw = df/dx . dx*/dtheta . dtheta/dw through the frozen KKT system.  The
@@ -82,11 +83,9 @@ from .optlayer import (
 from .surrogate import (
     MODES,
     Reparameterization,
-    SurrogateQp,
     default_m,
     grad_wrt_P,
     init_reparam,
-    lift,
     materialize,
     transform_problem,
 )
@@ -139,8 +138,6 @@ class TrainConfig:
     timing_repeats: int = 1
     max_workers: int = 0  # 0 -> min(n_seeds, usable cpus)
     data_in: str = ""
-    verbose: bool = False
-    export_p: bool = False
 
     def __post_init__(self):
         """Rejects an unknown domain, method or surrogate mode (ValueError)."""
@@ -298,9 +295,8 @@ class PortfolioAdapter(_Adapter):
 
     def decision_surrogate(self, theta, sp, x0=None):
         """(x = P y*, sol, sqp, ctx) of the y-space QP; x0 is ignored."""
-        x, (sqp, qp, sol) = _solve_surrogate(
-            sp, theta["start"].H, -theta["p"], self.config.qp_max_iter
-        )
+        x, (sqp, qp, sol) = sp.solve(theta["start"].H, -theta["p"],
+                                     max_iter=self.config.qp_max_iter)
         return x, sol, sqp, (qp,)
 
     def objective(self, x, inst):
@@ -407,7 +403,7 @@ class MovieRecAdapter(_Adapter):
         H_extra = self._H_extra.setdefault(sp.m, 2.0 * self.gamma * np.eye(sp.m))
         x, (sqp, qp, sol), _, sel = domains.movierec_alternate(
             theta, self.k, self.picks,
-            lambda c: _solve_surrogate(sp, self._H_x, -c, self.config.qp_max_iter, H_extra),
+            lambda c: sp.solve(self._H_x, -c, H_extra, self.config.qp_max_iter),
             x0=x0,
         )
         return x, sol, sqp, (qp, sel)
@@ -436,17 +432,6 @@ class MovieRecAdapter(_Adapter):
 
     def test_decision(self, x):
         return domains.round_top_k(x, self.k)
-
-
-def _solve_surrogate(sp, H_x, c_x, max_iter, H_extra=None):
-    """Solves the y-space QP of x-space objective (H_x, c_x) on sp from sp's
-    start, the last optimum on sp or its phase-one point, and holds its
-    optimum as the next solve's start: (P y*, (sqp, qp, sol))."""
-    sqp = SurrogateQp(H_x=H_x, c_x=c_x, sp=sp, H_extra=H_extra)
-    qp = sqp.qp()
-    sol = solve_qp(qp, max_iter=max_iter, start=sp.feasible_start(max_iter))
-    sp.hold(sol)
-    return lift(sp.P, sol.y), (sqp, qp, sol)
 
 
 ADAPTERS = {"portfolio": PortfolioAdapter, "movierec": MovieRecAdapter}
@@ -645,17 +630,18 @@ def evaluate(models, rep, dataset, config: TrainConfig, adapter) -> EvalResult:
     The surrogate path (rep given) solves only the m-dimensional problem and
     lifts; the other paths solve the full problem.  Inference seconds are the
     median over config.timing_repeats runs of the whole test pass, each of
-    which predicts the test split in one pass of its own.
+    which builds the surrogate's y-space set and predicts the test split in
+    one pass of its own.
     """
     test_set = _split(dataset, dataset.test_idx)
     if not test_set:
         raise EmptySplit("test split is empty")
     times = []
     for _ in range(max(1, config.timing_repeats)):
-        # each timed pass starts at a new set's phase-one point, so every
-        # repeat makes the same solves, phase one included
-        sp = _surrogate_problem(adapter, rep)
+        # the set build is inference work; a new set per pass also starts every
+        # repeat at the same phase-one point, so the repeats make the same solves
         t0 = time.perf_counter()
+        sp = _surrogate_problem(adapter, rep)
         decisions = _decide_pass(adapter, models, sp, test_set)
         times.append(time.perf_counter() - t0)
     regrets, xs = _regrets(adapter, test_set, decisions)

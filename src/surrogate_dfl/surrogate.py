@@ -8,6 +8,11 @@ simplex feasible sets.  Training derives everything from P once per P: one
 y-space constraint set (SurrogateProblem) and one chain of the epoch's mean
 dL/dP back to P_raw (grad_wrt_P).  Constraint sets, in x-space and in
 y-space alike, are optlayer.BaseProblems.
+
+Every y-space solve is SurrogateProblem.solve: it builds the instance's
+y-space QP, solves it from the start the set holds (the set's phase-one
+point at its first solve, else the optimum of the solve before it) and
+lifts the optimum by x = P y.
 """
 
 import math
@@ -17,7 +22,7 @@ import numpy as np
 
 from .errors import BadDimensions, DimensionMismatch, EmptyFeasibleSet, Infeasible
 from .numerics import as_matrix, as_vector, matrix_to_csv
-from .optlayer import BaseProblem, QuadraticProgram, find_feasible_point
+from .optlayer import BaseProblem, QuadraticProgram, find_feasible_point, solve_qp
 
 MODES = ("free", "nonneg", "column-simplex")
 
@@ -80,10 +85,10 @@ class SurrogateProblem:
     """The y-space set y of the x-space set base composed with x = P y, plus
     an optional trailing y >= 0 block that does not depend on P.
 
-    It keeps what every y-space QP on it shares: the start of its next
-    solve (feasible_start, hold) and the QP of the last Hessian asked for
-    (qp).  The set's rows depend on neither c nor the Hessian, so every
-    optimum on it is a feasible start for every QP on it."""
+    It solves every y-space QP on it (solve) and keeps what they share: the
+    start of the next solve and the QP of the last Hessian asked for (qp).
+    The set's rows depend on neither c nor the Hessian, so every optimum on
+    it is a feasible start for every QP on it."""
 
     base: BaseProblem
     P: np.ndarray
@@ -95,29 +100,32 @@ class SurrogateProblem:
     def m(self):
         return self.P.shape[1]
 
-    def feasible_start(self, max_iter: int = 0):
-        """Start (y0, working) for the next solve_qp on this set: the optimum
-        last held (hold), else the phase-one point with no working row, found
-        under the pivot cap max_iter (0: the default cap).  solve_qp from the
-        phase-one point takes the pivots of a solve that runs phase one
-        itself.  Raises EmptyFeasibleSet when the set is empty."""
+    def solve(self, H_x, c_x, H_extra=None, max_iter: int = 0):
+        """(P y*, (sqp, qp, sol)) of the y-space QP of x-space objective
+        (H_x, c_x) plus H_extra, under the pivot cap max_iter (0: the default
+        cap); kkt_adjoint takes qp and sol, kkt_jacobian_P sqp and sol.
+
+        The first solve on this set starts at its phase-one point with no
+        working row (the pivots of a solve that runs phase one itself) and
+        raises EmptyFeasibleSet when the set is empty; each later one starts
+        at the optimum before it, with its rows of positive multiplier
+        working (independent, as the pivots keep every working set, and
+        tight)."""
+        sqp = SurrogateQp(H_x=H_x, c_x=c_x, sp=self, H_extra=H_extra)
+        qp = sqp.qp()
         if self._start is None:
             try:
                 y0 = find_feasible_point(self.y, max_iter)
             except Infeasible as exc:
                 raise EmptyFeasibleSet(f"surrogate feasible set is empty: {exc}") from exc
             self._start = y0, np.zeros(self.y.h.shape[0], dtype=bool)
-        return self._start
-
-    def hold(self, sol):
-        """Make sol, a solve_qp optimum on this set, the next solve's start:
-        y with its rows of positive multiplier working (independent, as the
-        pivots keep every working set, and tight)."""
+        sol = solve_qp(qp, max_iter=max_iter, start=self._start)
         self._start = sol.y, sol.lam > 0.0
+        return lift(self.P, sol.y), (sqp, qp, sol)
 
     def qp(self, H_x, H_extra=None) -> QuadraticProgram:
         """The y-space QP of Hessian P^T H_x P + H_extra and c = 0 on y, which
-        the SurrogateQps of a pass share through with_c.  It is built once per
+        the solves of a pass share through with_c.  It is built once per
         (H_x, H_extra): the pair last asked for is held and matched by
         identity, so a pass passes the same arrays, unchanged, to every solve."""
         held = self._qp
@@ -136,7 +144,7 @@ def transform_problem(base: BaseProblem, P, nonneg_y: bool = False) -> Surrogate
     Equalities become (A P) y = b; each inequality row g x <= h becomes
     (g P) y <= h, so any feasible y lifts to a feasible x.  With nonneg_y,
     explicit y >= 0 rows are appended after the transformed rows.  An empty
-    set raises EmptyFeasibleSet at its first solve (feasible_start).
+    set raises EmptyFeasibleSet at its first solve (SurrogateProblem.solve).
     """
     P = as_matrix(P)
     if P.shape[0] != base.n:

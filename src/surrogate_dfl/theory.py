@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import HypothesisViolated, InvalidInputs, SurrogateDflError
 from .numerics import as_matrix
-from .optlayer import BaseProblem, simplex_base, solve_qp
-from .surrogate import SurrogateQp, transform_problem
+from .optlayer import BaseProblem, simplex_base
+from .surrogate import transform_problem
 
 
 @dataclass
@@ -85,9 +85,7 @@ def _surrogate_opt(H, c, base: BaseProblem, P, max_iter: int = 300) -> float:
     """OPT(theta, P): minimum of the reparameterized quadratic over the
     y-space feasible set, with y >= 0 declared (the setting under which
     per-column quasiconvexity holds)."""
-    sp = transform_problem(base, P, nonneg_y=True)
-    qp = SurrogateQp(H_x=H, c_x=c, sp=sp).qp()
-    sol = solve_qp(qp, max_iter=max_iter)
+    _, (_, qp, sol) = transform_problem(base, P, nonneg_y=True).solve(H, c, max_iter=max_iter)
     y = sol.y
     return float(0.5 * y @ qp.H @ y + qp.c @ y)
 

@@ -6,6 +6,7 @@ import pytest
 
 from surrogate_dfl.cli import echo_config, main, parse_config
 from surrogate_dfl.errors import MissingFile, TypeMismatch, UnknownKey
+from surrogate_dfl.pipelines import TrainConfig
 
 TINY = [
     "--set", "n_securities=6", "--set", "n_days=30", "--set", "hidden_size=10",
@@ -21,6 +22,11 @@ def test_defaults_match_protocol():
     assert resolved["patience"] == 3
     assert resolved["n_seeds"] == 30
     assert resolved["surrogate_m"] == 0  # 0 means the ceil(0.1 n) rule
+    # train's P export keys are the CLI's own, not TrainConfig fields
+    assert resolved["export_p"] is False and resolved["verbose"] is False
+    for key in ("export_p", "verbose"):
+        with pytest.raises(TypeError):
+            TrainConfig(**{key: True})
 
 
 def test_empty_file_gives_defaults(tmp_path):

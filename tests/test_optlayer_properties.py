@@ -391,7 +391,8 @@ def test_pass_pivots_match_reference_loop(monkeypatch, cfg, decide):
         starts.append(start[1].any())
         return solve_qp(qp, max_iter, start)
 
-    monkeypatch.setattr(pipelines, "solve_qp", checked)
+    for module in (pipelines, surrogate):  # the full and the y-space solves
+        monkeypatch.setattr(module, "solve_qp", checked)
     for theta in thetas:
         if decide == "decision_full":
             adapter.decision_full(theta)

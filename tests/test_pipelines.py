@@ -1,5 +1,6 @@
 import csv
 import re
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -894,6 +895,16 @@ def _fresh_y_qp(sp, H_x, c_x, H_extra=None):
                             Gineq=sp.y.G, hineq=sp.y.h)
 
 
+def _held_start(sp, last, max_iter):
+    """The start SurrogateProblem.solve takes on sp after the solve last (None
+    before the first): last's optimum with its rows of positive multiplier
+    working, or sp's phase-one point with no working row."""
+    if last is None:
+        return (optlayer.find_feasible_point(sp.y, max_iter),
+                np.zeros(sp.y.h.shape[0], dtype=bool))
+    return last.y, last.lam > 0.0
+
+
 def _assert_same_solve(got, want, rng):
     """Bitwise equal solutions and kkt_adjoint outputs; got and want are (qp, sol)."""
     (qp, sol), (qp_ref, ref) = got, want
@@ -919,7 +930,7 @@ def test_pass_qp_solves_match_fresh_qps():
     )
     for cfg in portfolio_configs:
         adapter, thetas, sp = _first_pass(cfg)
-        x_prev = None
+        x_prev = y_ref = None
         for theta in thetas:
             H = 2.0 * adapter.lam * theta["Q"]
             fresh = QuadraticProgram(H=H, c=-theta["p"], Aeq=np.ones((1, adapter.n)),
@@ -933,24 +944,26 @@ def test_pass_qp_solves_match_fresh_qps():
                 ref = solve_qp(fresh, max_iter=cfg.qp_max_iter, start=start)
                 _assert_same_solve((qp, sol), (fresh, ref), rng)
             x_prev = sol.y
-            start = sp.feasible_start()
+            start = _held_start(sp, y_ref, cfg.qp_max_iter)
             _, sol, sqp, (qp,) = adapter.decision_surrogate(theta, sp)
             fresh = _fresh_y_qp(sp, H, -theta["p"])
-            ref = solve_qp(fresh, cfg.qp_max_iter, start=start)
-            _assert_same_solve((qp, sol), (fresh, ref), rng)
+            y_ref = solve_qp(fresh, cfg.qp_max_iter, start=start)
+            _assert_same_solve((qp, sol), (fresh, y_ref), rng)
 
     cfg = TrainConfig(domain="movierec", max_epochs=100, p_learning_rate=0.1)
     adapter, thetas, sp = _first_pass(cfg)
     H_extra = 2.0 * adapter.gamma * np.eye(sp.m)
+    last = []
     for theta in thetas:
         rounds = []
 
         def solve_both(c):
-            start = sp.feasible_start()
-            x, (_, qp, sol) = pipelines._solve_surrogate(
-                sp, adapter._H_x, -c, cfg.qp_max_iter, adapter._H_extra.get(sp.m, H_extra))
+            start = _held_start(sp, last[-1] if last else None, cfg.qp_max_iter)
+            x, (_, qp, sol) = sp.solve(adapter._H_x, -c, adapter._H_extra.get(sp.m, H_extra),
+                                       cfg.qp_max_iter)
             fresh = _fresh_y_qp(sp, np.zeros((adapter.n, adapter.n)), -c, H_extra)
-            rounds.append(((qp, sol), (fresh, solve_qp(fresh, cfg.qp_max_iter, start=start))))
+            last.append(solve_qp(fresh, cfg.qp_max_iter, start=start))
+            rounds.append(((qp, sol), (fresh, last[-1])))
             return x, None
 
         domains.movierec_alternate(theta, adapter.k, adapter.picks, solve_both)
@@ -990,7 +1003,7 @@ def test_y_space_pass_chains_its_starts(monkeypatch, cfg):
 
     monkeypatch.setattr(optlayer, "_phase_one", counted_phase_one)
     monkeypatch.setattr(optlayer, "_equality_solve", counted_solve)
-    monkeypatch.setattr(pipelines, "solve_qp", recorded)
+    monkeypatch.setattr(surrogate, "solve_qp", recorded)
     for theta in thetas:
         adapter.decision_surrogate(theta, sp)
     chained = dict(calls)
@@ -1029,3 +1042,21 @@ def test_evaluate_passes_make_the_same_solves(monkeypatch, method):
     evaluate(models, rep, dataset, cfg, adapter)
     assert len(counts) == 3
     assert counts[0] > 0 and counts == [counts[0]] * 3
+
+
+def test_inference_time_counts_the_y_space_set_build(monkeypatch):
+    # inference builds the surrogate's y-space set, so evaluate times it:
+    # a set build slowed by a fixed sleep shows in inference_sec
+    sleep_s = 0.05
+    cfg = TrainConfig(**SMALL_PORTFOLIO)
+    adapter = get_adapter(cfg)
+    dataset = adapter.generate(subseed(0, 0))
+    models, rep = init_method(cfg, adapter, "surrogate", 0)
+    transform = pipelines.transform_problem
+
+    def slow_transform(*args, **kwargs):
+        time.sleep(sleep_s)
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(pipelines, "transform_problem", slow_transform)
+    assert evaluate(models, rep, dataset, cfg, adapter).inference_sec >= sleep_s

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from helpers import finite_diff_grad, identity_reparam
 
-from surrogate_dfl.errors import BadDimensions, DimensionMismatch, EmptyFeasibleSet
+from surrogate_dfl.errors import (
+    BadDimensions,
+    DimensionMismatch,
+    EmptyFeasibleSet,
+    MaxIterations,
+)
 from surrogate_dfl.optlayer import (
     box_budget_base,
     kkt_adjoint,
@@ -99,7 +104,7 @@ def test_transform_empty_feasible_set():
     base.h = np.concatenate([base.h, np.full(3, -0.1)])  # x <= -0.1: empty
     sp = transform_problem(base, np.abs(np.random.default_rng(5).normal(size=(3, 2))))
     with pytest.raises(EmptyFeasibleSet, match="^surrogate feasible set is empty: "):
-        sp.feasible_start()
+        sp.solve(np.eye(3), np.zeros(3))
 
 
 def test_feasibility_roundtrip_invariant():
@@ -272,3 +277,23 @@ def test_export_reparam_csv(tmp_path):
     P = np.loadtxt(path, delimiter=",", ndmin=2)
     assert P.shape == (5, 2)
     assert np.allclose(P, materialize(rep), atol=1e-10)
+
+
+@pytest.mark.xfail(raises=MaxIterations, strict=True,
+                   reason="the pivots cycle on this degenerate y-space set")
+def test_degenerate_y_space_box_budget_draw_solves():
+    # at y = 0 every transformed lower-bound row -(P y)_i <= 0 is tight,
+    # n_x = 8 rows in m = 3 dimensions, and the pivots loop there from the
+    # phase-one start: the draw raises MaxIterations at a cap of 20000 too
+    rng = np.random.default_rng(384)
+    n_x, m = int(rng.integers(5, 25)), int(rng.integers(1, 6))
+    k = int(rng.integers(1, n_x + 1))
+    P = rng.uniform(0.05, 1, (n_x, m))
+    P /= P.sum(axis=0)
+    F = rng.normal(size=(n_x, 3))
+    H_x = F @ F.T / 3 + 0.01 * np.eye(n_x)
+    c_x = rng.normal(size=n_x)
+    assert (n_x, m, k) == (8, 3, 3)
+    base = box_budget_base(n_x, k)
+    x, (_, _, sol) = transform_problem(base, P).solve(H_x, c_x, 0.5 * np.eye(m))
+    assert sol.kkt_residual <= 1e-8 and base.violation(x) <= 1e-8

@@ -17,11 +17,9 @@ from surrogate_dfl.optlayer import (
     kkt_adjoint,
     kkt_jacobian_P,
     simplex_base,
-    solve_qp,
 )
 from surrogate_dfl.surrogate import (
     MODES,
-    SurrogateQp,
     init_reparam,
     materialize,
     transform_problem,
@@ -77,19 +75,14 @@ def test_adjoint_dP_matches_dense_jacobian(seed, n, m, simplex, mode, nonneg_y, 
         rep.P_raw = rep.P_raw + rng.uniform(0.0, 0.8)
     P = materialize(rep)
     sp = transform_problem(base, P, nonneg_y=nonneg_y)
+    M = rng.normal(size=(n, n))
+    H_x = M @ M.T + 0.1 * np.eye(n)
+    c_x = 3.0 * rng.normal(size=n)
+    H_extra = rng.uniform(0.1, 1.0) * np.eye(m) if y_regularizer else None
     try:
-        sp.feasible_start()
+        _, (sqp, qp, sol) = sp.solve(H_x, c_x, H_extra)
     except EmptyFeasibleSet:
         assume(False)
-    M = rng.normal(size=(n, n))
-    sqp = SurrogateQp(
-        H_x=M @ M.T + 0.1 * np.eye(n),
-        c_x=3.0 * rng.normal(size=n),
-        sp=sp,
-        H_extra=rng.uniform(0.1, 1.0) * np.eye(m) if y_regularizer else None,
-    )
-    qp = sqp.qp()
-    sol = solve_qp(qp)
     dL_dx = rng.normal(size=n)
     dL_dy = P.T @ dL_dx
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from surrogate_dfl import theory
+from surrogate_dfl import surrogate
 from surrogate_dfl.errors import HypothesisViolated, Infeasible, InvalidInputs
 from surrogate_dfl.optlayer import simplex_base
 from surrogate_dfl.theory import (
@@ -128,7 +128,7 @@ def test_quasiconvexity_probe_propagates_programming_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("a bug, not a solver failure")
 
-    monkeypatch.setattr(theory, "solve_qp", broken)
+    monkeypatch.setattr(surrogate, "solve_qp", broken)
     with pytest.raises(TypeError):
         _small_probe()
 
@@ -137,7 +137,7 @@ def test_quasiconvexity_probe_counts_solver_errors(monkeypatch):
     def infeasible(*args, **kwargs):
         raise Infeasible("no feasible point")
 
-    monkeypatch.setattr(theory, "solve_qp", infeasible)
+    monkeypatch.setattr(surrogate, "solve_qp", infeasible)
     report = _small_probe()
     assert (report.errors, report.violations, report.passed) == (5, 0, False)
 
