@@ -3,7 +3,7 @@ total, all lines and code lines.  Code lines leave out docstrings, comments
 and blank lines: a code line holds at least one token that is not a comment
 and not part of a docstring.
 
-usage: python tools/src_lines.py [package_dir]
+usage: python tools/src_lines.py
 """
 
 import ast
@@ -40,11 +40,10 @@ def count(source: str):
     return len(source.splitlines()), len(code)
 
 
-def main(argv) -> int:
-    package = Path(argv[1]) if len(argv) > 1 else PACKAGE
+def main() -> int:
     total_lines = total_code = 0
     print(f"{'file':<16} {'lines':>6} {'code':>6}")
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         lines, code = count(path.read_text())
         total_lines += lines
         total_code += code
@@ -54,4 +53,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
