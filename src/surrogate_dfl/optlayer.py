@@ -29,7 +29,9 @@ once (_Rows); the QPs of a pass differ only in c and share them
 that matrix and solves it by LU (LAPACK dgesv), one solve per working set:
 a full step leaves the working set unchanged and lands on its minimizer,
 so the next pivot goes straight to the multipliers; kkt_adjoint gathers
-its frozen system from the same matrix.  The bound rows' multipliers come
+its frozen system from the same matrix, and solves it whole when H is dense
+or by its Schur complement over the equality and frozen general rows when H
+is diagonal with positive entries.  The bound rows' multipliers come
 from one product of the matrix's first n rows with the solution.  When
 every row is a bound, the ratio test reads G p and G x off the bounds'
 coordinates.  It drops the working row with the most negative multiplier,
@@ -47,6 +49,7 @@ NumericalBreakdown when the KKT residual exceeds 1e-8 (1 + max(|H|, |c|,
 gamma, k).
 """
 
+import bisect
 import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -197,7 +200,8 @@ class _Rows:
     slot[r] the row and column of K of general row r, and K_t the transpose
     of K, from which a system is gathered in the column order dgesv reads.
     The pivots' bookkeeping reads each row's class, slot, coordinate and
-    fixed value h / s from the Python tuples of per_row.
+    fixed value h / s from the Python tuples of per_row.  diag is H's
+    diagonal when H is diagonal with positive entries, else None.
     """
 
     def __init__(self, qp: QuadraticProgram):
@@ -209,6 +213,8 @@ class _Rows:
         self.all_bounds = self.bound.all()
         self.general = np.flatnonzero(~self.bound)
         self.K = _kkt_matrix(qp.H, np.vstack([qp.Aeq, G[self.general]]))
+        d = np.diagonal(qp.H)
+        self.diag = d.copy() if (d > 0.0).all() and np.count_nonzero(qp.H) == n else None
         self.rhs = np.concatenate([np.zeros(n), qp.beq, h[self.general]])
         self.slot = np.zeros(mi, dtype=int)
         self.slot[self.general] = n + me + np.arange(self.general.size)
@@ -540,11 +546,15 @@ def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
     independent, and the closed form never has the budget row beside a bound
     on every coordinate (mu then sits on a breakpoint whose lam is 0).  The
     system is gathered from qp._rows().K as a pivot's is: the frozen bounds
-    fix their coordinates at z_y = 0, the free coordinates, the equality rows
-    and the frozen general rows take one solve_symmetric call, and each
-    bound's z_lam is read back from the stationarity row of its coordinate.
-    A dependent set raises SingularKKT: two bounds on one coordinate here,
-    any other in solve_symmetric's pivot checks.
+    fix their coordinates at z_y = 0, and each bound's z_lam is read back
+    from the stationarity row of its coordinate.  Over the free coordinates,
+    the equality rows and the frozen general rows, a dense H takes one
+    solve_symmetric call on the whole system.  A diagonal H = diag(d), d > 0
+    (the box-budget QPs, and movie-rec's y-space QPs, 2 gamma I), takes its
+    Schur complement instead (_diagonal_kkt_solve): one solve_symmetric call
+    of the size of those rows, and none when there are none.  A dependent set
+    raises SingularKKT: two bounds on one coordinate here, any other in
+    solve_symmetric's pivot checks.
     """
     dL_dy = as_vector(dL_dy)
     if dL_dy.shape != qp.c.shape:
@@ -563,10 +573,16 @@ def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
     n_free = np.count_nonzero(in_system[:n])
     if n_free + cols.size > n:
         raise SingularKKT("two bound rows fix one coordinate")
-    b = np.zeros(idx.size)
-    b[:n_free] = dL_dy.take(idx[:n_free])
+    free = idx[:n_free]
     try:
-        z = solve_symmetric(K.take(idx, axis=0).take(idx, axis=1), b)
+        if rows.diag is None:
+            b = np.zeros(idx.size)
+            b[:n_free] = dL_dy.take(free)
+            z = solve_symmetric(K.take(idx, axis=0).take(idx, axis=1), b)
+        else:
+            z = _diagonal_kkt_solve(rows.diag.take(free),
+                                    K.take(idx[n_free:], axis=0).take(free, axis=1),
+                                    dL_dy.take(free))
     except SingularMatrix as exc:
         raise SingularKKT(str(exc)) from exc
     v = np.zeros(K.shape[0])  # the solution over all of K, zero off the system
@@ -577,6 +593,21 @@ def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
     # each bound's multiplier closes the stationarity row of its coordinate
     z_lam[is_bound] = (dL_dy - qp.H @ z_y - K[n:, :n].T @ v[n:])[cols] / rows.s[fixing]
     return z_y, z[n_free : n_free + me], z_lam, act
+
+
+def _diagonal_kkt_solve(d, A, b):
+    """Solve [[diag(d), A^T], [A, 0]] [x; w] = [b; 0] for d > 0 by the Schur
+    complement S = A diag(d)^-1 A^T, r x r for the r rows of A: S w = A (b / d)
+    by solve_symmetric, which raises SingularMatrix when A's rows are
+    dependent, and x = (b - A^T w) / d.  With no row, x = b / d and nothing
+    is factorized.  Returns [x; w].
+    """
+    x = b / d
+    if not A.shape[0]:
+        return x
+    A_d = A / d
+    w = solve_symmetric(A_d @ A.T, A_d @ b)
+    return np.concatenate([(b - A.T @ w) / d, w])
 
 
 def kkt_jacobian_P(sqp, sol: PrimalDualSolution, adjoint, dL_dx) -> np.ndarray:
@@ -611,7 +642,10 @@ def solve_box_budget_qp(c_lin, gamma: float, k: float) -> PrimalDualSolution:
     the budget multiplier.  Returned duals follow the minimization form
     min gamma ||x||^2 - c^T x with inequality rows ordered [-I; I; ones^T].
     Used as a fast exact path for the movie-broadcast layer; agrees with
-    solve_qp on the equivalent QuadraticProgram.
+    solve_qp on the equivalent QuadraticProgram.  mu's segment is found by
+    bisection over the sorted breakpoints: total(mu), the float sum of
+    x(mu) in a fixed order, is non-increasing, so the first breakpoint where
+    total <= k closes the segment that holds k, in O(n log n).
     """
     c = as_vector(c_lin)
     if gamma <= 0:
@@ -626,21 +660,22 @@ def solve_box_budget_qp(c_lin, gamma: float, k: float) -> PrimalDualSolution:
     else:
         # breakpoints where coordinates saturate; total() is piecewise linear
         points = np.unique(np.concatenate([c, c - two_g, [0.0]]))
-        points = np.sort(points[points >= 0.0])
+        points = points[points >= 0.0]  # sorted, from points[0] = 0
+        j = bisect.bisect_left(range(len(points)), True, lo=1,
+                               key=lambda j: total(points[j]) <= k)
         mu = points[-1]
-        for lo, hi in zip(points[:-1], points[1:]):
-            if total(hi) <= k <= total(lo):
-                # coordinate states are constant on the open segment; classify
-                # at the midpoint to dodge float ties at the breakpoints
-                xm = (c - 0.5 * (lo + hi)) / two_g
-                ones = int(np.sum(xm >= 1.0))
-                interior = (xm > 0.0) & (xm < 1.0)
-                cnt = int(np.sum(interior))
-                if cnt == 0:
-                    mu = hi
-                else:
-                    mu = (np.sum(c[interior]) - two_g * (k - ones)) / cnt
-                break
+        if j < len(points):  # total(lo) > k >= total(hi)
+            lo, hi = points[j - 1], points[j]
+            # coordinate states are constant on the open segment; classify
+            # at the midpoint to dodge float ties at the breakpoints
+            xm = (c - 0.5 * (lo + hi)) / two_g
+            ones = int(np.sum(xm >= 1.0))
+            interior = (xm > 0.0) & (xm < 1.0)
+            cnt = int(np.sum(interior))
+            if cnt == 0:
+                mu = hi
+            else:
+                mu = (np.sum(c[interior]) - two_g * (k - ones)) / cnt
     x = np.clip((c - mu) / two_g, 0.0, 1.0)
     lam_lower = np.maximum(mu - c, 0.0) * (x <= 0.0)
     lam_upper = np.maximum(c - two_g - mu, 0.0) * (x >= 1.0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from surrogate_dfl import optlayer
+from surrogate_dfl.optlayer import PrimalDualSolution
 from surrogate_dfl.surrogate import Reparameterization
 
 
@@ -24,3 +26,38 @@ def tight_rows(qp, y, tol: float = 1e-8) -> np.ndarray:
 def identity_reparam(n: int) -> Reparameterization:
     """P = I_n in free mode: the surrogate that is the full problem."""
     return Reparameterization(P_raw=np.eye(n), mode="free", n=n, m=n)
+
+
+def scan_box_budget_qp(c, gamma: float, k: float) -> PrimalDualSolution:
+    """optlayer.solve_box_budget_qp as it found mu's segment before its
+    bisection: a linear scan of the segments between sorted breakpoints from
+    mu = 0, taking the first with total(hi) <= k <= total(lo)."""
+    c = np.asarray(c, dtype=float)
+    two_g = 2.0 * gamma
+
+    def total(mu):
+        return float(np.sum(np.clip((c - mu) / two_g, 0.0, 1.0)))
+
+    if total(0.0) <= k + 1e-12:
+        mu = 0.0
+    else:
+        points = np.unique(np.concatenate([c, c - two_g, [0.0]]))
+        points = np.sort(points[points >= 0.0])
+        mu = points[-1]
+        for lo, hi in zip(points[:-1], points[1:]):
+            if total(hi) <= k <= total(lo):
+                xm = (c - 0.5 * (lo + hi)) / two_g
+                ones = int(np.sum(xm >= 1.0))
+                interior = (xm > 0.0) & (xm < 1.0)
+                cnt = int(np.sum(interior))
+                if cnt == 0:
+                    mu = hi
+                else:
+                    mu = (np.sum(c[interior]) - two_g * (k - ones)) / cnt
+                break
+    x = np.clip((c - mu) / two_g, 0.0, 1.0)
+    lam_lower = np.maximum(mu - c, 0.0) * (x <= 0.0)
+    lam_upper = np.maximum(c - two_g - mu, 0.0) * (x >= 1.0)
+    lam = np.concatenate([lam_lower, lam_upper, [mu]])
+    sol = PrimalDualSolution(y=x, nu=np.zeros(0), lam=lam, kkt_residual=0.0)
+    return optlayer._certify(optlayer.box_budget_qp(c, gamma, k), sol)

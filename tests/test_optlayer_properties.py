@@ -11,7 +11,7 @@ the solvers must return them independent, and a dependent set must raise.
 
 import numpy as np
 import pytest
-from helpers import tight_rows
+from helpers import scan_box_budget_qp, tight_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -511,13 +511,30 @@ def test_degenerate_draws_solve_under_the_drop_rule():
             assert_pivots_match_reference(mixed_qp(seed, n, 3, 3, True)[0])
 
 
+def with_diagonal_hessian(qp, seed):
+    """qp's rows and c with H replaced by a positive diagonal, which
+    kkt_adjoint solves by its Schur complement."""
+    d = np.random.default_rng(seed + 3).uniform(0.2, 5.0, qp.n)
+    diag_qp = QuadraticProgram(H=np.diag(d), c=qp.c, Aeq=qp.Aeq, beq=qp.beq,
+                               Gineq=qp.Gineq, hineq=qp.hineq)
+    assert np.array_equal(diag_qp._rows().diag, d)
+    return diag_qp
+
+
 @SETTINGS
-@given(**qp_args, drop=st.integers(0, 5))
-def test_adjoint_matches_dense_frozen_kkt(seed, n, n_bounds, n_general, degenerate, drop):
+@given(**qp_args, drop=st.integers(0, 5), diagonal=st.booleans())
+def test_adjoint_matches_dense_frozen_kkt(seed, n, n_bounds, n_general, degenerate, drop,
+                                          diagonal):
     # multipliers are drawn, not solved for, on the rows gram_schmidt_filter
     # keeps (every other row gets 0): kkt_adjoint freezes every row with
-    # lam > 0, so the dependent rows of degenerate draws must not reach it
+    # lam > 0, so the dependent rows of degenerate draws must not reach it.
+    # A diagonal H takes the Schur complement route, a dense one the whole
+    # frozen system; both against one dense solve of it
     qp, _ = mixed_qp(seed, n, n_bounds, n_general, degenerate)
+    if diagonal:
+        qp = with_diagonal_hessian(qp, seed)
+    else:
+        assert qp._rows().diag is None
     rng = np.random.default_rng(seed + 1)
     lam = rng.uniform(0.1, 1.0, qp.Gineq.shape[0])
     lam[rng.permutation(len(lam))[:drop]] = 0.0
@@ -597,7 +614,9 @@ def test_box_budget_strongly_active_rows_are_independent(seed, n, k_over, half_k
 def test_dependent_frozen_set_raises_singular_kkt(seed):
     # multipliers by hand on a degenerate draw's dependent triple (bound row
     # b, general row b + Aeq, and Aeq) or on twin bounds x_j <= u, -x_j <= -u:
-    # the frozen system is singular and kkt_adjoint raises, it filters nothing
+    # the frozen system is singular and kkt_adjoint raises, it filters
+    # nothing; with the draw's dense H and with a diagonal one, whose Schur
+    # complement is singular
     n = 3 + seed % 4
     qp, x_feas = (twin_bound_qp if seed % 2 else mixed_qp)(seed, n, 2, 2, True)
     lam = np.zeros(qp.Gineq.shape[0])
@@ -607,8 +626,9 @@ def test_dependent_frozen_set_raises_singular_kkt(seed):
         lam[[1, 3]] = 1.0  # bounds[0] and bounds[0] + Aeq, after general[:1]
     assert len(gram_schmidt_filter(qp.Aeq, qp.Gineq[lam > 0])) < 2
     sol = PrimalDualSolution(y=x_feas, nu=np.ones(1), lam=lam, kkt_residual=0.0)
-    with pytest.raises(SingularKKT):
-        kkt_adjoint(qp, sol, np.random.default_rng(seed).normal(size=n))
+    for each in (qp, with_diagonal_hessian(qp, seed)):
+        with pytest.raises(SingularKKT):
+            kkt_adjoint(each, sol, np.random.default_rng(seed).normal(size=n))
 
 
 def test_solve_qp_raises_on_uncertified_result(monkeypatch):
@@ -634,6 +654,28 @@ def test_box_budget_matches_solve_qp(seed, n, k_over, half_k, ties):
     slow = solve_qp(qp)
     assert np.max(np.abs(fast.y - slow.y)) <= 1e-9
     assert np.array_equal(tight_rows(qp, fast.y), tight_rows(qp, slow.y))
+
+
+def assert_box_budget_matches_scan(c, gamma, k):
+    fast, scan = solve_box_budget_qp(c, gamma, k), scan_box_budget_qp(c, gamma, k)
+    assert np.array_equal(fast.y, scan.y) and np.array_equal(fast.lam, scan.lam)
+    assert fast.kkt_residual == scan.kkt_residual
+
+
+@settings(SETTINGS, max_examples=300)
+@given(**box_budget_args)
+def test_box_budget_search_matches_the_scan_bitwise(seed, n, k_over, half_k, ties):
+    # the bisection over the breakpoints ends on the segment the linear scan
+    # picks, so mu, x and lam are the same floats
+    assert_box_budget_matches_scan(*box_budget_draw(seed, n, k_over, half_k, ties))
+
+
+def test_box_budget_search_with_k_on_a_breakpoint():
+    # c = (3, 2, 1), 2 gamma = 1: total(1) = 1 + 1 + 0 = k exactly, so mu = 1
+    # closes the first segment, (0, 1)
+    c = np.array([3.0, 2.0, 1.0])
+    assert_box_budget_matches_scan(c, 0.5, 2.0)
+    assert solve_box_budget_qp(c, 0.5, 2.0).lam[-1] == 1.0
 
 
 def test_box_budget_raises_on_uncertified_result(monkeypatch):

@@ -35,6 +35,7 @@ from surrogate_dfl.pipelines import (
     write_report_csv,
     _decision_and_grads,
     _regret_on,
+    _split,
     _train,
 )
 
@@ -1060,3 +1061,51 @@ def test_inference_time_counts_the_y_space_set_build(monkeypatch):
 
     monkeypatch.setattr(pipelines, "transform_problem", slow_transform)
     assert evaluate(models, rep, dataset, cfg, adapter).inference_sec >= sleep_s
+
+
+def _movie_df_first_pass():
+    """(adapter, thetas, instances) of the first decision-focused training
+    pass at the movie-rec defaults, seed 0: the training instances predicted
+    by the initial models."""
+    cfg = TrainConfig(domain="movierec")
+    adapter = get_adapter(cfg)
+    dataset = pipelines.load_dataset(cfg, adapter, 0)
+    models, _ = init_method(cfg, adapter, "decision-focused", 0)
+    instances = _split(dataset, dataset.train_idx)
+    return adapter, adapter.predict(models, instances)[0], instances
+
+
+def test_movie_df_adjoint_factorizes_only_its_frozen_general_rows(monkeypatch):
+    # the box-budget QP's H is 2 gamma I, so kkt_adjoint solves its frozen
+    # system by the Schur complement over the frozen non-bound rows (the
+    # budget row when mu > 0): no solve_symmetric call is larger than those
+    adapter, thetas, instances = _movie_df_first_pass()
+    sizes, frozen_general = [], []
+    solve, adjoint = optlayer.solve_symmetric, pipelines.kkt_adjoint
+
+    def recorded_solve(A, B):
+        sizes.append(len(A))
+        return solve(A, B)
+
+    def recorded_adjoint(qp, sol, dL_dy):
+        out = adjoint(qp, sol, dL_dy)
+        frozen_general.append(np.count_nonzero(~qp._rows().bound[out[3]]))
+        return out
+
+    monkeypatch.setattr(optlayer, "solve_symmetric", recorded_solve)
+    monkeypatch.setattr(pipelines, "kkt_adjoint", recorded_adjoint)
+    _decision_and_grads(adapter, thetas[0], None, instances[0])
+    assert len(frozen_general) == 1 and adapter.n == 100
+    assert max(sizes, default=0) <= frozen_general[0]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: every movie-rec DF adjoint product z_x sel is "
+                          "exactly zero, so DF trains on a zero gradient")
+def test_movie_df_training_pass_has_a_nonzero_gradient():
+    # at initialization no coordinate is interior: the movies at 1 are fixed
+    # by their bounds and those at 0 have no selection, so every dL/dtheta is 0
+    adapter, thetas, instances = _movie_df_first_pass()
+    dthetas = [_decision_and_grads(adapter, theta, None, inst)[1]
+               for theta, inst in zip(thetas, instances)]
+    assert any(np.any(dtheta) for dtheta in dthetas)
