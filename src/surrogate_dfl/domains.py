@@ -385,8 +385,11 @@ def ingest_movierec_csv(path, n_movies: int, users_per_group: int) -> Dataset:
     return _movierec_dataset(theta, features, users_per_group)
 
 
-def movierec_objective(x, theta, picks: int) -> float:
-    """Each user gets the sum of their picks largest x_i * theta_ij values."""
+def _top_picks(x, theta, picks: int):
+    """(vals, part, value) of vals = x_i * theta_ij: part is vals partitioned
+    along each user's column at n - picks, so row n - picks holds each user's
+    picks-th largest value, and value is the sum of part's top picks rows
+    (the sum of vals when picks = n)."""
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     n = x.shape[0]
@@ -395,33 +398,50 @@ def movierec_objective(x, theta, picks: int) -> float:
     if picks > n:
         raise DimensionMismatch("picks cannot exceed the number of movies")
     vals = x[:, None] * theta
-    if picks == n:
-        return float(vals.sum())
-    top = np.partition(vals, n - picks, axis=0)[n - picks :, :]
-    return float(top.sum())
+    part = np.partition(vals, n - picks, axis=0)
+    return vals, part, float(vals.sum() if picks == n else part[n - picks :].sum())
+
+
+def movierec_objective(x, theta, picks: int) -> float:
+    """Each user gets the sum of their picks largest x_i * theta_ij values."""
+    return _top_picks(x, theta, picks)[2]
+
+
+def movierec_objective_supergradient(x, theta, picks: int):
+    """(movierec_objective, g) from one partition of x_i * theta_ij, with
+    g_i = sum_j theta_ij over the users whose top-picks set (movierec_selection)
+    contains movie i: the movie-rec loss's value and supergradient."""
+    theta = np.asarray(theta, dtype=float)
+    vals, part, value = _top_picks(x, theta, picks)
+    return value, (_select(vals, part[-picks], picks) * theta).sum(axis=1)
 
 
 def movierec_selection(x, theta, picks: int) -> np.ndarray:
-    """0/1 matrix of each user's top-`picks` movies by x_i * theta_ij.
+    """0/1 matrix of each user's top-`picks` movies by x_i * theta_ij, for
+    finite x and theta.
 
     Ties break toward the lowest movie index, as a stable sort on descending
-    value would: every value above the user's picks-th largest t is picked,
-    and the lowest-index values equal to t fill the picks left."""
+    value would.  One partition finds each user's picks-th largest value t,
+    and every value at or above t is picked; only when some user has more
+    than picks of them does the tie-fill run: every value above t, and the
+    lowest-index values equal to t for the picks left."""
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     vals = x[:, None] * theta
-    t = np.partition(vals, vals.shape[0] - picks, axis=0)[-picks]
-    above = vals > t
-    at = vals == t
-    left = picks - np.count_nonzero(above, axis=0)
-    return (above | (at & (np.cumsum(at, axis=0) <= left))).astype(float)
+    return _select(vals, np.partition(vals, vals.shape[0] - picks, axis=0)[-picks], picks)
 
 
-def movierec_supergradient(x, theta, picks: int) -> np.ndarray:
-    """g_i = sum_j theta_ij over users whose top-picks set contains movie i."""
-    theta = np.asarray(theta, dtype=float)
-    sel = movierec_selection(x, theta, picks)
-    return (sel * theta).sum(axis=1)
+def _select(vals, t, picks: int) -> np.ndarray:
+    """movierec_selection of the products vals, given each column's picks-th
+    largest value t."""
+    sel = vals >= t
+    # each column holds at least picks values >= t, so a larger total is a tie at t
+    if np.count_nonzero(sel) > picks * vals.shape[1]:
+        above = vals > t
+        at = vals == t
+        left = picks - np.count_nonzero(above, axis=0)
+        sel = above | (at & (np.cumsum(at, axis=0) <= left))
+    return sel.astype(float)
 
 
 def movierec_alternate(theta, budget_k: int, picks: int, solve, x0=None):

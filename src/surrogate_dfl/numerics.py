@@ -73,19 +73,21 @@ def _check_pivots(lu, ipiv):
     k is a 1x1 pivot lu[k, k].
     """
     d = lu.diagonal()
+    small = np.abs(d) < PIVOT_TOL
     k = np.flatnonzero(ipiv < 0)[::2]  # negative entries come in block pairs
-    one = np.ones(d.shape[0], dtype=bool)
-    one[k] = one[k + 1] = False
-    small = np.flatnonzero(one & (np.abs(d) < PIVOT_TOL))
+    if k.size:
+        small[k] = small[k + 1] = False
+    small = np.flatnonzero(small)
     if small.size:
         raise SingularMatrix(f"pivot {small[0]} has magnitude below {PIVOT_TOL}")
-    if k.size:
-        a, b, off = d[k], d[k + 1], lu[k + 1, k]
-        half_tr = 0.5 * (a + b)
-        disc = np.sqrt(np.maximum(half_tr * half_tr - (a * b - off * off), 0.0))
-        # eigenvalues are half_tr -+ disc; the smaller magnitude is ||half_tr| - disc|
-        if np.any(np.abs(np.abs(half_tr) - disc) < PIVOT_TOL):
-            raise SingularMatrix("2x2 pivot block is numerically singular")
+    if not k.size:  # only 1x1 pivots
+        return
+    a, b, off = d[k], d[k + 1], lu[k + 1, k]
+    half_tr = 0.5 * (a + b)
+    disc = np.sqrt(np.maximum(half_tr * half_tr - (a * b - off * off), 0.0))
+    # eigenvalues are half_tr -+ disc; the smaller magnitude is ||half_tr| - disc|
+    if np.any(np.abs(np.abs(half_tr) - disc) < PIVOT_TOL):
+        raise SingularMatrix("2x2 pivot block is numerically singular")
 
 
 def matrix_to_csv(A, path) -> None:

@@ -202,6 +202,8 @@ class _Rows:
     The pivots' bookkeeping reads each row's class, slot, coordinate and
     fixed value h / s from the Python tuples of per_row.  diag is H's
     diagonal when H is diagonal with positive entries, else None.
+    product and transpose_product form G y and G^T lam with one matrix
+    product, over the general rows G_general alone.
     """
 
     def __init__(self, qp: QuadraticProgram):
@@ -212,7 +214,10 @@ class _Rows:
         self.s = G[np.arange(mi), self.col]
         self.all_bounds = self.bound.all()
         self.general = np.flatnonzero(~self.bound)
-        self.K = _kkt_matrix(qp.H, np.vstack([qp.Aeq, G[self.general]]))
+        self.G_general = G[self.general]
+        self.bound_rows = np.flatnonzero(self.bound)
+        self.bound_col, self.bound_s = self.col[self.bound_rows], self.s[self.bound_rows]
+        self.K = _kkt_matrix(qp.H, np.vstack([qp.Aeq, self.G_general]))
         d = np.diagonal(qp.H)
         self.diag = d.copy() if (d > 0.0).all() and np.count_nonzero(qp.H) == n else None
         self.rhs = np.concatenate([np.zeros(n), qp.beq, h[self.general]])
@@ -232,6 +237,26 @@ class _Rows:
         self.d_tol = float(d_tol[0]) if uniform else d_tol
         self.d_tol_per_step = float(per_step[0]) if uniform else per_step
 
+    def product(self, y) -> np.ndarray:
+        """G y, a bound row's entry as s y_j."""
+        if not self.bound_rows.size:
+            return self.G_general @ y
+        out = np.empty(self.bound.shape[0])
+        out[self.bound_rows] = self.bound_s * y.take(self.bound_col)
+        if self.general.size:
+            out[self.general] = self.G_general @ y
+        return out
+
+    def transpose_product(self, lam) -> np.ndarray:
+        """G^T lam, a bound row's term as s lam_r added to coordinate j."""
+        if not self.bound_rows.size:
+            return self.G_general.T @ lam
+        out = np.bincount(self.bound_col, weights=self.bound_s * lam.take(self.bound_rows),
+                          minlength=self.G_general.shape[1])
+        if self.general.size:
+            out += self.G_general.T @ lam.take(self.general)
+        return out
+
 
 @dataclass
 class PrimalDualSolution:
@@ -244,22 +269,28 @@ class PrimalDualSolution:
 
 
 def audit_kkt(qp: QuadraticProgram, sol: PrimalDualSolution) -> dict:
-    """Residuals of the four KKT blocks, computed from (qp, sol) alone."""
+    """Residuals of the four KKT blocks, computed from (qp, sol) alone.
+
+    G y and G^T lam come from qp._rows() (_Rows.product and
+    transpose_product), which read each bound row as s y_j, and H y is
+    diag * y when H is diagonal with positive entries: O(n) for the
+    box-budget QPs, whose rows are +-e_j and one row of ones."""
+    rows = qp._rows()
     y, nu, lam = sol.y, sol.nu, sol.lam
-    stat = qp.H @ y + qp.c
+    stat = (qp.H @ y if rows.diag is None else rows.diag * y) + qp.c
     if qp.Aeq.shape[0]:
         stat = stat + qp.Aeq.T @ nu
     if qp.Gineq.shape[0]:
-        stat = stat + qp.Gineq.T @ lam
-    slack = qp.Gineq @ y - qp.hineq if qp.Gineq.shape[0] else np.zeros(0)
+        stat = stat + rows.transpose_product(lam)
+    slack = rows.product(y) - qp.hineq
     return {
-        "stationarity": float(np.max(np.abs(stat), initial=0.0)),
+        "stationarity": float(np.abs(stat).max(initial=0.0)),
         "primal_eq": float(
-            np.max(np.abs(qp.Aeq @ y - qp.beq), initial=0.0) if qp.Aeq.shape[0] else 0.0
+            np.abs(qp.Aeq @ y - qp.beq).max(initial=0.0) if qp.Aeq.shape[0] else 0.0
         ),
-        "primal_ineq": float(np.max(slack, initial=0.0)),
-        "dual": float(np.max(-lam, initial=0.0)),
-        "comp_slack": float(np.max(np.abs(lam * slack), initial=0.0)),
+        "primal_ineq": float(slack.max(initial=0.0)),
+        "dual": float((-lam).max(initial=0.0)),
+        "comp_slack": float(np.abs(lam * slack).max(initial=0.0)),
     }
 
 
@@ -481,14 +512,15 @@ def _certify(qp: QuadraticProgram, sol: PrimalDualSolution) -> PrimalDualSolutio
 
 def _start_fits(qp: QuadraticProgram, x0, working) -> bool:
     """Whether x0 meets every row of qp within FEAS_TOL and is tight on the
-    inequality rows flagged in working."""
+    inequality rows flagged in working; G x0 comes from qp._rows().product,
+    which reads each bound row as s x0_j."""
     if x0.shape != (qp.n,) or working.shape != qp.hineq.shape:
         raise DimensionMismatch("start must be (x0 of length n, mask over Gineq rows)")
-    slack = qp.Gineq @ x0 - qp.hineq
+    slack = qp._rows().product(x0) - qp.hineq
     return bool(
-        np.max(np.abs(qp.Aeq @ x0 - qp.beq), initial=0.0) <= FEAS_TOL
-        and np.max(slack, initial=0.0) <= FEAS_TOL
-        and np.max(np.abs(slack[working]), initial=0.0) <= FEAS_TOL
+        np.abs(qp.Aeq @ x0 - qp.beq).max(initial=0.0) <= FEAS_TOL
+        and slack.max(initial=0.0) <= FEAS_TOL
+        and np.abs(slack[working]).max(initial=0.0) <= FEAS_TOL
     )
 
 
@@ -590,8 +622,8 @@ def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
     z_y = v[:n]
     z_lam = np.empty(act.size)
     z_lam[~is_bound] = z[n_free + me :]
-    # each bound's multiplier closes the stationarity row of its coordinate
-    z_lam[is_bound] = (dL_dy - qp.H @ z_y - K[n:, :n].T @ v[n:])[cols] / rows.s[fixing]
+    if cols.size:  # each bound's multiplier closes the stationarity row of its coordinate
+        z_lam[is_bound] = (dL_dy - qp.H @ z_y - K[n:, :n].T @ v[n:])[cols] / rows.s[fixing]
     return z_y, z[n_free : n_free + me], z_lam, act
 
 

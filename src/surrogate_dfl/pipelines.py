@@ -33,11 +33,11 @@ theta-gradient at (P z_y, P y*).  Each instance's dL/dP comes from the same
 adjoint (kkt_jacobian_P); an epoch chains their mean to P_raw once (grad_wrt_P).
 
 The adapters share one base (_Adapter): the size checks, the parameter list
-in checkpoint order, the decision loss, the oracle memo and the identity
-test decision; a subclass holds only domain math.  The training loop owns
-the start store (each training instance's last decision seeds its next
-solve; validation and evaluation start cold), so a job depends only on its
-(method, seed).  A run builds one adapter and one dataset per seed and
+in checkpoint order, the oracle memo and the identity test decision; a
+subclass holds only domain math, the decision loss among it.  The training
+loop owns the start store (each training instance's last decision seeds its
+next solve; validation and evaluation start cold), so a job depends only on
+its (method, seed).  A run builds one adapter and one dataset per seed and
 shares them across the seed's methods (run_single's seed store): the seed's
 data is generated once, and each validation or test instance's oracle is
 solved once, for every method.  No job changes the shared dataset.
@@ -198,8 +198,8 @@ class RegretReport:
 
 
 class _Adapter:
-    """The size checks (BadDimensions), parameters, decision loss, oracle memo
-    and test decision every adapter shares; a subclass adds its domain math."""
+    """The size checks (BadDimensions), parameters, oracle memo and test
+    decision every adapter shares; a subclass adds its domain math."""
 
     def __init__(self, config: TrainConfig):
         if config.hidden_size < 1:
@@ -218,10 +218,6 @@ class _Adapter:
         arrays = iter(params)
         for model in models.values():
             model.set_parameters([next(arrays) for _ in model.parameters()])
-
-    def loss_grad_x(self, x, inst):
-        """The decision loss, the negated achieved quality, and its x-gradient."""
-        return -self.objective(x, inst), -self.objective_grad(x, inst)
 
     def oracle(self, inst):
         """objective of inst's oracle_decision, solved once per instance."""
@@ -304,8 +300,10 @@ class PortfolioAdapter(_Adapter):
             x, inst.true_returns, inst.true_covariance, self.lam
         )
 
-    def objective_grad(self, x, inst):
-        return domains.portfolio_grad(x, inst.true_returns, inst.true_covariance, self.lam)
+    def loss_grad_x(self, x, inst):
+        """The decision loss, the negated achieved quality, and its x-gradient."""
+        return -self.objective(x, inst), -domains.portfolio_grad(
+            x, inst.true_returns, inst.true_covariance, self.lam)
 
     def theta_grads(self, ctx, z_x, x):
         """dL/dtheta at the x-space adjoint z_x and decision x: c = -p and
@@ -400,7 +398,9 @@ class MovieRecAdapter(_Adapter):
     def decision_surrogate(self, theta, sp, x0=None):
         """(x = P y*, sol, sqp, ctx): decision_full's alternation with exact
         y-space solves; x0, the previous lifted decision, seeds the first selection."""
-        H_extra = self._H_extra.setdefault(sp.m, 2.0 * self.gamma * np.eye(sp.m))
+        H_extra = self._H_extra.get(sp.m)
+        if H_extra is None:
+            H_extra = self._H_extra[sp.m] = 2.0 * self.gamma * np.eye(sp.m)
         x, (sqp, qp, sol), _, sel = domains.movierec_alternate(
             theta, self.k, self.picks,
             lambda c: sp.solve(self._H_x, -c, H_extra, self.config.qp_max_iter),
@@ -411,8 +411,11 @@ class MovieRecAdapter(_Adapter):
     def objective(self, x, inst):
         return domains.movierec_objective(x, inst.preferences, self.picks)
 
-    def objective_grad(self, x, inst):
-        return domains.movierec_supergradient(x, inst.preferences, self.picks)
+    def loss_grad_x(self, x, inst):
+        """The decision loss, the negated achieved quality, and its
+        x-supergradient, from one partition of x_i theta_ij."""
+        value, g = domains.movierec_objective_supergradient(x, inst.preferences, self.picks)
+        return -value, -g
 
     def theta_grads(self, ctx, z_x, x):
         """dL/dtheta at the x-space adjoint z_x: the frozen c_i is

@@ -23,6 +23,54 @@ def tight_rows(qp, y, tol: float = 1e-8) -> np.ndarray:
     return np.flatnonzero(np.abs(qp.Gineq @ y - qp.hineq) <= tol)
 
 
+def dense_audit_kkt(qp, sol) -> dict:
+    """optlayer.audit_kkt with every product dense: H y, G y and G^T lam
+    as full matrix products."""
+    y, nu, lam = sol.y, sol.nu, sol.lam
+    stat = qp.H @ y + qp.c
+    if qp.Aeq.shape[0]:
+        stat = stat + qp.Aeq.T @ nu
+    if qp.Gineq.shape[0]:
+        stat = stat + qp.Gineq.T @ lam
+    slack = qp.Gineq @ y - qp.hineq if qp.Gineq.shape[0] else np.zeros(0)
+    return {
+        "stationarity": float(np.max(np.abs(stat), initial=0.0)),
+        "primal_eq": float(
+            np.max(np.abs(qp.Aeq @ y - qp.beq), initial=0.0) if qp.Aeq.shape[0] else 0.0
+        ),
+        "primal_ineq": float(np.max(slack, initial=0.0)),
+        "dual": float(np.max(-lam, initial=0.0)),
+        "comp_slack": float(np.max(np.abs(lam * slack), initial=0.0)),
+    }
+
+
+def reference_selection(x, theta, picks):
+    """The movie-rec selection as first written: a full stable sort on
+    descending value."""
+    vals = np.asarray(x, dtype=float)[:, None] * np.asarray(theta, dtype=float)
+    order = np.argsort(-vals, axis=0, kind="stable")
+    sel = np.zeros_like(vals)
+    cols = np.arange(vals.shape[1])
+    for r in range(picks):
+        sel[order[r], cols] = 1.0
+    return sel
+
+
+def movierec_objective(x, theta, picks):
+    """domains.movierec_objective as its own partition of x_i theta_ij."""
+    vals = np.asarray(x, dtype=float)[:, None] * np.asarray(theta, dtype=float)
+    n = vals.shape[0]
+    if picks == n:
+        return float(vals.sum())
+    return float(np.partition(vals, n - picks, axis=0)[n - picks :, :].sum())
+
+
+def movierec_supergradient(x, theta, picks):
+    """g_i = sum_j theta_ij over users whose top-picks set (reference_selection)
+    contains movie i."""
+    return (reference_selection(x, theta, picks) * np.asarray(theta, dtype=float)).sum(axis=1)
+
+
 def identity_reparam(n: int) -> Reparameterization:
     """P = I_n in free mode: the surrogate that is the full problem."""
     return Reparameterization(P_raw=np.eye(n), mode="free", n=n, m=n)

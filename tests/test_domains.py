@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import movierec_objective, movierec_supergradient, reference_selection
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -224,14 +225,14 @@ def test_movierec_objective_saturated():
 
 def test_movierec_supergradient_selected_entries():
     theta = np.array([[0.8], [0.3]])
-    g = domains.movierec_supergradient(np.array([0.5, 1.0]), theta, 1)
-    assert np.allclose(g, [0.8, 0.0])
+    value, g = domains.movierec_objective_supergradient(np.array([0.5, 1.0]), theta, 1)
+    assert value == pytest.approx(0.4) and np.allclose(g, [0.8, 0.0])
 
 
 def test_movierec_supergradient_full_selection():
     rng = np.random.default_rng(10)
     theta = rng.uniform(0, 1, (5, 4))
-    g = domains.movierec_supergradient(np.ones(5), theta, 5)
+    g = domains.movierec_objective_supergradient(np.ones(5), theta, 5)[1]
     assert np.allclose(g, theta.sum(axis=1))
 
 
@@ -240,40 +241,48 @@ def test_movierec_tie_break_lowest_index():
     theta = np.full((4, 1), 0.5)
     sel = domains.movierec_selection(np.ones(4), theta, 2)
     assert np.array_equal(sel[:, 0], [1.0, 1.0, 0.0, 0.0])
-    g = domains.movierec_supergradient(np.ones(4), theta, 2)
+    g = domains.movierec_objective_supergradient(np.ones(4), theta, 2)[1]
     assert np.allclose(g, [0.5, 0.5, 0.0, 0.0])
-
-
-def reference_selection(x, theta, picks):
-    """The selection as first written: a full stable sort on descending value."""
-    vals = np.asarray(x, dtype=float)[:, None] * np.asarray(theta, dtype=float)
-    order = np.argsort(-vals, axis=0, kind="stable")
-    sel = np.zeros_like(vals)
-    cols = np.arange(vals.shape[1])
-    for r in range(picks):
-        sel[order[r], cols] = 1.0
-    return sel
 
 
 @st.composite
 def selection_cases(draw):
-    """x and theta on coarse grids, so products tie exactly; x has zeros and
-    theta negative entries (their products are -0.0, equal to 0.0)."""
+    """x and theta on coarse grids, so products tie exactly (x has zeros and
+    theta negative entries, whose products are -0.0, equal to 0.0), or
+    continuous, so they tie only by chance."""
     n = draw(st.integers(1, 8))
     users = draw(st.integers(1, 5))
-    x = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n)))
-    cells = draw(st.lists(st.integers(-3, 4), min_size=n * users, max_size=n * users))
-    theta = 0.5 * np.array(cells, dtype=float).reshape(n, users)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x, theta = rng.uniform(0.0, 1.0, n), rng.normal(size=(n, users))
+    else:
+        x = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                   min_size=n, max_size=n)))
+        cells = draw(st.lists(st.integers(-3, 4), min_size=n * users, max_size=n * users))
+        theta = 0.5 * np.array(cells, dtype=float).reshape(n, users)
     return x, theta, draw(st.integers(1, n))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(selection_cases())
+def test_selection_matches_sorted_reference(case):
+    x, theta, picks = case
+    for p in (picks, len(x)):
+        assert np.array_equal(
+            domains.movierec_selection(x, theta, p), reference_selection(x, theta, p)
+        )
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(selection_cases())
-def test_selection_matches_sorted_reference(case):
+def test_one_partition_loss_matches_reference_pair_bitwise(case):
+    # the value and supergradient of one partition are the floats that the
+    # objective's own partition and the sorted selection give
     x, theta, picks = case
-    assert np.array_equal(
-        domains.movierec_selection(x, theta, picks), reference_selection(x, theta, picks)
-    )
+    for p in (picks, len(x)):
+        value, g = domains.movierec_objective_supergradient(x, theta, p)
+        assert np.float64(value).tobytes() == np.float64(movierec_objective(x, theta, p)).tobytes()
+        assert g.tobytes() == movierec_supergradient(x, theta, p).tobytes()
 
 
 def test_movierec_monotone_in_x():
@@ -297,7 +306,7 @@ def test_movierec_supergradient_upper_bounds_increases():
     checked = 0
     for _ in range(200):
         x = rng.uniform(0.05, 0.95, 6)
-        g = domains.movierec_supergradient(x, theta, 2)
+        g = domains.movierec_objective_supergradient(x, theta, 2)[1]
         i = int(rng.integers(6))
         delta = 1e-4
         before = domains.movierec_selection(x, theta, 2)

@@ -11,7 +11,7 @@ the solvers must return them independent, and a dependent set must raise.
 
 import numpy as np
 import pytest
-from helpers import scan_box_budget_qp, tight_rows
+from helpers import dense_audit_kkt, scan_box_budget_qp, tight_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -629,6 +629,45 @@ def test_dependent_frozen_set_raises_singular_kkt(seed):
     for each in (qp, with_diagonal_hessian(qp, seed)):
         with pytest.raises(SingularKKT):
             kkt_adjoint(each, sol, np.random.default_rng(seed).normal(size=n))
+
+
+def assert_audit_matches_dense(qp, sol):
+    # the structured products sum their terms in another order, so each block
+    # agrees to round-off on the largest term a block adds up or multiplies
+    y, lam = sol.y, sol.lam
+    slack_terms = np.abs(qp.Gineq @ y) + np.abs(qp.hineq)
+    terms = (qp.H @ y, qp.c, qp.Aeq.T @ sol.nu, qp.Gineq.T @ lam, slack_terms,
+             lam * slack_terms)
+    scale = max(np.max(np.abs(t), initial=0.0) for t in terms)
+    got, want = optlayer.audit_kkt(qp, sol), dense_audit_kkt(qp, sol)
+    assert got.keys() == want.keys()
+    for block in want:
+        assert abs(got[block] - want[block]) <= 1e-15 * (1.0 + scale), block
+
+
+@SETTINGS
+@given(**qp_args)
+def test_audit_kkt_matches_dense_products_on_mixed_qps(seed, n, n_bounds, n_general, degenerate):
+    # at the optimum and at a point off it, where every block is nonzero
+    qp, x_feas = mixed_qp(seed, n, n_bounds, n_general, degenerate)
+    sol = solve_qp(qp)
+    assert_audit_matches_dense(qp, sol)
+    rng = np.random.default_rng(seed)
+    off = PrimalDualSolution(y=x_feas + rng.normal(size=n), nu=rng.normal(size=1),
+                             lam=rng.normal(size=qp.Gineq.shape[0]), kkt_residual=0.0)
+    assert_audit_matches_dense(qp, off)
+
+
+@SETTINGS
+@given(**box_budget_args)
+def test_audit_kkt_matches_dense_products_on_box_budget_qps(seed, n, k_over, half_k, ties):
+    c, gamma, k = box_budget_draw(seed, n, k_over, half_k, ties)
+    qp, sol = box_budget_qp(c, gamma, k), solve_box_budget_qp(c, gamma, k)
+    assert_audit_matches_dense(qp, sol)
+    rng = np.random.default_rng(seed)
+    off = PrimalDualSolution(y=sol.y + rng.normal(size=n), nu=np.zeros(0),
+                             lam=sol.lam + rng.normal(size=sol.lam.shape), kkt_residual=0.0)
+    assert_audit_matches_dense(qp, off)
 
 
 def test_solve_qp_raises_on_uncertified_result(monkeypatch):

@@ -1109,3 +1109,17 @@ def test_movie_df_training_pass_has_a_nonzero_gradient():
     dthetas = [_decision_and_grads(adapter, theta, None, inst)[1]
                for theta, inst in zip(thetas, instances)]
     assert any(np.any(dtheta) for dtheta in dthetas)
+
+
+def test_movierec_loss_partitions_once(monkeypatch):
+    # the loss's value and supergradient come from one partition of x_i theta_ij
+    adapter = get_adapter(TrainConfig(**TOY_MOVIE))
+    inst = adapter.generate(subseed(0, 0)).instances[0]
+    x = np.linspace(0.0, 1.0, adapter.n)
+    calls = []
+    partition = np.partition
+    monkeypatch.setattr(np, "partition", lambda *a, **k: calls.append(1) or partition(*a, **k))
+    loss, dL_dx = adapter.loss_grad_x(x, inst)
+    assert len(calls) == 1
+    assert loss == -domains.movierec_objective(x, inst.preferences, adapter.picks)
+    assert dL_dx.shape == (adapter.n,)
