@@ -202,7 +202,7 @@ class _Rows:
     The pivots' bookkeeping reads each row's class, slot, coordinate and
     fixed value h / s from the Python tuples of per_row.  diag is H's
     diagonal when H is diagonal with positive entries, else None.
-    product and transpose_product form G y and G^T lam with one matrix
+    _product and _transpose_product form G y and G^T lam with one matrix
     product, over the general rows G_general alone.
     """
 
@@ -237,7 +237,7 @@ class _Rows:
         self.d_tol = float(d_tol[0]) if uniform else d_tol
         self.d_tol_per_step = float(per_step[0]) if uniform else per_step
 
-    def product(self, y) -> np.ndarray:
+    def _product(self, y) -> np.ndarray:
         """G y, a bound row's entry as s y_j."""
         if not self.bound_rows.size:
             return self.G_general @ y
@@ -247,7 +247,7 @@ class _Rows:
             out[self.general] = self.G_general @ y
         return out
 
-    def transpose_product(self, lam) -> np.ndarray:
+    def _transpose_product(self, lam) -> np.ndarray:
         """G^T lam, a bound row's term as s lam_r added to coordinate j."""
         if not self.bound_rows.size:
             return self.G_general.T @ lam
@@ -271,8 +271,8 @@ class PrimalDualSolution:
 def audit_kkt(qp: QuadraticProgram, sol: PrimalDualSolution) -> dict:
     """Residuals of the four KKT blocks, computed from (qp, sol) alone.
 
-    G y and G^T lam come from qp._rows() (_Rows.product and
-    transpose_product), which read each bound row as s y_j, and H y is
+    G y and G^T lam come from qp._rows() (_Rows._product and
+    _transpose_product), which read each bound row as s y_j, and H y is
     diag * y when H is diagonal with positive entries: O(n) for the
     box-budget QPs, whose rows are +-e_j and one row of ones."""
     rows = qp._rows()
@@ -281,8 +281,8 @@ def audit_kkt(qp: QuadraticProgram, sol: PrimalDualSolution) -> dict:
     if qp.Aeq.shape[0]:
         stat = stat + qp.Aeq.T @ nu
     if qp.Gineq.shape[0]:
-        stat = stat + rows.transpose_product(lam)
-    slack = rows.product(y) - qp.hineq
+        stat = stat + rows._transpose_product(lam)
+    slack = rows._product(y) - qp.hineq
     return {
         "stationarity": float(np.abs(stat).max(initial=0.0)),
         "primal_eq": float(
@@ -512,11 +512,11 @@ def _certify(qp: QuadraticProgram, sol: PrimalDualSolution) -> PrimalDualSolutio
 
 def _start_fits(qp: QuadraticProgram, x0, working) -> bool:
     """Whether x0 meets every row of qp within FEAS_TOL and is tight on the
-    inequality rows flagged in working; G x0 comes from qp._rows().product,
+    inequality rows flagged in working; G x0 comes from qp._rows()._product,
     which reads each bound row as s x0_j."""
     if x0.shape != (qp.n,) or working.shape != qp.hineq.shape:
         raise DimensionMismatch("start must be (x0 of length n, mask over Gineq rows)")
-    slack = qp._rows().product(x0) - qp.hineq
+    slack = qp._rows()._product(x0) - qp.hineq
     return bool(
         np.abs(qp.Aeq @ x0 - qp.beq).max(initial=0.0) <= FEAS_TOL
         and slack.max(initial=0.0) <= FEAS_TOL
