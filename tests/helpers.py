@@ -56,7 +56,7 @@ def reference_selection(x, theta, picks):
     return sel
 
 
-def movierec_objective(x, theta, picks):
+def reference_objective(x, theta, picks):
     """domains.movierec_objective as its own partition of x_i theta_ij."""
     vals = np.asarray(x, dtype=float)[:, None] * np.asarray(theta, dtype=float)
     n = vals.shape[0]
@@ -65,7 +65,7 @@ def movierec_objective(x, theta, picks):
     return float(np.partition(vals, n - picks, axis=0)[n - picks :, :].sum())
 
 
-def movierec_supergradient(x, theta, picks):
+def reference_supergradient(x, theta, picks):
     """g_i = sum_j theta_ij over users whose top-picks set (reference_selection)
     contains movie i."""
     return (reference_selection(x, theta, picks) * np.asarray(theta, dtype=float)).sum(axis=1)
