@@ -1,7 +1,8 @@
 """Benchmark decision problems: Markowitz portfolio and movie broadcast.
 
 Both ship synthetic generators plus CSV ingestion through the same
-featurization (a table with a missing cell raises BadDimensions),
+featurization (a table with a missing column, or a cell missing or not a
+number, raises BadDimensions),
 objective/gradient oracles, and oracle decisions under the true parameters;
 regret is the oracle's objective minus the decision's.  The feasible sets
 are optlayer's simplex_base and box_budget_base.
@@ -156,22 +157,34 @@ def export_portfolio_csv(dataset: Dataset, path) -> None:
                 w.writerow([day, sec, format(prices[sec, day], ".12g")])
 
 
+def _read_table(path, columns) -> list:
+    """(int, int, float) per data row of the CSV at path, read from its
+    three named columns.  A missing column, or a cell that is missing or
+    does not parse, raises BadDimensions naming the file and line."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [name for name in columns if name not in (reader.fieldnames or ())]
+        if missing:
+            raise BadDimensions(f"{path}, line 1: no {missing[0]!r} column")
+        entries = []
+        for row in reader:
+            cells = [row[name] for name in columns]
+            try:
+                entries.append((int(cells[0]), int(cells[1]), float(cells[2])))
+            except (TypeError, ValueError):
+                raise BadDimensions(f"{path}, line {reader.line_num}: cannot read "
+                                    f"{', '.join(columns)} from {cells}") from None
+    return entries
+
+
 def ingest_portfolio_csv(path) -> Dataset:
     """Rebuild a portfolio Dataset from `day,security,price` rows through the
     same featurization as the generator."""
-    days, secs, vals = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            days.append(int(row["day"]))
-            secs.append(int(row["security"]))
-            vals.append(float(row["price"]))
-    day_ids = sorted(set(days))
-    sec_ids = sorted(set(secs))
-    day_pos = {d: i for i, d in enumerate(day_ids)}
-    sec_pos = {s: i for i, s in enumerate(sec_ids)}
-    prices = np.full((len(sec_ids), len(day_ids)), np.nan)
-    for d, s, v in zip(days, secs, vals):
+    entries = _read_table(path, ("day", "security", "price"))
+    day_pos = {d: i for i, d in enumerate(sorted({d for d, _, _ in entries}))}
+    sec_pos = {s: i for i, s in enumerate(sorted({s for _, s, _ in entries}))}
+    prices = np.full((len(sec_pos), len(day_pos)), np.nan)
+    for d, s, v in entries:
         prices[sec_pos[s], day_pos[d]] = v
     if np.any(np.isnan(prices)):
         raise BadDimensions("price table has missing (day, security) cells")
@@ -358,11 +371,7 @@ def ingest_movierec_csv(path, n_movies: int, users_per_group: int) -> Dataset:
     grouped in consecutive blocks of users_per_group.  Raises BadDimensions
     when a (user, movie) cell is missing, a movie id is negative or the
     feature-movie ids do not run consecutively from n_movies."""
-    entries = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            entries.append((int(row["user"]), int(row["movie"]), float(row["rating"])))
+    entries = _read_table(path, ("user", "movie", "rating"))
     user_ids = sorted({u for u, _, _ in entries})
     if any(m < 0 for _, m, _ in entries):
         raise BadDimensions("movie ids must be nonnegative")

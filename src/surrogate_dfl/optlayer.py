@@ -25,28 +25,28 @@ stationarity row of its coordinate (the null-space treatment of bounds,
 Nocedal & Wright, Numerical Optimization, ch. 16).  A QP classifies its rows
 and assembles the KKT matrix of H, the equality rows and the general rows
 once (_Rows); the QPs of a pass differ only in c and share them
-(QuadraticProgram.with_c).  Each pivot gathers its working-set system from
-that matrix and solves it by LU (LAPACK dgesv), one solve per working set:
-a full step leaves the working set unchanged and lands on its minimizer,
-so the next pivot goes straight to the multipliers; kkt_adjoint gathers
-its frozen system from the same matrix, and solves it whole when H is dense
-or by its Schur complement over the equality and frozen general rows when H
-is diagonal with positive entries.  The bound rows' multipliers come
-from one product of the matrix's first n rows with the solution.  When
-every row is a bound, the ratio test reads G p and G x off the bounds'
-coordinates.  It drops the working row with the most negative multiplier,
-or the lowest-index negative one after a zero-length step (Bland's rule,
-against cycling).  A caller may pass a start (x0, working): a feasible x0
-tight on its working rows replaces phase one (a crash start, Nocedal &
-Wright ch. 16.5), and x0 from phase one with no working row gives the
-pivots of a solve that runs phase one itself; the optimum of another QP on
-the same rows, with its rows of positive multiplier, is such a start.
-surrogate.SurrogateProblem.solve starts the first y-space solve on a set at
-its phase-one point and each later one at the optimum before it.  Every
-solution is certified: solve_qp and solve_box_budget_qp raise
-NumericalBreakdown when the KKT residual exceeds 1e-8 (1 + max(|H|, |c|,
-|h|)); the box-budget QPs certified are siblings of one QP held per (n,
-gamma, k).
+(QuadraticProgram.with_c).  A QP keeps H's symmetric part, so that matrix is
+exactly symmetric.  Each pivot gathers its working-set system from it and
+solves it by LU (LAPACK dgesv), one solve per working set: a full step
+leaves the working set unchanged and lands on its minimizer, so the next
+pivot goes straight to the multipliers; kkt_adjoint gathers its frozen
+system from the same matrix by the same mask (_Rows._system), and solves it
+whole when H is dense or by its Schur complement over the equality and
+frozen general rows when H is diagonal with positive entries.  The bound
+rows' multipliers come from one product of the matrix's first n rows with
+the solution.  When every row is a bound, the ratio test reads G p and G x
+off the bounds' coordinates.  It drops the working row with the most
+negative multiplier, or the lowest-index negative one after a zero-length
+step (Bland's rule, against cycling).  Phase one runs inside solve_qp only,
+when the caller passes no start (x0, working) that fits: a feasible x0
+tight on its working rows replaces it (a crash start, Nocedal & Wright
+ch. 16.5), and so does the optimum of another QP on the same rows with its
+rows of positive multiplier.  surrogate.SurrogateProblem.solve gives the
+first y-space solve on a set no start and each later one the optimum
+before it.  Every solution is certified: solve_qp and solve_box_budget_qp
+raise NumericalBreakdown when the KKT residual exceeds 1e-8 (1 + max(|H|,
+|c|, |h|)); the box-budget QPs certified are siblings of one QP held per
+(n, gamma, k).
 """
 
 import bisect
@@ -139,7 +139,8 @@ def box_budget_base(n: int, k: float) -> BaseProblem:
 class QuadraticProgram:
     """min_y 0.5 y^T H y + c^T y  s.t.  Aeq y = beq, Gineq y <= hineq.
 
-    H must be symmetric; the rows are normalized and checked as a
+    H must be symmetric within 1e-10; the QP keeps its symmetric part, the
+    only part the objective sees.  The rows are normalized and checked as a
     BaseProblem's, so Aeq/Gineq may be None when a block is absent.
     with_c(c) is the QP of another c on the same H and constraints, as the
     QPs of one pass are: it checks c alone and shares the _Rows that
@@ -166,6 +167,7 @@ class QuadraticProgram:
             1.0, np.max(np.abs(self.H), initial=0.0)
         ):
             raise ValueError("H is not symmetric within 1e-10")
+        self.H = 0.5 * (self.H + self.H.T)  # H itself, bit for bit, when H is symmetric
         rows = BaseProblem(n, self.Aeq, self.beq, self.Gineq, self.hineq)
         self.Aeq, self.beq, self.Gineq, self.hineq = rows.Aeq, rows.beq, rows.G, rows.h
 
@@ -195,12 +197,12 @@ class _Rows:
     Each inequality row is a simple bound (one nonzero, s x_j <= h), which
     fixes x_j = h / s while it is working or frozen and stays out of every
     factorization, or general.  K is the KKT matrix of H, Aeq and the general
-    rows, from which each pivot gathers its working-set system and
-    kkt_adjoint its frozen one; rhs is its right-hand side less the -c block,
-    slot[r] the row and column of K of general row r, and K_t the transpose
-    of K, from which a system is gathered in the column order dgesv reads.
-    The pivots' bookkeeping reads each row's class, slot, coordinate and
-    fixed value h / s from the Python tuples of per_row.  diag is H's
+    rows, symmetric as the QP's H is, from which each pivot gathers its
+    working-set system and kkt_adjoint its frozen one, both by _system's
+    mask; rhs is its right-hand side less the -c block, top = n + len(Aeq)
+    and slot[r] the row and column of K of general row r.  The pivots'
+    bookkeeping reads each row's class, slot, coordinate and fixed value
+    h / s from the Python tuples of per_row.  diag is H's
     diagonal when H is diagonal with positive entries, else None.
     _product and _transpose_product form G y and G^T lam with one matrix
     product, over the general rows G_general alone.
@@ -221,9 +223,9 @@ class _Rows:
         d = np.diagonal(qp.H)
         self.diag = d.copy() if (d > 0.0).all() and np.count_nonzero(qp.H) == n else None
         self.rhs = np.concatenate([np.zeros(n), qp.beq, h[self.general]])
+        self.top = n + me
         self.slot = np.zeros(mi, dtype=int)
-        self.slot[self.general] = n + me + np.arange(self.general.size)
-        self.K_t = self.K.T.copy()
+        self.slot[self.general] = self.top + np.arange(self.general.size)
         fix = np.divide(h, self.s, out=np.zeros(mi), where=self.bound)
         self.per_row = list(zip(self.bound.tolist(), self.slot.tolist(), self.col.tolist(),
                                 fix.tolist()))
@@ -236,6 +238,17 @@ class _Rows:
         uniform = mi and np.ptp(d_tol) == 0.0 and np.ptp(per_step) == 0.0
         self.d_tol = float(d_tol[0]) if uniform else d_tol
         self.d_tol_per_step = float(per_step[0]) if uniform else per_step
+
+    def _system(self, held) -> tuple:
+        """(in_system, is_bound): the mask over K of the system of the held
+        rows (index array), the top rows less the coordinates its bounds fix
+        plus its general rows' slots, and which held rows are bounds."""
+        is_bound = self.bound[held]
+        in_system = np.zeros(self.K.shape[0], dtype=bool)
+        in_system[: self.top] = True
+        in_system[self.col[held[is_bound]]] = False
+        in_system[self.slot[held[~is_bound]]] = True
+        return in_system, is_bound
 
     def _product(self, y) -> np.ndarray:
         """G y, a bound row's entry as s y_j."""
@@ -351,18 +364,14 @@ def _active_set_loop(qp: QuadraticProgram, x0, max_iter, working=None):
     n, me, mi = qp.n, qp.Aeq.shape[0], G.shape[0]
     rhs = rows.rhs.copy()
     rhs[:n] = -qp.c
-    in_system = np.zeros(K.shape[0], dtype=bool)
-    in_system[: n + me] = True
-    x_fixed = np.zeros(n)  # zero off the fixed coordinates
+    # set_working(r, True) for every seeded row, at once
+    seeded = np.flatnonzero(working) if working is not None else np.zeros(0, dtype=int)
+    in_system, seeded_bound = rows._system(seeded)
     work = np.zeros(mi, dtype=bool)
-    if working is not None:  # set_working(r, True) for every seeded row, at once
-        seeded = working.nonzero()[0]
-        work[seeded] = True
-        in_system[rows.slot[seeded[~bound[seeded]]]] = True
-        fixes = seeded[bound[seeded]]
-        in_system[col[fixes]] = False
-        # independent rows fix distinct coordinates
-        x_fixed[col[fixes]] = h[fixes] / s[fixes]
+    work[seeded] = True
+    fixes = seeded[seeded_bound]
+    x_fixed = np.zeros(n)  # zero off the fixed coordinates
+    x_fixed[col[fixes]] = h[fixes] / s[fixes]  # independent rows fix distinct coordinates
     idle = ~work  # kept, as the rest of this state, by set_working
     n_fixing = np.bincount(col[work & bound], minlength=n).tolist()  # per coordinate
     n_free = n_fixing.count(0)
@@ -390,7 +399,7 @@ def _active_set_loop(qp: QuadraticProgram, x0, max_iter, working=None):
 
     lam = np.empty(mi)
     v = np.empty(K.shape[0])  # the solution over all of K, zero off the system
-    K_t, K_top, minus_c = rows.K_t, K[:n], rhs[:n]
+    K_top, minus_c = K[:n], rhs[:n]
     x = x0.copy()
     abs_x = np.abs(x)  # max |x| as abs_x[argmax]: cheaper than max() on short arrays
     step_tol = STEP_TOL * (1.0 + abs_x[abs_x.argmax()])
@@ -403,8 +412,8 @@ def _active_set_loop(qp: QuadraticProgram, x0, max_iter, working=None):
             b = rhs.take(idx)
             if n_shifted:
                 b -= (K[:, :n] @ x_fixed).take(idx)
-            try:
-                z = _equality_solve(K_t.take(idx, axis=0).take(idx, axis=1).T, b)
+            try:  # K is symmetric: the transpose view is the column order dgesv reads
+                z = _equality_solve(K.take(idx, axis=0).take(idx, axis=1).T, b)
             except SingularMatrix as exc:
                 raise NumericalBreakdown(f"singular working-set KKT system: {exc}") from exc
             x_hat = x_fixed.copy()
@@ -461,8 +470,10 @@ def _active_set_loop(qp: QuadraticProgram, x0, max_iter, working=None):
     raise MaxIterations(f"active-set pivot cap {max_iter} reached")
 
 
-def _phase_one(Aeq, beq, G, h, n, max_iter):
-    """Feasible point via min s s.t. Gx - h <= s, s >= -1, regularized by 1e-8 I."""
+def _phase_one(qp: QuadraticProgram, max_iter):
+    """A point of qp's feasible set via min s s.t. Gx - h <= s, s >= -1,
+    regularized by 1e-8 I; raises Infeasible when the set is empty."""
+    Aeq, beq, G, h, n = qp.Aeq, qp.beq, qp.Gineq, qp.hineq, qp.n
     if Aeq.shape[0]:
         x0, *_ = np.linalg.lstsq(Aeq, beq, rcond=None)
         if np.max(np.abs(Aeq @ x0 - beq), initial=0.0) > 1e-8 * (
@@ -492,11 +503,6 @@ def _phase_one(Aeq, beq, G, h, n, max_iter):
     if x1[n] > FEAS_TOL:
         raise Infeasible(f"phase-one optimum leaves violation {x1[n]:.3e}")
     return x1[:n]
-
-
-def _pivot_cap(n, rows):
-    """Default active-set pivot cap for n variables and `rows` constraint rows."""
-    return max(200, 10 * (n + rows))
 
 
 def _certify(qp: QuadraticProgram, sol: PrimalDualSolution) -> PrimalDualSolution:
@@ -539,23 +545,16 @@ def solve_qp(qp: QuadraticProgram, max_iter: int = 0, start=None) -> PrimalDualS
     NumericalBreakdown when a working-set system cannot be factorized or the
     result fails its KKT certificate.
     """
-    n = qp.n
-    max_iter = max_iter or _pivot_cap(n, qp.Aeq.shape[0] + qp.Gineq.shape[0])
+    max_iter = max_iter or max(200, 10 * (qp.n + qp.Aeq.shape[0] + qp.Gineq.shape[0]))
     working = None
     if start is not None:
         x0, working = as_vector(start[0]), np.asarray(start[1], dtype=bool)
         if not _start_fits(qp, x0, working):
             working = None
     if working is None:
-        x0 = _phase_one(qp.Aeq, qp.beq, qp.Gineq, qp.hineq, n, max_iter)
+        x0 = _phase_one(qp, max_iter)
     x, nu, lam = _active_set_loop(qp, x0, max_iter, working)
     return _certify(qp, PrimalDualSolution(y=x, nu=nu, lam=lam, kkt_residual=0.0))
-
-
-def find_feasible_point(base: BaseProblem, max_iter: int = 0) -> np.ndarray:
-    """A point of the set base by phase one; raises Infeasible when it is empty."""
-    max_iter = max_iter or _pivot_cap(base.n, base.Aeq.shape[0] + base.G.shape[0])
-    return _phase_one(base.Aeq, base.beq, base.G, base.h, base.n, max_iter)
 
 
 def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
@@ -594,13 +593,9 @@ def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
     act = np.nonzero(sol.lam > STRICT_COMPLEMENTARITY_TOL)[0]
     rows = qp._rows()
     n, me, K = qp.n, qp.Aeq.shape[0], rows.K
-    is_bound = rows.bound[act]
+    in_system, is_bound = rows._system(act)
     fixing = act[is_bound]
     cols = rows.col[fixing]
-    in_system = np.zeros(K.shape[0], dtype=bool)
-    in_system[: n + me] = True
-    in_system[cols] = False
-    in_system[rows.slot[act[~is_bound]]] = True
     idx = in_system.nonzero()[0]
     n_free = np.count_nonzero(in_system[:n])
     if n_free + cols.size > n:

@@ -10,8 +10,8 @@ dL/dP back to P_raw (grad_wrt_P).  Constraint sets, in x-space and in
 y-space alike, are optlayer.BaseProblems.
 
 Every y-space solve is SurrogateProblem.solve: it builds the instance's
-y-space QP, solves it from the start the set holds (the set's phase-one
-point at its first solve, else the optimum of the solve before it) and
+y-space QP, solves it from the start the set holds (none at its first
+solve, which runs phase one, else the optimum of the solve before it) and
 lifts the optimum by x = P y.
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BadDimensions, DimensionMismatch, EmptyFeasibleSet, Infeasible
 from .numerics import as_matrix, as_vector, matrix_to_csv
-from .optlayer import BaseProblem, QuadraticProgram, find_feasible_point, solve_qp
+from .optlayer import BaseProblem, QuadraticProgram, solve_qp
 
 MODES = ("free", "nonneg", "column-simplex")
 
@@ -105,21 +105,17 @@ class SurrogateProblem:
         (H_x, c_x) plus H_extra, under the pivot cap max_iter (0: the default
         cap); kkt_adjoint takes qp and sol, kkt_jacobian_P sqp and sol.
 
-        The first solve on this set starts at its phase-one point with no
-        working row (the pivots of a solve that runs phase one itself) and
-        raises EmptyFeasibleSet when the set is empty; each later one starts
-        at the optimum before it, with its rows of positive multiplier
+        The first solve on this set has no start, so solve_qp runs phase one,
+        and raises EmptyFeasibleSet when the set is empty; each later one
+        starts at the optimum before it, with its rows of positive multiplier
         working (independent, as the pivots keep every working set, and
         tight)."""
         sqp = SurrogateQp(H_x=H_x, c_x=c_x, sp=self, H_extra=H_extra)
         qp = sqp.qp()
-        if self._start is None:
-            try:
-                y0 = find_feasible_point(self.y, max_iter)
-            except Infeasible as exc:
-                raise EmptyFeasibleSet(f"surrogate feasible set is empty: {exc}") from exc
-            self._start = y0, np.zeros(self.y.h.shape[0], dtype=bool)
-        sol = solve_qp(qp, max_iter=max_iter, start=self._start)
+        try:
+            sol = solve_qp(qp, max_iter=max_iter, start=self._start)
+        except Infeasible as exc:  # phase one found no point of the set
+            raise EmptyFeasibleSet(f"surrogate feasible set is empty: {exc}") from exc
         self._start = sol.y, sol.lam > 0.0
         return lift(self.P, sol.y), (sqp, qp, sol)
 
@@ -133,7 +129,6 @@ class SurrogateProblem:
             H_y = self.P.T @ H_x @ self.P
             if H_extra is not None:
                 H_y = H_y + H_extra
-            H_y = 0.5 * (H_y + H_y.T)  # squash matmul round-off asymmetry
             self._qp = held = H_x, H_extra, self.y.qp(H_y)
         return held[2]
 

@@ -400,27 +400,61 @@ def test_size_errors_exit_2(tmp_path):
 
 
 def test_malformed_ratings_exit_2(tmp_path):
-    # a ratings file with a (user, movie) row gone or a gap in the feature-movie
-    # ids: train exits 2 with the reason in run.log, not a traceback
+    # a ratings file with a (user, movie) row gone, a gap in the feature-movie
+    # ids, a rating that is not a number or a misnamed column: train exits 2
+    # with the reason, the file and line named, in run.log, not a traceback
     movie = ["--domain", "movierec", "--set", "n_movies=10", "--set", "users_per_group=4",
              "--set", "n_groups=10", "--set", "n_feature_movies=3", "--set", "budget_k=3",
              "--set", "picks_per_user=2", "--set", "max_epochs=1"]
     data = tmp_path / "data"
     assert main(["gen-data", "--out", str(data), *movie]) == 0
     header, *rows = (data / "movierec_ratings.csv").read_text().splitlines()
+    user, film, _ = rows[0].split(",")
     edits = {
-        "missing (user, movie) cells": rows[1:],
+        "missing (user, movie) cells": [header, *rows[1:]],
         "feature-movie ids do not run consecutively from 10": [
-            row.replace(",12,", ",13,") for row in rows
+            header, *(row.replace(",12,", ",13,") for row in rows)
         ],
+        "{path}, line 2: cannot read user, movie, rating from": [
+            header, f"{user},{film},x", *rows[1:]
+        ],
+        "{path}, line 1: no 'movie' column": ["user,film,rating", *rows],
     }
-    for i, (reason, kept) in enumerate(edits.items()):
+    for i, (reason, lines) in enumerate(edits.items()):
         path = tmp_path / f"ratings{i}.csv"
-        path.write_text("\n".join([header, *kept]) + "\n")
+        path.write_text("\n".join(lines) + "\n")
         out = tmp_path / f"out{i}"
         assert main(["train", "--out", str(out), *movie, "--set", f"data_in={path}"]) == 2
+        assert reason.format(path=path) in (out / "run.log").read_text()
+        assert not (out / "checkpoint.csv").exists()
+
+
+def test_malformed_prices_exit_2(tmp_path):
+    # a price that is not a number or a misnamed column: train exits 2 with
+    # the file and line in run.log, and every run row reports BadDimensions
+    data = tmp_path / "data"
+    assert main(["gen-data", "--domain", "portfolio", "--out", str(data), *TINY]) == 0
+    header, *rows = (data / "portfolio_prices.csv").read_text().splitlines()
+    day, security, _ = rows[2].split(",")
+    edits = {
+        "{path}, line 4: cannot read day, security, price from": [
+            header, *rows[:2], f"{day},{security},abc", *rows[3:]
+        ],
+        "{path}, line 1: no 'security' column": ["day,sec,price", *rows],
+    }
+    for i, (reason, lines) in enumerate(edits.items()):
+        path = tmp_path / f"prices{i}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        reason = reason.format(path=path)
+        out = tmp_path / f"train{i}"
+        assert main(["train", "--domain", "portfolio", "--out", str(out), *TINY,
+                     "--set", f"data_in={path}"]) == 2
         assert reason in (out / "run.log").read_text()
         assert not (out / "checkpoint.csv").exists()
+        out = tmp_path / f"run{i}"
+        assert main(["run", "--domain", "portfolio", "--out", str(out), *TINY,
+                     "--set", f"data_in={path}"]) == 1
+        assert (out / "report.csv").read_text().count(f"error: BadDimensions: {reason}") == 6
 
 
 def test_empty_split_exits_2(tmp_path):

@@ -226,13 +226,37 @@ def reference_active_set_loop(H, c, Aeq, beq, G, h, x0, max_iter, solve, working
     raise MaxIterations(f"active-set pivot cap {max_iter} reached")
 
 
+def skewed_hessian(qp, seed):
+    """(skewed, symmetric): qp with an antisymmetric perturbation of H inside
+    the 1e-10 symmetry tolerance, and the QP of that H's symmetric part."""
+    S = np.random.default_rng(seed + 4).normal(size=(qp.n, qp.n))
+    E = (S - S.T) / np.abs(S - S.T).max()
+    H = qp.H + 2e-11 * max(1.0, np.abs(qp.H).max()) * E
+    assert np.abs(H - H.T).max() > 0.0
+    rows = dict(c=qp.c, Aeq=qp.Aeq, beq=qp.beq, Gineq=qp.Gineq, hineq=qp.hineq)
+    return QuadraticProgram(H=H, **rows), QuadraticProgram(H=0.5 * (H + H.T), **rows)
+
+
 @SETTINGS
-@given(**qp_args)
-def test_reduced_pivots_match_dense_reference(seed, n, n_bounds, n_general, degenerate):
+@given(**qp_args, skewed=st.booleans())
+def test_reduced_pivots_match_dense_reference(seed, n, n_bounds, n_general, degenerate,
+                                              skewed):
     # solve_qp starts from phase one, the dense loop from the constructed
-    # feasible point; the QP is strictly convex, so both reach its optimum
+    # feasible point; the QP is strictly convex, so both reach its optimum.
+    # A skewed H, asymmetric within tolerance, gives an exactly symmetric
+    # KKT matrix, and solves and differentiates bitwise as its symmetric part
     qp, x_feas = mixed_qp(seed, n, n_bounds, n_general, degenerate)
     sol = solve_qp(qp)
+    if skewed:
+        qp, symmetric = skewed_hessian(qp, seed)
+        K = qp._rows().K
+        assert np.array_equal(K, K.T)
+        sol, ref = solve_qp(qp), solve_qp(symmetric)
+        for field in ("y", "nu", "lam"):
+            assert np.array_equal(getattr(sol, field), getattr(ref, field)), field
+        w = np.random.default_rng(seed).normal(size=n)
+        for got, want in zip(kkt_adjoint(qp, sol, w), kkt_adjoint(symmetric, ref, w)):
+            assert np.array_equal(got, want)
     x_ref = dense_active_set(qp, x_feas)
     assert np.max(np.abs(sol.y - x_ref)) <= 1e-9
     assert np.array_equal(tight_rows(qp, sol.y), tight_rows(qp, x_ref))
@@ -382,13 +406,14 @@ def test_pass_pivots_match_reference_loop(monkeypatch, cfg, decide):
     # the traffic the loop is tuned for, each solve_qp of a pass checked
     # against the reference from its own start: predicted-Q simplex QPs at
     # n = 100 (a rank-32 cosine Q plus a ridge) from the SimplexStart crash,
-    # and y-space QPs on one set, each started at the last one's optimum
+    # and y-space QPs on one set, the first from phase one (no start) and
+    # each later one started at the last one's optimum
     adapter, thetas, sp = first_pass(cfg, 12)
     starts = []
 
     def checked(qp, max_iter=0, start=None):
         assert_pivots_match_reference(qp, start)
-        starts.append(start[1].any())
+        starts.append(start is not None and start[1].any())
         return solve_qp(qp, max_iter, start)
 
     for module in (pipelines, surrogate):  # the full and the y-space solves

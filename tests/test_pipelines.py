@@ -235,7 +235,7 @@ def _weight_grads(adapter, models, inst, rep, h):
     """dL/dw of one instance by central differences and by _decision_and_grads,
     plus the (selection, strongly active set) pairs met at w and at every
     difference point; the selection is None for portfolio.  Each evaluation
-    solves on a y-space set of its own, from its phase-one point: a shared
+    solves on a y-space set of its own, from phase one: a shared
     set would start each solve at the last one's optimum, and the rounding
     of the path taken would enter the differences."""
 
@@ -896,14 +896,11 @@ def _fresh_y_qp(sp, H_x, c_x, H_extra=None):
                             Gineq=sp.y.G, hineq=sp.y.h)
 
 
-def _held_start(sp, last, max_iter):
-    """The start SurrogateProblem.solve takes on sp after the solve last (None
-    before the first): last's optimum with its rows of positive multiplier
-    working, or sp's phase-one point with no working row."""
-    if last is None:
-        return (optlayer.find_feasible_point(sp.y, max_iter),
-                np.zeros(sp.y.h.shape[0], dtype=bool))
-    return last.y, last.lam > 0.0
+def _held_start(last):
+    """The start SurrogateProblem.solve takes after the solve last: last's
+    optimum with its rows of positive multiplier working, or none (phase
+    one) before the first solve on a set, when last is None."""
+    return None if last is None else (last.y, last.lam > 0.0)
 
 
 def _assert_same_solve(got, want, rng):
@@ -921,7 +918,7 @@ def test_pass_qp_solves_match_fresh_qps():
     # the first passes of the portfolio-n100 and criterion-6 configurations:
     # each decision on the pass's shared QP, x-space from the crash start and
     # from a warm start or y-space from the start the constraint set holds
-    # (the last optimum on it, or its phase-one point), is bitwise the solve
+    # (the last optimum on it, or none before its first), is bitwise the solve
     # of a QP built afresh for the instance from the same start
     rng = np.random.default_rng(0)
     portfolio_configs = (
@@ -945,7 +942,7 @@ def test_pass_qp_solves_match_fresh_qps():
                 ref = solve_qp(fresh, max_iter=cfg.qp_max_iter, start=start)
                 _assert_same_solve((qp, sol), (fresh, ref), rng)
             x_prev = sol.y
-            start = _held_start(sp, y_ref, cfg.qp_max_iter)
+            start = _held_start(y_ref)
             _, sol, sqp, (qp,) = adapter.decision_surrogate(theta, sp)
             fresh = _fresh_y_qp(sp, H, -theta["p"])
             y_ref = solve_qp(fresh, cfg.qp_max_iter, start=start)
@@ -959,7 +956,7 @@ def test_pass_qp_solves_match_fresh_qps():
         rounds = []
 
         def solve_both(c):
-            start = _held_start(sp, last[-1] if last else None, cfg.qp_max_iter)
+            start = _held_start(last[-1] if last else None)
             x, (_, qp, sol) = sp.solve(adapter._H_x, -c, adapter._H_extra.get(sp.m, H_extra),
                                        cfg.qp_max_iter)
             fresh = _fresh_y_qp(sp, np.zeros((adapter.n, adapter.n)), -c, H_extra)

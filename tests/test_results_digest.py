@@ -1,11 +1,13 @@
 """tools/results_digest.py, the equality check between two trees: one line
-per job, whose fields are the job's run_single results."""
+per job, whose fields are the job's run_single results, and one per theory
+check, whose fields are its row of theory.run_theory_checks()."""
 
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from surrogate_dfl.pipelines import TrainConfig, run_single
+from surrogate_dfl.theory import run_theory_checks
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 TOY_MOVIE = TrainConfig(
@@ -34,3 +36,18 @@ def test_job_line_holds_the_jobs_results(tmp_path):
     assert tool.job_line("toy", TOY_MOVIE, "surrogate", 0) == line
     missing = replace(TOY_MOVIE, data_in=str(tmp_path / "none.csv"))
     assert " error: " in tool.job_line("toy", missing, "two-stage", 0)
+
+
+def test_theory_lines_hold_the_checks(monkeypatch, capsys):
+    tool = _tool()
+    lines = tool.theory_lines()
+    rows = run_theory_checks()
+    assert len(lines) == len(rows) >= 8
+    for line, row in zip(lines, rows):
+        tag, name, passed, value = line.split(" ", 3)
+        assert (tag, name, passed) == ("theory", row["check"], str(row["passed"]))
+        assert value == repr(row["value"])
+    # after the job lines, of which there are none here, main prints them
+    monkeypatch.setattr(tool, "job_set", dict)
+    assert tool.main() == 0
+    assert capsys.readouterr().out.splitlines() == lines

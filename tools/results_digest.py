@@ -1,6 +1,6 @@
-"""Print one line per job of a fixed 36-job set, so that two trees' results
-can be compared for equality: run the tool in each tree and `diff` the two
-outputs.
+"""Print one line per job of a fixed 36-job set, then one per theory check,
+so that two trees' results can be compared for equality: run the tool in
+each tree and `diff` the two outputs.
 
 The set is the criterion-6 portfolio and movie-rec configs of
 tests/test_acceptance.py and the configs of the benchmark's two workloads
@@ -9,6 +9,8 @@ seeds 0-2 with all three methods.  Every job trains and evaluates on a fresh
 adapter and dataset, in one process with one BLAS thread.  A line holds the
 config's tag, the method and the seed, then repr(mean_regret), epochs_run,
 the status, repr(max_violation) and a digest of the per-epoch history rows.
+A theory line holds `theory`, the name of a theory.run_theory_checks() row,
+its pass flag and the repr of its value.
 
 usage: python tools/results_digest.py
 """
@@ -35,6 +37,7 @@ from surrogate_dfl.pipelines import (  # noqa: E402
     load_dataset,
     train_method,
 )
+from surrogate_dfl.theory import run_theory_checks  # noqa: E402
 
 SEEDS = (0, 1, 2)
 
@@ -78,11 +81,19 @@ def job_line(tag: str, config: TrainConfig, method: str, seed: int) -> str:
     return " ".join([tag, method, str(seed), *fields])
 
 
+def theory_lines() -> list:
+    """One line per theory check: `theory`, its name, its pass flag and
+    repr(value)."""
+    return [f"theory {row['check']} {row['passed']} {row['value']!r}"
+            for row in run_theory_checks()]
+
+
 def main() -> int:
     for tag, config in job_set().items():
         for seed in SEEDS:
             for method in METHODS:
                 print(job_line(tag, config, method, seed), flush=True)
+    print(*theory_lines(), sep="\n")
     return 0
 
 
