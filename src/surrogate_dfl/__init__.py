@@ -45,7 +45,6 @@ from .surrogate import (
     default_m,
     grad_wrt_P,
     init_reparam,
-    lift,
     materialize,
     transform_problem,
 )

@@ -159,21 +159,28 @@ def export_portfolio_csv(dataset: Dataset, path) -> None:
 
 def _read_table(path, columns) -> list:
     """(int, int, float) per data row of the CSV at path, read from its
-    three named columns.  A missing column, or a cell that is missing or
-    does not parse, raises BadDimensions naming the file and line."""
+    three named columns.  A missing column, a cell that is missing or does
+    not parse, or a row whose two keys repeat an earlier row's raises
+    BadDimensions naming the file and line (and the earlier line)."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [name for name in columns if name not in (reader.fieldnames or ())]
         if missing:
             raise BadDimensions(f"{path}, line 1: no {missing[0]!r} column")
         entries = []
+        seen = {}  # (key, key) -> the line that gave it
         for row in reader:
             cells = [row[name] for name in columns]
             try:
-                entries.append((int(cells[0]), int(cells[1]), float(cells[2])))
+                entry = int(cells[0]), int(cells[1]), float(cells[2])
             except (TypeError, ValueError):
                 raise BadDimensions(f"{path}, line {reader.line_num}: cannot read "
                                     f"{', '.join(columns)} from {cells}") from None
+            earlier = seen.setdefault(entry[:2], reader.line_num)
+            if earlier != reader.line_num:
+                raise BadDimensions(f"{path}, line {reader.line_num}: {columns[0]} {entry[0]}, "
+                                    f"{columns[1]} {entry[1]} repeats line {earlier}")
+            entries.append(entry)
     return entries
 
 

@@ -34,8 +34,9 @@ system from the same matrix by the same mask (_Rows._system), and solves it
 whole when H is dense or by its Schur complement over the equality and
 frozen general rows when H is diagonal with positive entries.  The bound
 rows' multipliers come from one product of the matrix's first n rows with
-the solution.  When every row is a bound, the ratio test reads G p and G x
-off the bounds' coordinates.  It drops the working row with the most
+the solution.  A QP with no bound row skips all of that bound bookkeeping,
+in its pivots and in its adjoint.  When every row is a bound, the ratio
+test reads G p and G x off the bounds' coordinates.  It drops the working row with the most
 negative multiplier, or the lowest-index negative one after a zero-length
 step (Bland's rule, against cycling).  Phase one runs inside solve_qp only,
 when the caller passes no start (x0, working) that fits: a feasible x0
@@ -50,7 +51,6 @@ raise NumericalBreakdown when the KKT residual exceeds 1e-8 (1 + max(|H|,
 """
 
 import bisect
-import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -180,9 +180,8 @@ class QuadraticProgram:
         c = as_vector(c)
         if c.shape != self.c.shape:
             raise DimensionMismatch("c must keep the length n")
-        sibling = copy.copy(self)
-        sibling.c = c
-        sibling._derived = self._rows()
+        sibling = object.__new__(type(self))  # the fields as they stand, unchecked again
+        sibling.__dict__.update(self.__dict__, c=c, _derived=self._rows())
         return sibling
 
     def _rows(self) -> "_Rows":
@@ -242,10 +241,14 @@ class _Rows:
     def _system(self, held) -> tuple:
         """(in_system, is_bound): the mask over K of the system of the held
         rows (index array), the top rows less the coordinates its bounds fix
-        plus its general rows' slots, and which held rows are bounds."""
-        is_bound = self.bound[held]
+        plus its general rows' slots, and which held rows are bounds (None
+        when the QP has no bound row)."""
         in_system = np.zeros(self.K.shape[0], dtype=bool)
         in_system[: self.top] = True
+        if not self.bound_rows.size:
+            in_system[self.slot[held]] = True
+            return in_system, None
+        is_bound = self.bound[held]
         in_system[self.col[held[is_bound]]] = False
         in_system[self.slot[held[~is_bound]]] = True
         return in_system, is_bound
@@ -288,23 +291,33 @@ def audit_kkt(qp: QuadraticProgram, sol: PrimalDualSolution) -> dict:
     _transpose_product), which read each bound row as s y_j, and H y is
     diag * y when H is diagonal with positive entries: O(n) for the
     box-budget QPs, whose rows are +-e_j and one row of ones."""
-    rows = qp._rows()
-    y, nu, lam = sol.y, sol.nu, sol.lam
-    stat = (qp.H @ y if rows.diag is None else rows.diag * y) + qp.c
-    if qp.Aeq.shape[0]:
-        stat = stat + qp.Aeq.T @ nu
-    if qp.Gineq.shape[0]:
-        stat = stat + rows._transpose_product(lam)
-    slack = rows._product(y) - qp.hineq
+    stat, eq, slack = _kkt_terms(qp, sol)
+    lam = sol.lam
     return {
         "stationarity": float(np.abs(stat).max(initial=0.0)),
-        "primal_eq": float(
-            np.abs(qp.Aeq @ y - qp.beq).max(initial=0.0) if qp.Aeq.shape[0] else 0.0
-        ),
+        "primal_eq": float(np.abs(eq).max(initial=0.0)),
         "primal_ineq": float(slack.max(initial=0.0)),
         "dual": float((-lam).max(initial=0.0)),
         "comp_slack": float(np.abs(lam * slack).max(initial=0.0)),
     }
+
+
+def _kkt_terms(qp: QuadraticProgram, sol: PrimalDualSolution) -> tuple:
+    """(stationarity, equality, inequality) residual vectors of sol on qp:
+    H y + c + Aeq^T nu + G^T lam, Aeq y - beq and G y - h."""
+    rows = qp._rows()
+    y, nu, lam = sol.y, sol.nu, sol.lam
+    stat = (qp.H @ y if rows.diag is None else rows.diag * y) + qp.c
+    eq = _NONE
+    if qp.Aeq.shape[0]:
+        stat += qp.Aeq.T @ nu
+        eq = qp.Aeq @ y - qp.beq
+    if qp.Gineq.shape[0]:
+        stat += rows._transpose_product(lam)
+    return stat, eq, rows._product(y) - qp.hineq
+
+
+_ZERO, _NONE = np.zeros(1), np.zeros(0)
 
 
 def _kkt_matrix(H, A):
@@ -349,8 +362,11 @@ def _active_set_loop(qp: QuadraticProgram, x0, max_iter, working=None):
     step of full length with no blocking row leaves the working set
     unchanged and lands on its minimizer, so the next iteration goes straight
     to the multipliers of the same solution; it still counts toward
-    max_iter.  When every row is a bound, the ratio test forms G p and G x as
-    s p_j and s x_j, which is exact.  A general row's multiplier is its entry
+    max_iter.  A QP with no bound row skips the bound bookkeeping (the fixed
+    coordinates and the per-coordinate counts), so the set-up grows with
+    the working set.  When every row is a bound, the ratio test forms G p
+    and G x as s p_j and s x_j, which is exact; G x is formed only when some
+    row can block.  A general row's multiplier is its entry
     of the solution; a bound's is read back from the stationarity row of its
     coordinate, out of one product of K's first n rows.  When multipliers are
     negative, the row with the most negative one leaves the working set
@@ -365,18 +381,20 @@ def _active_set_loop(qp: QuadraticProgram, x0, max_iter, working=None):
     rhs = rows.rhs.copy()
     rhs[:n] = -qp.c
     # set_working(r, True) for every seeded row, at once
-    seeded = np.flatnonzero(working) if working is not None else np.zeros(0, dtype=int)
+    seeded = working.nonzero()[0] if working is not None else np.zeros(0, dtype=int)
     in_system, seeded_bound = rows._system(seeded)
     work = np.zeros(mi, dtype=bool)
     work[seeded] = True
-    fixes = seeded[seeded_bound]
-    x_fixed = np.zeros(n)  # zero off the fixed coordinates
-    x_fixed[col[fixes]] = h[fixes] / s[fixes]  # independent rows fix distinct coordinates
     idle = ~work  # kept, as the rest of this state, by set_working
-    n_fixing = np.bincount(col[work & bound], minlength=n).tolist()  # per coordinate
-    n_free = n_fixing.count(0)
-    fixed = x_fixed.tolist()  # x_fixed, read without a numpy call
-    n_shifted = np.count_nonzero(x_fixed)  # fixed coordinates at a nonzero value
+    x_fixed = np.zeros(n)  # zero off the fixed coordinates
+    n_free, n_shifted = n, 0  # free coordinates; fixed ones at a nonzero value
+    if seeded_bound is not None:  # the bound bookkeeping, which a QP without bounds skips
+        fixes = seeded[seeded_bound]
+        x_fixed[col[fixes]] = h[fixes] / s[fixes]  # independent rows fix distinct coordinates
+        n_fixing = np.bincount(col[work & bound], minlength=n).tolist()  # per coordinate
+        n_free = n_fixing.count(0)
+        fixed = x_fixed.tolist()  # x_fixed, read without a numpy call
+        n_shifted = np.count_nonzero(x_fixed)
 
     def set_working(r, on):
         nonlocal n_free, n_shifted
@@ -416,8 +434,11 @@ def _active_set_loop(qp: QuadraticProgram, x0, max_iter, working=None):
                 z = _equality_solve(K.take(idx, axis=0).take(idx, axis=1).T, b)
             except SingularMatrix as exc:
                 raise NumericalBreakdown(f"singular working-set KKT system: {exc}") from exc
-            x_hat = x_fixed.copy()
-            x_hat[idx[:n_free]] = z[:n_free]
+            if n_free < n:
+                x_hat = x_fixed.copy()
+                x_hat[idx[:n_free]] = z[:n_free]
+            else:
+                x_hat = z[:n]
             solved = True
         if not at_minimizer:
             p = x_hat - x
@@ -426,20 +447,17 @@ def _active_set_loop(qp: QuadraticProgram, x0, max_iter, working=None):
             if p_max > step_tol:
                 alpha = 1.0
                 blocking = -1
-                if rows.all_bounds:  # G_r p = s_r p_j exactly when row r is s_r x_j <= h_r
-                    d = s * p.take(col)
-                    room = h - s * x.take(col)
-                else:
-                    d = G @ p
-                    room = h - G @ x
+                # G_r p = s_r p_j exactly when row r is s_r x_j <= h_r
+                d = s * p.take(col) if rows.all_bounds else G @ p
                 cand = (idle & (d > rows.d_tol + rows.d_tol_per_step * p_max)).nonzero()[0]
                 if cand.size:
+                    room = h - (s * x.take(col) if rows.all_bounds else G @ x)
                     ratios = np.maximum(room[cand], 0.0) / d[cand]
                     k = ratios.argmin()  # argmin takes the lowest index on ties
                     if ratios[k] < alpha - 1e-12:
                         alpha = ratios[k]
                         blocking = cand[k]
-                x = x + alpha * p
+                x = x + alpha * p if blocking >= 0 else x + p
                 stalled = alpha * p_max <= step_tol
                 abs_x = np.abs(x)
                 step_tol = STEP_TOL * (1.0 + abs_x[abs_x.argmax()])
@@ -453,7 +471,7 @@ def _active_set_loop(qp: QuadraticProgram, x0, max_iter, working=None):
                 continue
         lam.fill(0.0)
         if idx.size > n_free + me:  # general working rows
-            lam[general[idx[n_free + me :] - n - me]] = z[n_free + me :]
+            lam[general[idx[n_free + me :] - rows.top]] = z[n_free + me :]
         if n_free < n:  # bound working rows
             fixing = (work if rows.all_bounds else work & bound).nonzero()[0]
             v.fill(0.0)
@@ -506,13 +524,19 @@ def _phase_one(qp: QuadraticProgram, max_iter):
 
 
 def _certify(qp: QuadraticProgram, sol: PrimalDualSolution) -> PrimalDualSolution:
-    """Fill sol.kkt_residual; raise NumericalBreakdown when it exceeds
+    """Fill sol.kkt_residual, the largest of audit_kkt's block residuals,
+    taken in one reduction over the blocks' entries, so that a NaN entry
+    fails; raise NumericalBreakdown, with the blocks, when it exceeds
     KKT_TOL * (1 + max(|H|, |c|, |h|))."""
-    sol.kkt_residual = max(audit_kkt(qp, sol).values())
+    stat, eq, slack = _kkt_terms(qp, sol)
+    # max(audit_kkt(qp, sol).values()), as one reduction over the blocks' entries
+    blocks = (np.abs(stat), np.abs(eq), slack, -sol.lam, np.abs(sol.lam * slack), _ZERO)
+    sol.kkt_residual = float(np.concatenate(blocks).max())
     if not sol.kkt_residual <= KKT_TOL:  # the scale can only raise the bound
         scale = max(np.max(np.abs(block), initial=0.0) for block in (qp.H, qp.c, qp.hineq))
         if not sol.kkt_residual <= KKT_TOL * (1.0 + scale):
-            raise NumericalBreakdown(f"KKT residual {sol.kkt_residual:.3e} is over tolerance")
+            raise NumericalBreakdown(f"KKT residual {sol.kkt_residual:.3e} is over tolerance "
+                                     f"({audit_kkt(qp, sol)})")
     return sol
 
 
@@ -524,7 +548,7 @@ def _start_fits(qp: QuadraticProgram, x0, working) -> bool:
         raise DimensionMismatch("start must be (x0 of length n, mask over Gineq rows)")
     slack = qp._rows()._product(x0) - qp.hineq
     return bool(
-        np.abs(qp.Aeq @ x0 - qp.beq).max(initial=0.0) <= FEAS_TOL
+        (not qp.Aeq.shape[0] or np.abs(qp.Aeq @ x0 - qp.beq).max() <= FEAS_TOL)
         and slack.max(initial=0.0) <= FEAS_TOL
         and np.abs(slack[working]).max(initial=0.0) <= FEAS_TOL
     )
@@ -583,22 +607,22 @@ def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
     solve_symmetric call on the whole system.  A diagonal H = diag(d), d > 0
     (the box-budget QPs, and movie-rec's y-space QPs, 2 gamma I), takes its
     Schur complement instead (_diagonal_kkt_solve): one solve_symmetric call
-    of the size of those rows, and none when there are none.  A dependent set
-    raises SingularKKT: two bounds on one coordinate here, any other in
-    solve_symmetric's pivot checks.
+    of the size of those rows, and none when there are none.  With no
+    frozen bound, z_y, z_nu and z_lam are slices of that solution as it
+    stands.  A dependent set raises SingularKKT: two bounds on one
+    coordinate here, any other in solve_symmetric's pivot checks.
     """
     dL_dy = as_vector(dL_dy)
     if dL_dy.shape != qp.c.shape:
         raise DimensionMismatch("dL_dy must have length n")
-    act = np.nonzero(sol.lam > STRICT_COMPLEMENTARITY_TOL)[0]
+    act = (sol.lam > STRICT_COMPLEMENTARITY_TOL).nonzero()[0]
     rows = qp._rows()
     n, me, K = qp.n, qp.Aeq.shape[0], rows.K
     in_system, is_bound = rows._system(act)
-    fixing = act[is_bound]
-    cols = rows.col[fixing]
+    fixing = act[:0] if is_bound is None else act[is_bound]
     idx = in_system.nonzero()[0]
-    n_free = np.count_nonzero(in_system[:n])
-    if n_free + cols.size > n:
+    n_free = np.count_nonzero(in_system[:n]) if fixing.size else n
+    if n_free + fixing.size > n:
         raise SingularKKT("two bound rows fix one coordinate")
     free = idx[:n_free]
     try:
@@ -612,13 +636,16 @@ def kkt_adjoint(qp: QuadraticProgram, sol: PrimalDualSolution, dL_dy):
                                     dL_dy.take(free))
     except SingularMatrix as exc:
         raise SingularKKT(str(exc)) from exc
+    if not fixing.size:
+        return z[:n], z[n : n + me], z[n + me :], act
+    cols = rows.col[fixing]
     v = np.zeros(K.shape[0])  # the solution over all of K, zero off the system
     v[idx] = z
     z_y = v[:n]
     z_lam = np.empty(act.size)
     z_lam[~is_bound] = z[n_free + me :]
-    if cols.size:  # each bound's multiplier closes the stationarity row of its coordinate
-        z_lam[is_bound] = (dL_dy - qp.H @ z_y - K[n:, :n].T @ v[n:])[cols] / rows.s[fixing]
+    # each bound's multiplier closes the stationarity row of its coordinate
+    z_lam[is_bound] = (dL_dy - qp.H @ z_y - K[n:, :n].T @ v[n:])[cols] / rows.s[fixing]
     return z_y, z[n_free : n_free + me], z_lam, act
 
 
@@ -629,9 +656,8 @@ def _diagonal_kkt_solve(d, A, b):
     dependent, and x = (b - A^T w) / d.  With no row, x = b / d and nothing
     is factorized.  Returns [x; w].
     """
-    x = b / d
     if not A.shape[0]:
-        return x
+        return b / d
     A_d = A / d
     w = solve_symmetric(A_d @ A.T, A_d @ b)
     return np.concatenate([(b - A.T @ w) / d, w])
@@ -650,15 +676,22 @@ def kkt_jacobian_P(sqp, sol: PrimalDualSolution, adjoint, dL_dx) -> np.ndarray:
     w = H_x P z_y + A_eq^T z_nu + G_ab^T z_lam_b, dL/dP is
     -s_x z_y^T + (dL_dx - w) y*^T, dL_dx y*^T being x = P y's explicit term.
     G_ab holds the frozen x-space rows (act < n_base) and z_lam_b their
-    adjoint entries; trailing y-space rows do not depend on P.
+    adjoint entries; trailing y-space rows do not depend on P.  An empty
+    A_eq or G_ab adds nothing, so neither product is formed then.
     """
     z_y, z_nu, z_lam, act = adjoint
     P, base, H_x = sqp.sp.P, sqp.sp.base, sqp.H_x
-    is_base = act < base.G.shape[0]
-    G_ab = base.G[act[is_base]]
-    s_x = H_x @ (P @ sol.y) + sqp.c_x + base.Aeq.T @ sol.nu + G_ab.T @ sol.lam[act[is_base]]
-    w = H_x @ (P @ z_y) + base.Aeq.T @ z_nu + G_ab.T @ z_lam[is_base]
-    return -np.outer(s_x, z_y) + np.outer(dL_dx - w, sol.y)
+    s_x = H_x @ (P @ sol.y) + sqp.c_x
+    w = H_x @ (P @ z_y)
+    if base.Aeq.shape[0]:  # an empty block's product adds zeros
+        s_x += base.Aeq.T @ sol.nu
+        w += base.Aeq.T @ z_nu
+    frozen = act[: act.searchsorted(base.G.shape[0])]  # act is sorted: the x-space rows lead
+    if frozen.size:
+        G_ab = base.G[frozen]
+        s_x += G_ab.T @ sol.lam[frozen]
+        w += G_ab.T @ z_lam[: frozen.size]
+    return np.outer(dL_dx - w, sol.y) - np.outer(s_x, z_y)
 
 
 def solve_box_budget_qp(c_lin, gamma: float, k: float) -> PrimalDualSolution:

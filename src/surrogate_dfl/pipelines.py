@@ -45,6 +45,7 @@ solved once, for every method.  No job changes the shared dataset.
 
 import copy
 import csv
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -140,7 +141,13 @@ class TrainConfig:
     data_in: str = ""
 
     def __post_init__(self):
-        """Rejects an unknown domain, method or surrogate mode (ValueError)."""
+        """Rejects an unknown domain, method or surrogate mode, and a
+        learning rate that is negative or not finite (ValueError); 0 freezes
+        its parameters."""
+        for key in ("learning_rate", "p_learning_rate"):
+            rate = getattr(self, key)
+            if not (math.isfinite(rate) and rate >= 0.0):
+                raise ValueError(f"{key} must be finite and >= 0, got {rate!r}")
         if self.domain not in ADAPTERS:
             raise ValueError(f"unknown domain {self.domain!r}")
         if not self.methods:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadDimensions, DimensionMismatch, EmptyFeasibleSet, Infeasible
-from .numerics import as_matrix, as_vector, matrix_to_csv
+from .numerics import as_matrix, matrix_to_csv
 from .optlayer import BaseProblem, QuadraticProgram, solve_qp
 
 MODES = ("free", "nonneg", "column-simplex")
@@ -71,15 +71,6 @@ def materialize(rep: Reparameterization) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def lift(P, y) -> np.ndarray:
-    """x = P y."""
-    P = as_matrix(P)
-    y = as_vector(y)
-    if P.shape[1] != y.shape[0]:
-        raise DimensionMismatch("P columns must match len(y)")
-    return P @ y
-
-
 @dataclass
 class SurrogateProblem:
     """The y-space set y of the x-space set base composed with x = P y, plus
@@ -117,7 +108,7 @@ class SurrogateProblem:
         except Infeasible as exc:  # phase one found no point of the set
             raise EmptyFeasibleSet(f"surrogate feasible set is empty: {exc}") from exc
         self._start = sol.y, sol.lam > 0.0
-        return lift(self.P, sol.y), (sqp, qp, sol)
+        return self.P @ sol.y, (sqp, qp, sol)
 
     def qp(self, H_x, H_extra=None) -> QuadraticProgram:
         """The y-space QP of Hessian P^T H_x P + H_extra and c = 0 on y, which

@@ -353,6 +353,22 @@ def test_run_rejects_bad_names_and_missing_data(tmp_path):
     assert "methods is empty" in (out / "run.log").read_text()
 
 
+def test_bad_learning_rate_exits_2(tmp_path):
+    # a negative or non-finite rate would train an untrained model or climb
+    # the loss and still report ok: the config is rejected with the key named
+    cases = [("learning_rate=nan", "learning_rate must be finite and >= 0, got nan"),
+             ("learning_rate=-0.01", "learning_rate must be finite and >= 0, got -0.01"),
+             ("p_learning_rate=inf", "p_learning_rate must be finite and >= 0, got inf")]
+    for i, (item, reason) in enumerate(cases):
+        out = tmp_path / f"t{i}"
+        assert main(["train", "--domain", "portfolio", "--out", str(out), *TINY,
+                     "--set", item]) == 2
+        assert reason in (out / "run.log").read_text()
+        assert not (out / "checkpoint.csv").exists()
+    # 0 stays legal: it freezes the parameters it drives
+    assert TrainConfig(learning_rate=0.0, p_learning_rate=0.0).p_learning_rate == 0.0
+
+
 def _seed_0_regret(report_path):
     rows = [line.split(",") for line in report_path.read_text().splitlines()[2:]]
     return next(float(r[2]) for r in rows if r[1] == "0")
@@ -455,6 +471,42 @@ def test_malformed_prices_exit_2(tmp_path):
         assert main(["run", "--domain", "portfolio", "--out", str(out), *TINY,
                      "--set", f"data_in={path}"]) == 1
         assert (out / "report.csv").read_text().count(f"error: BadDimensions: {reason}") == 6
+
+
+def test_duplicate_prices_exit_2(tmp_path):
+    # a second price for a (day, security) cell: train exits 2 with the file,
+    # both lines and the cell in run.log, instead of keeping the later price
+    data = tmp_path / "data"
+    assert main(["gen-data", "--domain", "portfolio", "--out", str(data), *TINY]) == 0
+    header, *rows = (data / "portfolio_prices.csv").read_text().splitlines()
+    day, security, _ = rows[1].split(",")
+    path = tmp_path / "prices.csv"
+    path.write_text("\n".join([header, *rows[:3], f"{day},{security},123.0", *rows[3:]]) + "\n")
+    out = tmp_path / "train"
+    assert main(["train", "--domain", "portfolio", "--out", str(out), *TINY,
+                 "--set", f"data_in={path}"]) == 2
+    reason = f"{path}, line 5: day {day}, security {security} repeats line 3"
+    assert reason in (out / "run.log").read_text()
+    assert not (out / "checkpoint.csv").exists()
+
+
+def test_duplicate_ratings_exit_2(tmp_path):
+    # a second rating for a (user, movie) cell: train exits 2 with the file,
+    # both lines and the cell in run.log
+    movie = ["--domain", "movierec", "--set", "n_movies=10", "--set", "users_per_group=4",
+             "--set", "n_groups=10", "--set", "n_feature_movies=3", "--set", "budget_k=3",
+             "--set", "picks_per_user=2", "--set", "max_epochs=1"]
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), *movie]) == 0
+    header, *rows = (data / "movierec_ratings.csv").read_text().splitlines()
+    user, film, _ = rows[0].split(",")
+    path = tmp_path / "ratings.csv"
+    path.write_text("\n".join([header, *rows, f"{user},{film},0.5"]) + "\n")
+    out = tmp_path / "train"
+    assert main(["train", "--out", str(out), *movie, "--set", f"data_in={path}"]) == 2
+    reason = f"{path}, line {len(rows) + 2}: user {user}, movie {film} repeats line 2"
+    assert reason in (out / "run.log").read_text()
+    assert not (out / "checkpoint.csv").exists()
 
 
 def test_empty_split_exits_2(tmp_path):

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 from helpers import tight_rows
 
-from surrogate_dfl import surrogate
-from surrogate_dfl.errors import DimensionMismatch, Infeasible, MaxIterations
+from surrogate_dfl import optlayer, surrogate
+from surrogate_dfl.errors import (
+    DimensionMismatch,
+    Infeasible,
+    MaxIterations,
+    NumericalBreakdown,
+)
 from surrogate_dfl.optlayer import (
     BaseProblem,
     QuadraticProgram,
@@ -297,3 +302,48 @@ def test_audit_kkt_flags_bad_solution():
     sol.y = np.array([0.9, 0.1])  # not the optimum
     res = audit_kkt(qp, sol)
     assert res["stationarity"] > 1e-3
+
+
+def test_with_c_sibling_shares_rows_and_checks_c():
+    # a sibling is the QP of another c on the same H and rows: it shares the
+    # parent's _Rows and arrays, holds its own c and checks that c alone
+    qp = QuadraticProgram(H=np.diag([1.0, 2.0, 3.0]), c=np.array([0.5, -1.0, 0.2]),
+                          Aeq=np.ones((1, 3)), beq=np.ones(1),
+                          Gineq=np.vstack([-np.eye(3), [[1.0, 2.0, 0.0]]]),
+                          hineq=np.array([0.0, 0.0, 0.0, 1.5]))
+    c_before = qp.c.copy()
+    c = np.array([-2.0, 0.3, 1.0])
+    sibling = qp.with_c(c)
+    assert type(sibling) is QuadraticProgram
+    assert sibling._rows() is qp._rows() and sibling.with_c(qp.c)._rows() is qp._rows()
+    for name in ("H", "Aeq", "beq", "Gineq", "hineq"):
+        assert getattr(sibling, name) is getattr(qp, name), name
+    assert sibling.c is not qp.c and np.array_equal(sibling.c, c)
+    assert np.array_equal(qp.c, c_before)
+    fresh = QuadraticProgram(H=qp.H, c=c, Aeq=qp.Aeq, beq=qp.beq, Gineq=qp.Gineq, hineq=qp.hineq)
+    got, want = solve_qp(sibling), solve_qp(fresh)
+    for field in ("y", "nu", "lam"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    with pytest.raises(DimensionMismatch):
+        qp.with_c(np.ones(4))
+    with pytest.raises(ValueError, match="finite"):
+        qp.with_c(np.array([0.0, np.nan, 0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        qp.with_c(np.array([0.0, np.inf, 0.0]))
+    assert np.array_equal(qp.c, c_before)
+
+
+def test_certificate_residual_is_the_largest_audit_block():
+    # _certify takes the blocks' maximum in one reduction: audit_kkt's largest
+    # block, bit for bit; a NaN multiplier fails the certificate
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        qp = simplex_qp(2 * np.eye(4), rng.normal(size=4), 4)
+        sol = solve_qp(qp)
+        assert sol.kkt_residual == max(audit_kkt(qp, sol).values())
+        c_lin = rng.normal(size=6)
+        box = solve_box_budget_qp(c_lin, 0.2, 2)
+        assert box.kkt_residual == max(audit_kkt(box_budget_qp(c_lin, 0.2, 2), box).values())
+    sol.lam[-1] = np.nan
+    with pytest.raises(NumericalBreakdown, match="KKT residual nan"):
+        optlayer._certify(qp, sol)

@@ -6,7 +6,16 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from surrogate_dfl.pipelines import TrainConfig, run_single
+import numpy as np
+
+from surrogate_dfl.pipelines import (
+    TrainConfig,
+    get_adapter,
+    init_method,
+    load_dataset,
+    run_single,
+    train_method,
+)
 from surrogate_dfl.theory import run_theory_checks
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -28,11 +37,24 @@ def _tool():
 def test_job_line_holds_the_jobs_results(tmp_path):
     tool = _tool()
     line = tool.job_line("toy", TOY_MOVIE, "surrogate", 0)
-    tag, method, seed, regret, epochs, status, violation, digest = line.split(" ")
+    tag, method, seed, regret, epochs, status, violation, digest, weights = line.split(" ")
     row, extras = run_single(TOY_MOVIE, "surrogate", 0)
     assert (tag, method, seed, status) == ("toy", "surrogate", "0", "ok")
     assert (regret, epochs) == (repr(row.mean_regret), str(row.epochs_run))
     assert violation == repr(extras["max_violation"]) and len(digest) == 16
+    # the weights field hashes the trained parameters, then the final P_raw
+    adapter = get_adapter(TOY_MOVIE)
+    dataset = load_dataset(TOY_MOVIE, adapter, 0)
+    models, rep = init_method(TOY_MOVIE, adapter, "surrogate", 0)
+    result = train_method(models, rep, dataset, TOY_MOVIE, adapter, "surrogate")
+    trained = adapter.params(result.models)
+    assert weights == tool.weights_digest(trained + [rep.P_raw])
+    assert weights != tool.weights_digest(trained)
+    moved = rep.P_raw.copy()
+    moved.flat[0] = np.nextafter(moved.flat[0], np.inf)
+    assert weights != tool.weights_digest(trained + [moved])  # one ulp of P_raw shows
+    two_stage = tool.job_line("toy", TOY_MOVIE, "two-stage", 0).split(" ")
+    assert len(two_stage[-1]) == 16 and two_stage[-1] != weights
     assert tool.job_line("toy", TOY_MOVIE, "surrogate", 0) == line
     missing = replace(TOY_MOVIE, data_in=str(tmp_path / "none.csv"))
     assert " error: " in tool.job_line("toy", missing, "two-stage", 0)

@@ -21,7 +21,6 @@ from surrogate_dfl.surrogate import (
     default_m,
     grad_wrt_P,
     init_reparam,
-    lift,
     materialize,
     transform_problem,
 )
@@ -52,21 +51,13 @@ def test_column_simplex_invariants():
         assert P.min() > 0
 
 
-def test_lift_identity_and_zero():
-    y = np.array([0.2, 0.8])
-    assert np.array_equal(lift(np.eye(2), y), y)
-    assert np.allclose(lift(np.zeros((3, 2)), y), 0.0)
-    with pytest.raises(DimensionMismatch):
-        lift(np.eye(3), y)
-
-
-def test_lift_column_simplex_maps_simplex_to_simplex():
+def test_column_simplex_P_maps_simplex_to_simplex():
     rng = np.random.default_rng(1)
     rep = init_reparam(5, 3, "column-simplex", seed=2)
     P = materialize(rep)
     for _ in range(20):
         y = rng.dirichlet(np.ones(3))
-        x = lift(P, y)
+        x = P @ y
         assert abs(x.sum() - 1.0) <= 1e-12
         assert x.min() >= 0
 
@@ -121,7 +112,7 @@ def test_feasibility_roundtrip_invariant():
         H = M @ M.T + np.eye(n)
         sqp = SurrogateQp(H_x=H, c_x=rng.normal(size=n), sp=sp)
         sol = solve_qp(sqp.qp())
-        x = lift(P, sol.y)
+        x = P @ sol.y
         assert base.violation(x) <= 1e-8
 
 

@@ -8,7 +8,9 @@ at benchmark seed 0 (taken from perfbench/workloads.py), each at package
 seeds 0-2 with all three methods.  Every job trains and evaluates on a fresh
 adapter and dataset, in one process with one BLAS thread.  A line holds the
 config's tag, the method and the seed, then repr(mean_regret), epochs_run,
-the status, repr(max_violation) and a digest of the per-epoch history rows.
+the status, repr(max_violation), a digest of the per-epoch history rows and
+a digest of the trained parameters and the final P_raw, which covers the
+gradient path even where regrets and history agree by chance.
 A theory line holds `theory`, the name of a theory.run_theory_checks() row,
 its pass flag and the repr of its value.
 
@@ -57,10 +59,20 @@ def job_set() -> dict:
     }
 
 
+def weights_digest(arrays) -> str:
+    """The first 16 hex digits of the SHA-256 of the arrays' bytes, in order."""
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return digest.hexdigest()[:16]
+
+
 def job_line(tag: str, config: TrainConfig, method: str, seed: int) -> str:
     """The job's line: tag, method, seed, repr(mean_regret), epochs_run,
-    status, repr(max_violation) and the first 16 hex digits of the SHA-256
-    of the history rows' repr; a job that raises gets its error as status."""
+    status, repr(max_violation), the first 16 hex digits of the SHA-256 of
+    the history rows' repr, and weights_digest of the trained parameters, in
+    the adapter's params order, then the final P_raw (the surrogate's only);
+    a job that raises gets its error as status."""
     try:
         adapter = get_adapter(config)
         dataset = load_dataset(config, adapter, seed)
@@ -68,7 +80,7 @@ def job_line(tag: str, config: TrainConfig, method: str, seed: int) -> str:
         result = train_method(models, rep, dataset, config, adapter, method)
         ev = evaluate(result.models, rep, dataset, config, adapter)
     except Exception as exc:  # a failed job is a result to compare, not the end of the run
-        fields = ["nan", "0", f"error: {type(exc).__name__}: {exc}", "nan", "-"]
+        fields = ["nan", "0", f"error: {type(exc).__name__}: {exc}", "nan", "-", "-"]
     else:
         rows = [(epoch, float(loss), float(score)) for epoch, loss, score in result.history]
         fields = [
@@ -77,6 +89,7 @@ def job_line(tag: str, config: TrainConfig, method: str, seed: int) -> str:
             "ok",
             repr(float(ev.max_violation)),
             hashlib.sha256(repr(rows).encode()).hexdigest()[:16],
+            weights_digest(adapter.params(result.models) + ([] if rep is None else [rep.P_raw])),
         ]
     return " ".join([tag, method, str(seed), *fields])
 
